@@ -4,19 +4,19 @@
 //! a small state machine that folds one [`RecordView`] at a time
 //! (`observe`), combines with a sibling that consumed a later shard of
 //! the population (`merge`), and produces the finished figure
-//! (`finish`). The legacy per-figure functions are thin drivers over
-//! these accumulators, and [`mod@crate::sweep`] runs *all* of them in one
-//! fused parallel pass — so the per-figure and fused paths are
-//! byte-identical by construction.
+//! (`finish`). [`crate::sweep::FigureSet`] holds one of each and the
+//! streaming engine ([`mod@crate::stream`]) folds them all in one pass;
+//! [`run`] folds a single accumulator over a slice, which is how a
+//! figure is computed (and tested) on its own.
 //!
 //! ## Determinism contract
 //!
 //! `merge` must behave as if `other`'s records had been observed after
 //! `self`'s, in order. Accumulators therefore collect per-stratum
 //! sample vectors (concatenated on merge) and defer every
-//! floating-point reduction to `finish`, where the exact legacy
-//! arithmetic runs over the exact legacy sample order. Counters and
-//! hash sets are order-independent and may fold eagerly.
+//! floating-point reduction to `finish`, which sees the same samples in
+//! the same order however the population was split. Counters and hash
+//! sets are order-independent and may fold eagerly.
 
 use mbw_dataset::{AccessTech, Isp, RecordView, TestRecord};
 
@@ -41,8 +41,7 @@ pub trait FigureAccumulator<R: ?Sized>: Sized + Send {
     fn finish(self) -> Self::Output;
 }
 
-/// Drive an accumulator over a row-major population — the legacy
-/// single-threaded path shared by every per-figure function.
+/// Fold one accumulator over a row-major population and finish it.
 pub fn run<A, O>(mut acc: A, records: &[TestRecord]) -> O
 where
     A: for<'a> FigureAccumulator<RecordView<'a>, Output = O>,

@@ -8,7 +8,7 @@
 use crate::accum::{self, FigureAccumulator};
 use crate::Render;
 use mbw_dataset::bands;
-use mbw_dataset::{AccessTech, LteBandId, NrBandId, RecordView, TestRecord};
+use mbw_dataset::{AccessTech, LteBandId, NrBandId, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::descriptive::{fraction_above, fraction_below, mean, median};
 use mbw_stats::Ecdf;
@@ -73,7 +73,7 @@ pub struct Fig04 {
     pub mean_above_300: f64,
 }
 
-/// Accumulator behind [`fig04`].
+/// Accumulator behind [`Fig04`].
 #[derive(Debug, Clone, Default)]
 pub struct Fig04Acc {
     bw: Vec<f64>,
@@ -123,11 +123,6 @@ impl Codec for Fig04Acc {
     }
 }
 
-/// Compute Fig 4 from the 2021 population.
-pub fn fig04(records: &[TestRecord]) -> Fig04 {
-    accum::run(Fig04Acc::new(), records)
-}
-
 impl Render for Fig04 {
     fn render(&self) -> String {
         format!(
@@ -151,7 +146,7 @@ pub struct LteBandFigure {
     pub band3_share: f64,
 }
 
-/// Accumulator behind [`fig05_06`] — one sample vector per Table 1 band.
+/// Accumulator behind [`LteBandFigure`] — one sample vector per Table 1 band.
 #[derive(Debug, Clone)]
 pub struct LteBandAcc {
     per_band: Vec<Vec<f64>>,
@@ -231,11 +226,6 @@ impl Codec for LteBandAcc {
     }
 }
 
-/// Compute Figs 5 and 6 together (they share the stratification).
-pub fn fig05_06(records: &[TestRecord]) -> LteBandFigure {
-    accum::run(LteBandAcc::new(), records)
-}
-
 impl Render for LteBandFigure {
     fn render(&self) -> String {
         let mut out = String::from("Figs 5-6: LTE bands - mean bandwidth and test counts\n");
@@ -264,7 +254,7 @@ impl Render for LteBandFigure {
     }
 }
 
-/// Accumulator behind [`fig07`] — the 5G bandwidth CDF.
+/// Accumulator behind [`CdfFigure`] — the 5G bandwidth CDF.
 #[derive(Debug, Clone, Default)]
 pub struct Fig07Acc {
     bw: Vec<f64>,
@@ -307,11 +297,6 @@ impl Codec for Fig07Acc {
     }
 }
 
-/// Fig 7: 5G bandwidth distribution.
-pub fn fig07(records: &[TestRecord]) -> CdfFigure {
-    accum::run(Fig07Acc::new(), records)
-}
-
 /// Figs 8–9: per-NR-band mean bandwidth and test counts.
 #[derive(Debug, Clone)]
 pub struct NrBandFigure {
@@ -319,7 +304,9 @@ pub struct NrBandFigure {
     pub rows: Vec<(NrBandId, bool, f64, usize)>,
 }
 
-/// Accumulator behind [`fig08_09`] — one sample vector per Table 2 band.
+/// Accumulator behind [`NrBandFigure`] — one sample vector per Table 2
+/// band. N79 rows remain (the paper keeps the bar but excludes it from
+/// analysis — three tests total).
 #[derive(Debug, Clone)]
 pub struct NrBandAcc {
     per_band: Vec<Vec<f64>>,
@@ -378,12 +365,6 @@ impl Codec for NrBandAcc {
     }
 }
 
-/// Compute Figs 8 and 9. N79 rows remain (the paper keeps the bar but
-/// excludes it from analysis — three tests total).
-pub fn fig08_09(records: &[TestRecord]) -> NrBandFigure {
-    accum::run(NrBandAcc::new(), records)
-}
-
 impl Render for NrBandFigure {
     fn render(&self) -> String {
         let mut out = String::from("Figs 8-9: NR bands - mean bandwidth and test counts\n");
@@ -413,7 +394,7 @@ pub struct Fig10 {
     pub rows: Vec<(u8, usize, f64)>,
 }
 
-/// Accumulator behind [`fig10`] — one 5G sample vector per hour of day.
+/// Accumulator behind [`Fig10`] — one 5G sample vector per hour of day.
 #[derive(Debug, Clone)]
 pub struct Fig10Acc {
     hours: [Vec<f64>; 24],
@@ -472,11 +453,6 @@ impl Codec for Fig10Acc {
     }
 }
 
-/// Compute Fig 10.
-pub fn fig10(records: &[TestRecord]) -> Fig10 {
-    accum::run(Fig10Acc::new(), records)
-}
-
 impl Fig10 {
     /// Mean bandwidth over an inclusive hour window.
     pub fn mean_over(&self, from: u8, to: u8) -> f64 {
@@ -520,7 +496,7 @@ pub struct RssFigure {
     pub rows: Vec<(u8, f64, f64, f64)>,
 }
 
-/// Accumulator behind [`fig11_12`] — per-RSS-level SNR and bandwidth
+/// Accumulator behind [`RssFigure`] — per-RSS-level SNR and bandwidth
 /// sample vectors over the 5G population.
 #[derive(Debug, Clone, Default)]
 pub struct RssAcc {
@@ -588,11 +564,6 @@ impl Codec for RssAcc {
     }
 }
 
-/// Compute Figs 11 and 12 over the 5G population.
-pub fn fig11_12(records: &[TestRecord]) -> RssFigure {
-    accum::run(RssAcc::new(), records)
-}
-
 impl Render for RssFigure {
     fn render(&self) -> String {
         let mut out = String::from("Figs 11-12: 5G RSS level vs SNR and bandwidth\n");
@@ -608,8 +579,9 @@ impl Render for RssFigure {
     }
 }
 
-/// Accumulator behind [`lte_rss_means`] — per-RSS-level bandwidth over
-/// plain (non-LTE-A) 4G tests.
+/// Accumulator behind the 4G RSS cross-check (§3.3: unlike 5G, RSS and
+/// 4G bandwidth stay positively correlated) — per-RSS-level bandwidth
+/// over plain (non-LTE-A) 4G tests.
 #[derive(Debug, Clone, Default)]
 pub struct LteRssAcc {
     bw: [Vec<f64>; 5],
@@ -661,16 +633,10 @@ impl Codec for LteRssAcc {
     }
 }
 
-/// 4G RSS cross-check (§3.3: unlike 5G, RSS and 4G bandwidth stay
-/// positively correlated).
-pub fn lte_rss_means(records: &[TestRecord]) -> Vec<(u8, f64)> {
-    accum::run(LteRssAcc::new(), records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbw_dataset::{DatasetConfig, Generator, Year};
+    use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 
     fn y2021(tests: usize, seed: u64) -> Vec<TestRecord> {
         Generator::new(DatasetConfig {
@@ -685,7 +651,7 @@ mod tests {
     #[test]
     fn fig04_matches_paper_aggregates() {
         let records = y2021(400_000, 201);
-        let fig = fig04(&records);
+        let fig = accum::run(Fig04Acc::new(), &records);
         assert!((fig.cdf.mean - 53.0).abs() < 8.0, "mean {}", fig.cdf.mean);
         assert!(
             (fig.cdf.median - 22.0).abs() < 7.0,
@@ -713,7 +679,7 @@ mod tests {
     #[test]
     fn fig05_06_band_structure() {
         let records = y2021(400_000, 203);
-        let fig = fig05_06(&records);
+        let fig = accum::run(LteBandAcc::new(), &records);
         assert!(
             (fig.h_band_share - 0.856).abs() < 0.06,
             "H share {}",
@@ -745,7 +711,7 @@ mod tests {
     #[test]
     fn fig07_matches_paper() {
         let records = y2021(400_000, 207);
-        let fig = fig07(&records);
+        let fig = accum::run(Fig07Acc::new(), &records);
         assert!((fig.mean - 303.0).abs() < 30.0, "mean {}", fig.mean);
         assert!((fig.median - 273.0).abs() < 35.0, "median {}", fig.median);
         assert!(fig.max <= 1032.0);
@@ -754,7 +720,7 @@ mod tests {
     #[test]
     fn fig08_09_refarmed_band_discrepancy() {
         let records = y2021(600_000, 209);
-        let fig = fig08_09(&records);
+        let fig = accum::run(NrBandAcc::new(), &records);
         let row = |id: NrBandId| *fig.rows.iter().find(|(b, _, _, _)| *b == id).unwrap();
         let (_, _, n1, n1_count) = row(NrBandId::N1);
         let (_, _, n41, n41_count) = row(NrBandId::N41);
@@ -773,7 +739,7 @@ mod tests {
     #[test]
     fn fig10_diurnal_shape() {
         let records = y2021(800_000, 211);
-        let fig = fig10(&records);
+        let fig = accum::run(Fig10Acc::new(), &records);
         // Trough at 21:00–23:00 despite modest load; peak 03:00–05:00.
         let trough = fig.mean_over(21, 22);
         let peak = fig.mean_over(3, 4);
@@ -796,7 +762,7 @@ mod tests {
     #[test]
     fn fig11_12_rss_story() {
         let records = y2021(800_000, 213);
-        let fig = fig11_12(&records);
+        let fig = accum::run(RssAcc::new(), &records);
         // Fig 11: SNR monotone in RSS.
         for w in fig.rows.windows(2) {
             assert!(w[1].1 > w[0].1, "SNR must rise with RSS");
@@ -821,7 +787,7 @@ mod tests {
     #[test]
     fn lte_rss_stays_monotone() {
         let records = y2021(600_000, 217);
-        let rows = lte_rss_means(&records);
+        let rows = accum::run(LteRssAcc::new(), &records);
         for w in rows.windows(2) {
             assert!(
                 w[1].1 > w[0].1,
@@ -850,23 +816,35 @@ mod tests {
             left.finish()
         }
         let merged = halves(LteBandAcc::new(), a, b);
-        let single = fig05_06(&records);
+        let single = accum::run(LteBandAcc::new(), &records);
         assert_eq!(merged.rows, single.rows);
         let merged = halves(RssAcc::new(), a, b);
-        let single = fig11_12(&records);
+        let single = accum::run(RssAcc::new(), &records);
         assert_eq!(merged.rows, single.rows);
         let merged = halves(Fig10Acc::new(), a, b);
-        let single = fig10(&records);
+        let single = accum::run(Fig10Acc::new(), &records);
         assert_eq!(merged.rows, single.rows);
     }
 
     #[test]
     fn renders_contain_key_rows() {
         let records = y2021(50_000, 219);
-        assert!(fig04(&records).render().contains("300 Mbps"));
-        assert!(fig05_06(&records).render().contains("B3"));
-        assert!(fig08_09(&records).render().contains("N78"));
-        assert!(fig10(&records).render().lines().count() >= 26);
-        assert!(fig11_12(&records).render().contains("RSS"));
+        assert!(accum::run(Fig04Acc::new(), &records)
+            .render()
+            .contains("300 Mbps"));
+        assert!(accum::run(LteBandAcc::new(), &records)
+            .render()
+            .contains("B3"));
+        assert!(accum::run(NrBandAcc::new(), &records)
+            .render()
+            .contains("N78"));
+        assert!(
+            accum::run(Fig10Acc::new(), &records)
+                .render()
+                .lines()
+                .count()
+                >= 26
+        );
+        assert!(accum::run(RssAcc::new(), &records).render().contains("RSS"));
     }
 }

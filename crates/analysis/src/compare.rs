@@ -80,7 +80,7 @@ pub fn comparison_report(runs: &[ProfileFigures], ids: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::stream_figures;
+    use crate::stream::stream_figures_cached;
     use crate::sweep::SWEEP_IDS;
     use mbw_dataset::{DatasetConfig, EcosystemProfile, ShardPlan, Year};
 
@@ -91,9 +91,10 @@ mod tests {
             year,
             profile,
         };
+        let plan = ShardPlan::new(512, 1);
         ProfileFigures {
             profile: profile.name,
-            figures: stream_figures(cfg(Year::Y2020), cfg(Year::Y2021), ShardPlan::new(512, 1)),
+            figures: stream_figures_cached(cfg(Year::Y2020), cfg(Year::Y2021), plan, None).0,
         }
     }
 

@@ -4,9 +4,9 @@
 //! for the same access technology is ≤23 Mbps". Higher-end phones are
 //! faster only because they run newer OSes.
 
-use crate::accum::{self, FigureAccumulator};
+use crate::accum::FigureAccumulator;
 use crate::Render;
-use mbw_dataset::{AccessTech, DeviceTier, RecordView, TestRecord};
+use mbw_dataset::{AccessTech, DeviceTier, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::descriptive::{mean, std_dev};
 use std::fmt::Write as _;
@@ -40,7 +40,8 @@ fn tier_index(tier: DeviceTier) -> usize {
         .expect("tier in ALL")
 }
 
-/// Accumulator behind [`hardware_illusion`] for one technology.
+/// Accumulator behind [`HardwareIllusion`]: decomposes the hardware
+/// effect for one technology.
 #[derive(Debug, Clone)]
 pub struct HardwareIllusionAcc {
     tech: AccessTech,
@@ -145,11 +146,6 @@ impl Codec for HardwareIllusionAcc {
     }
 }
 
-/// Decompose the hardware effect for one technology.
-pub fn hardware_illusion(records: &[TestRecord], tech: AccessTech) -> HardwareIllusion {
-    accum::run(HardwareIllusionAcc::new(tech), records)
-}
-
 impl Render for HardwareIllusion {
     fn render(&self) -> String {
         let (low, mid, high) = self.unconditional;
@@ -175,7 +171,8 @@ impl Render for HardwareIllusion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbw_dataset::{DatasetConfig, Generator, Year};
+    use crate::accum;
+    use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 
     fn records() -> Vec<TestRecord> {
         Generator::new(DatasetConfig {
@@ -191,7 +188,7 @@ mod tests {
     fn high_end_devices_look_faster_unconditionally() {
         let recs = records();
         for tech in [AccessTech::Cellular5g, AccessTech::Wifi] {
-            let h = hardware_illusion(&recs, tech);
+            let h = accum::run(HardwareIllusionAcc::new(tech), &recs);
             let (low, _, high) = h.unconditional;
             assert!(
                 high > low * 1.02,
@@ -208,7 +205,7 @@ mod tests {
             AccessTech::Cellular5g,
             AccessTech::Wifi,
         ] {
-            let h = hardware_illusion(&recs, tech);
+            let h = accum::run(HardwareIllusionAcc::new(tech), &recs);
             assert!(
                 !h.within_version_std.is_empty(),
                 "{tech:?}: need populated version strata"
@@ -238,7 +235,7 @@ mod tests {
         }
         left.merge(right);
         let merged = left.finish();
-        let single = hardware_illusion(recs, AccessTech::Wifi);
+        let single = accum::run(HardwareIllusionAcc::new(AccessTech::Wifi), recs);
         assert_eq!(merged.unconditional, single.unconditional);
         assert_eq!(merged.within_version_std, single.within_version_std);
     }
@@ -246,7 +243,7 @@ mod tests {
     #[test]
     fn render_shows_the_comparison() {
         let recs = records();
-        let text = hardware_illusion(&recs, AccessTech::Wifi).render();
+        let text = accum::run(HardwareIllusionAcc::new(AccessTech::Wifi), &recs).render();
         assert!(text.contains("unconditional"));
         assert!(text.contains("23 Mbps"));
     }

@@ -4,7 +4,7 @@
 
 use crate::accum::{self, FigureAccumulator};
 use crate::Render;
-use mbw_dataset::{AccessTech, CityTier, Isp, RecordView, TestRecord};
+use mbw_dataset::{AccessTech, CityTier, Isp, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::descriptive::mean;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -25,7 +25,7 @@ pub struct SpatialDisparity {
 /// Minimum per-city sample size for a city to count in the ranges.
 const MIN_CITY_TESTS: usize = 50;
 
-/// Accumulator behind [`spatial_disparity`] — per-(city, tech) sample
+/// Accumulator behind [`SpatialDisparity`] — per-(city, tech) sample
 /// vectors plus the national 4G/5G vectors for the balance baseline.
 #[derive(Debug, Clone, Default)]
 pub struct SpatialAcc {
@@ -136,11 +136,6 @@ impl Codec for SpatialAcc {
     }
 }
 
-/// Compute the spatial-disparity summary.
-pub fn spatial_disparity(records: &[TestRecord]) -> SpatialDisparity {
-    accum::run(SpatialAcc::new(), records)
-}
-
 impl Render for SpatialDisparity {
     fn render(&self) -> String {
         let mut out = String::from("Spatial disparity across cities (per-city means, Mbps)\n");
@@ -172,7 +167,7 @@ pub struct UrbanRuralGap {
     pub nr_ratio: f64,
 }
 
-/// Accumulator behind [`urban_rural_gap`] — the four (tech, locale)
+/// Accumulator behind [`UrbanRuralGap`] — the four (tech, locale)
 /// sample vectors.
 #[derive(Debug, Clone, Default)]
 pub struct UrbanRuralAcc {
@@ -225,11 +220,6 @@ impl Codec for UrbanRuralAcc {
     }
 }
 
-/// Compute the urban/rural comparison.
-pub fn urban_rural_gap(records: &[TestRecord]) -> UrbanRuralGap {
-    accum::run(UrbanRuralAcc::new(), records)
-}
-
 impl Render for UrbanRuralGap {
     fn render(&self) -> String {
         format!(
@@ -252,7 +242,7 @@ pub struct SameGroupDecline {
 /// Minimum per-year group size for a (ISP, city, tech) group to count.
 const MIN_GROUP_TESTS: usize = 30;
 
-/// Accumulator behind [`same_group_decline`]. Two-population: the 2020
+/// Accumulator behind [`SameGroupDecline`]. Two-population: the 2020
 /// side is folded in via [`SameGroupAcc::observe_baseline`], the 2021
 /// side via the trait's `observe` (which also records which cities are
 /// mega-tier — the paper fixes the city list from the current year).
@@ -355,21 +345,6 @@ impl Codec for SameGroupAcc {
     }
 }
 
-/// Compare fixed (ISP, mega-city) groups across the two populations.
-pub fn same_group_decline(
-    records_2020: &[TestRecord],
-    records_2021: &[TestRecord],
-) -> SameGroupDecline {
-    let mut acc = SameGroupAcc::new();
-    for r in records_2020 {
-        acc.observe_baseline(&RecordView::from(r));
-    }
-    for r in records_2021 {
-        acc.observe(&RecordView::from(r));
-    }
-    acc.finish()
-}
-
 impl Render for SameGroupDecline {
     fn render(&self) -> String {
         let mut out = String::from("Same-user-group decline 2020→2021 (ISP × mega-city)\n");
@@ -424,7 +399,7 @@ const SUMMARY_TECHS: [AccessTech; 4] = [
     AccessTech::Wifi,
 ];
 
-/// Accumulator behind [`dataset_summary`] — pure counters and identity
+/// Accumulator behind [`DatasetSummary`] — pure counters and identity
 /// sets, all order-independent.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetSummaryAcc {
@@ -520,11 +495,6 @@ impl Codec for DatasetSummaryAcc {
     }
 }
 
-/// Compute the §3.1 summary, or [`EmptyPopulation`] for zero records.
-pub fn dataset_summary(records: &[TestRecord]) -> Result<DatasetSummary, EmptyPopulation> {
-    accum::run(DatasetSummaryAcc::new(), records)
-}
-
 impl Render for DatasetSummary {
     fn render(&self) -> String {
         let mut out = String::from("Dataset summary (§3.1)\n");
@@ -568,7 +538,7 @@ pub struct Correlations {
     pub hourly_volume_bw_4g: f64,
 }
 
-/// Accumulator behind [`correlations`].
+/// Accumulator behind [`Correlations`].
 #[derive(Debug, Clone)]
 pub struct CorrelationsAcc {
     /// RSS level and SNR for 5G tests with cell context.
@@ -688,11 +658,6 @@ impl Codec for CorrelationsAcc {
     }
 }
 
-/// Compute the §3 correlation summary.
-pub fn correlations(records: &[TestRecord]) -> Correlations {
-    accum::run(CorrelationsAcc::new(), records)
-}
-
 fn mean_pearson(xs: &[f64], ys: &[f64]) -> f64 {
     mbw_stats::descriptive::pearson(xs, ys).unwrap_or(0.0)
 }
@@ -710,7 +675,15 @@ impl Render for Correlations {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbw_dataset::{DatasetConfig, Generator, Year};
+    use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
+
+    fn same_group_decline(y20: &[TestRecord], y21: &[TestRecord]) -> SameGroupDecline {
+        let mut acc = SameGroupAcc::new();
+        for r in y20 {
+            acc.observe_baseline(&r.into());
+        }
+        accum::run(acc, y21)
+    }
 
     fn pop(year: Year, tests: usize, seed: u64) -> Vec<TestRecord> {
         Generator::new(DatasetConfig {
@@ -725,7 +698,7 @@ mod tests {
     #[test]
     fn spatial_ranges_are_wide() {
         let records = pop(Year::Y2021, 600_000, 501);
-        let sd = spatial_disparity(&records);
+        let sd = accum::run(SpatialAcc::new(), &records);
         for (tech, lo, hi, n) in &sd.ranges {
             assert!(*n > 50, "{tech:?}: only {n} cities qualified");
             assert!(hi / lo > 2.0, "{tech:?}: range too narrow {lo}–{hi}");
@@ -741,7 +714,7 @@ mod tests {
     #[test]
     fn urban_gaps_near_paper_values() {
         let records = pop(Year::Y2021, 400_000, 503);
-        let gap = urban_rural_gap(&records);
+        let gap = accum::run(UrbanRuralAcc::new(), &records);
         assert!((gap.lte_ratio - 1.24).abs() < 0.10, "4G {}", gap.lte_ratio);
         assert!((gap.nr_ratio - 1.33).abs() < 0.12, "5G {}", gap.nr_ratio);
     }
@@ -800,7 +773,7 @@ mod tests {
     #[test]
     fn dataset_summary_proportions() {
         let records = pop(Year::Y2021, 150_000, 511);
-        let s = dataset_summary(&records).expect("non-empty population");
+        let s = accum::run(DatasetSummaryAcc::new(), &records).expect("non-empty population");
         let total: usize = s.tech_counts.iter().map(|(_, n)| n).sum();
         assert_eq!(total, records.len());
         // §3.1 proportions: WiFi ≈ 89%, 4G ≈ 6.9%, 5G ≈ 3.8%, 3G tiny.
@@ -823,7 +796,8 @@ mod tests {
 
     #[test]
     fn dataset_summary_rejects_empty_population() {
-        let err = dataset_summary(&[]).expect_err("empty population must error");
+        let err =
+            accum::run(DatasetSummaryAcc::new(), &[]).expect_err("empty population must error");
         assert_eq!(err, EmptyPopulation);
         assert!(err.to_string().contains("empty"));
     }
@@ -831,7 +805,7 @@ mod tests {
     #[test]
     fn correlation_signs_match_the_paper() {
         let records = pop(Year::Y2021, 700_000, 509);
-        let c = correlations(&records);
+        let c = accum::run(CorrelationsAcc::new(), &records);
         // Fig 11: RSS and SNR strongly positive.
         assert!(c.rss_snr_5g > 0.5, "rss~snr {}", c.rss_snr_5g);
         // §3.3: 4G RSS and bandwidth positively correlated.
@@ -853,7 +827,11 @@ mod tests {
     #[test]
     fn renders_mention_percentages() {
         let records = pop(Year::Y2021, 100_000, 507);
-        assert!(spatial_disparity(&records).render().contains('%'));
-        assert!(urban_rural_gap(&records).render().contains('%'));
+        assert!(accum::run(SpatialAcc::new(), &records)
+            .render()
+            .contains('%'));
+        assert!(accum::run(UrbanRuralAcc::new(), &records)
+            .render()
+            .contains('%'));
     }
 }

@@ -1,15 +1,15 @@
 #![warn(missing_docs)]
 //! Analysis pipeline: every measurement figure and table of the paper.
 //!
-//! Each figure is built twice over the same code: a per-figure function
-//! taking `&[TestRecord]` (plus a second population where the figure
-//! compares years), and a [`accum::FigureAccumulator`] that
-//! [`sweep::sweep`] folds together with every *other* figure's
-//! accumulator in one fused pass over the population — single-threaded
-//! or sharded across threads with deterministic, thread-count-
-//! independent results. The per-figure functions are thin drivers over
-//! the accumulators, so both paths are byte-identical. The module names
-//! follow the paper's figure numbers:
+//! Each figure is a [`accum::FigureAccumulator`]: it folds one
+//! [`mbw_dataset::RecordView`] at a time, merges with a sibling that saw
+//! a later part of the population, and finishes into a typed figure
+//! struct that implements [`Render`]. [`sweep::FigureSet`] holds one
+//! accumulator per figure, and [`stream::stream_figures_cached`] is the
+//! one measurement pipeline: per-shard generation feeds per-worker
+//! figure sets, merged in work-list order — deterministic,
+//! thread-count-independent results with no materialised population.
+//! The module names follow the paper's figure numbers:
 //!
 //! | module | contents |
 //! |---|---|
@@ -21,7 +21,7 @@
 //! | [`tables`] | Tables 1–2 rendering |
 //! | [`robustness`] | test-outcome (complete/degraded/failed) rates per technology |
 //! | [`accum`] | the [`accum::FigureAccumulator`] trait behind every figure |
-//! | [`mod@sweep`] | the fused single-pass (optionally parallel) figure sweep |
+//! | [`mod@sweep`] | [`sweep::FigureSet`]: every figure's accumulator, folded, merged and finished together |
 //! | [`mod@stream`] | the streaming generate→analyze engine: no materialised population |
 //! | [`compare`] | cross-ecosystem comparison reports over multiple profiles |
 //! | [`fitcache`] | memoized GMM fits keyed by accumulator content |
@@ -40,33 +40,11 @@ pub mod sweep;
 pub mod tables;
 pub mod wifi;
 
-use mbw_dataset::columnar::{bandwidths_where, views};
-use mbw_dataset::{AccessTech, RecordView, TestRecord};
-
 pub use accum::FigureAccumulator;
 pub use compare::{comparison_report, comparison_section, ProfileFigures};
 pub use fitcache::{FitCache, FitCacheError};
-pub use stream::{
-    stream_figures, stream_figures_cached, stream_figures_timed, stream_partial, stream_unit_count,
-    StreamTimings,
-};
-pub use sweep::{
-    sweep, sweep_datasets, sweep_records, FigureSet, FinishOptions, FinishStats, MeasurementFigures,
-};
-
-/// Bandwidths of all records matching a predicate over [`RecordView`]s
-/// (the shared replacement for per-call-site `bw_of` closures).
-pub fn bandwidths<F>(records: &[TestRecord], pred: F) -> Vec<f64>
-where
-    F: Fn(&RecordView<'_>) -> bool,
-{
-    bandwidths_where(views(records), pred)
-}
-
-/// Bandwidths of one access technology.
-pub fn tech_bandwidths(records: &[TestRecord], tech: AccessTech) -> Vec<f64> {
-    bandwidths(records, |r| r.tech == tech)
-}
+pub use stream::{stream_figures_cached, stream_partial, stream_unit_count, StreamTimings};
+pub use sweep::{FigureSet, FinishOptions, FinishStats, MeasurementFigures};
 
 /// A rendered text table: the common output shape of every figure.
 pub trait Render {

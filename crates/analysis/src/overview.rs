@@ -10,7 +10,7 @@
 
 use crate::accum::{self, FigureAccumulator, TECH3};
 use crate::Render;
-use mbw_dataset::{AccessTech, Isp, RecordView, TestRecord};
+use mbw_dataset::{AccessTech, Isp, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::descriptive::mean;
 use std::fmt::Write as _;
@@ -25,7 +25,7 @@ pub struct Fig01 {
     pub overall_cellular: (f64, f64),
 }
 
-/// Accumulator behind [`fig01`]. The only two-population overview
+/// Accumulator behind [`Fig01`]. The only two-population overview
 /// figure: the 2020 side is folded in via
 /// [`Fig01Acc::observe_baseline`], the 2021 side via the trait's
 /// `observe`.
@@ -108,18 +108,6 @@ impl Codec for Fig01Acc {
     }
 }
 
-/// Compute Fig 1 from the two yearly populations.
-pub fn fig01(records_2020: &[TestRecord], records_2021: &[TestRecord]) -> Fig01 {
-    let mut acc = Fig01Acc::new();
-    for r in records_2020 {
-        acc.observe_baseline(&RecordView::from(r));
-    }
-    for r in records_2021 {
-        acc.observe(&RecordView::from(r));
-    }
-    acc.finish()
-}
-
 impl Render for Fig01 {
     fn render(&self) -> String {
         let mut out = String::from("Fig 1: average bandwidth by technology and year (Mbps)\n");
@@ -148,7 +136,7 @@ const MIN_VERSION: u8 = 5;
 /// Number of Android versions (5–12) Fig 2 covers.
 const VERSIONS: usize = 8;
 
-/// Accumulator behind [`fig02`].
+/// Accumulator behind [`Fig02`].
 #[derive(Debug, Clone, Default)]
 pub struct Fig02Acc {
     /// `[version - 5][tech3]` sample vectors.
@@ -219,11 +207,6 @@ impl Codec for Fig02Acc {
     }
 }
 
-/// Compute Fig 2.
-pub fn fig02(records: &[TestRecord]) -> Fig02 {
-    accum::run(Fig02Acc::new(), records)
-}
-
 impl Render for Fig02 {
     fn render(&self) -> String {
         let mut out = String::from("Fig 2: average bandwidth by Android version (Mbps)\n");
@@ -246,7 +229,7 @@ pub struct Fig03 {
     pub rows: Vec<(Isp, f64, f64, f64)>,
 }
 
-/// Accumulator behind [`fig03`].
+/// Accumulator behind [`Fig03`].
 #[derive(Debug, Clone, Default)]
 pub struct Fig03Acc {
     /// `[isp][tech3]` sample vectors.
@@ -302,11 +285,6 @@ impl Codec for Fig03Acc {
     }
 }
 
-/// Compute Fig 3.
-pub fn fig03(records: &[TestRecord]) -> Fig03 {
-    accum::run(Fig03Acc::new(), records)
-}
-
 impl Render for Fig03 {
     fn render(&self) -> String {
         let mut out = String::from("Fig 3: average bandwidth by ISP (Mbps)\n");
@@ -328,7 +306,15 @@ impl Render for Fig03 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbw_dataset::{DatasetConfig, Generator, Year};
+    use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
+
+    fn fig01(y20: &[TestRecord], y21: &[TestRecord]) -> Fig01 {
+        let mut acc = Fig01Acc::new();
+        for r in y20 {
+            acc.observe_baseline(&r.into());
+        }
+        accum::run(acc, y21)
+    }
 
     fn populations() -> (Vec<TestRecord>, Vec<TestRecord>) {
         let y20 = Generator::new(DatasetConfig {
@@ -398,7 +384,7 @@ mod tests {
     #[test]
     fn fig02_bandwidth_rises_with_android_version() {
         let (_, y21) = populations();
-        let fig = fig02(&y21);
+        let fig = accum::run(Fig02Acc::new(), &y21);
         assert_eq!(fig.rows.len(), 8);
         // Compare v8 vs v12 for each technology (v5 strata are thin).
         let v8 = fig.rows.iter().find(|r| r.0 == 8).unwrap();
@@ -411,7 +397,7 @@ mod tests {
     #[test]
     fn fig03_isp_structure() {
         let (_, y21) = populations();
-        let fig = fig03(&y21);
+        let fig = accum::run(Fig03Acc::new(), &y21);
         let row = |i: Isp| *fig.rows.iter().find(|(x, _, _, _)| *x == i).unwrap();
         let (_, _, isp4_5g, _) = row(Isp::Isp4);
         let (_, _, isp3_5g, isp3_wifi) = row(Isp::Isp3);
@@ -441,8 +427,8 @@ mod tests {
         let (y20, y21) = populations();
         for text in [
             fig01(&y20, &y21).render(),
-            fig02(&y21).render(),
-            fig03(&y21).render(),
+            accum::run(Fig02Acc::new(), &y21).render(),
+            accum::run(Fig03Acc::new(), &y21).render(),
         ] {
             assert!(text.lines().count() >= 4, "{text}");
         }

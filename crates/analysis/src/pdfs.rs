@@ -13,10 +13,10 @@
 //! exact integer adds (thread-count and distributed-reduce invariant),
 //! and `finish` costs O(bins × k × iters) instead of O(records).
 
-use crate::accum::{self, FigureAccumulator};
+use crate::accum::FigureAccumulator;
 use crate::fitcache::FitCache;
 use crate::Render;
-use mbw_dataset::{AccessTech, RecordView, TestRecord, WifiStandard};
+use mbw_dataset::{AccessTech, RecordView, WifiStandard};
 use mbw_frame::{fnv1a64, Codec, CodecError, Dec, Enc};
 use mbw_stats::{Gmm, Histogram, LogBins, PoolCtx};
 use std::fmt::Write as _;
@@ -72,12 +72,12 @@ impl PdfAcc {
         }
     }
 
-    /// Accumulator for [`fig16`] (WiFi 5 PDF).
+    /// Fig 16: WiFi 5 bandwidth PDF (modes at the 100/300/500 Mbps plans).
     pub fn fig16() -> Self {
         Self::new("Fig 16: WiFi 5 bandwidth PDF", PdfFilter::Wifi5, 1000.0, 16)
     }
 
-    /// Accumulator for [`fig18`] (4G PDF).
+    /// Fig 18: 4G bandwidth PDF.
     pub fn fig18() -> Self {
         Self::new(
             "Fig 18: 4G bandwidth PDF",
@@ -87,7 +87,7 @@ impl PdfAcc {
         )
     }
 
-    /// Accumulator for [`fig19`] (5G PDF).
+    /// Fig 19: 5G bandwidth PDF.
     pub fn fig19() -> Self {
         Self::new(
             "Fig 19: 5G bandwidth PDF",
@@ -212,21 +212,6 @@ impl Codec for PdfAcc {
     }
 }
 
-/// Fig 16: WiFi 5 bandwidth PDF (modes at the 100/300/500 Mbps plans).
-pub fn fig16(records: &[TestRecord]) -> PdfFigure {
-    accum::run(PdfAcc::fig16(), records)
-}
-
-/// Fig 18: 4G bandwidth PDF.
-pub fn fig18(records: &[TestRecord]) -> PdfFigure {
-    accum::run(PdfAcc::fig18(), records)
-}
-
-/// Fig 19: 5G bandwidth PDF.
-pub fn fig19(records: &[TestRecord]) -> PdfFigure {
-    accum::run(PdfAcc::fig19(), records)
-}
-
 impl Render for PdfFigure {
     fn render(&self) -> String {
         let mut out = format!("{} (n = {})\n", self.title, self.n);
@@ -252,7 +237,8 @@ impl Render for PdfFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbw_dataset::{DatasetConfig, Generator, Year};
+    use crate::accum;
+    use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 
     fn y2021(tests: usize, seed: u64) -> Vec<TestRecord> {
         Generator::new(DatasetConfig {
@@ -267,7 +253,7 @@ mod tests {
     #[test]
     fn fig16_wifi5_is_multimodal_at_plan_values() {
         let records = y2021(300_000, 401);
-        let fig = fig16(&records);
+        let fig = accum::run(PdfAcc::fig16(), &records);
         let fit = fig.fit.as_ref().expect("fit succeeds");
         assert!(fit.k() >= 3, "k = {}", fit.k());
         // At least one mode near each of 100 and 300 Mbps (the dominant
@@ -286,8 +272,8 @@ mod tests {
     #[test]
     fn fig18_and_19_fit_multimodal_models() {
         let records = y2021(400_000, 403);
-        let f18 = fig18(&records);
-        let f19 = fig19(&records);
+        let f18 = accum::run(PdfAcc::fig18(), &records);
+        let f19 = accum::run(PdfAcc::fig19(), &records);
         assert!(f18.fit.as_ref().unwrap().k() >= 2);
         assert!(f19.fit.as_ref().unwrap().k() >= 2);
         // 5G dominant mode sits in the few-hundred-Mbps region.
@@ -298,7 +284,7 @@ mod tests {
     #[test]
     fn histogram_mass_is_normalised() {
         let records = y2021(100_000, 405);
-        let fig = fig16(&records);
+        let fig = accum::run(PdfAcc::fig16(), &records);
         let mass: f64 = fig
             .histogram
             .pdf()
@@ -322,7 +308,7 @@ mod tests {
         }
         left.merge(right);
         let merged = left.finish();
-        let single = fig19(&records);
+        let single = accum::run(PdfAcc::fig19(), &records);
         assert_eq!(merged.n, single.n);
         assert_eq!(merged.histogram.pdf(), single.histogram.pdf());
     }
@@ -330,7 +316,7 @@ mod tests {
     #[test]
     fn render_contains_mixture_block() {
         let records = y2021(60_000, 407);
-        let text = fig19(&records).render();
+        let text = accum::run(PdfAcc::fig19(), &records).render();
         assert!(text.contains("fitted mixture"));
         assert!(text.contains("Mbps"));
     }

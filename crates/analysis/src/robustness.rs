@@ -6,9 +6,9 @@
 //! via [`OutcomeClass`]), so the analysis side can report failure rates
 //! per technology and the modelling side can decide what to exclude.
 
-use crate::accum::{self, FigureAccumulator};
+use crate::accum::FigureAccumulator;
 use crate::Render;
-use mbw_dataset::{AccessTech, OutcomeClass, RecordView, TestRecord};
+use mbw_dataset::{AccessTech, OutcomeClass, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use std::fmt::Write as _;
 
@@ -71,7 +71,7 @@ fn row_from(tech: AccessTech, counts: [u64; 3]) -> OutcomeRow {
     }
 }
 
-/// Accumulator behind [`outcome_rates`] — pure counters, fully
+/// Accumulator behind [`OutcomeRates`] — pure counters, fully
 /// order-independent.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OutcomeRatesAcc {
@@ -135,11 +135,6 @@ impl Codec for OutcomeRatesAcc {
     }
 }
 
-/// Compute outcome rates per technology and pooled.
-pub fn outcome_rates(records: &[TestRecord]) -> OutcomeRates {
-    accum::run(OutcomeRatesAcc::new(), records)
-}
-
 impl Render for OutcomeRates {
     fn render(&self) -> String {
         let mut out = String::from("Test outcomes by technology (fractions)\n");
@@ -175,6 +170,7 @@ impl Render for OutcomeRates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum;
     use mbw_dataset::{DatasetConfig, Generator, Year};
 
     #[test]
@@ -186,7 +182,7 @@ mod tests {
             ..Default::default()
         })
         .generate();
-        let rates = outcome_rates(&records);
+        let rates = accum::run(OutcomeRatesAcc::new(), &records);
         assert_eq!(rates.overall.total, records.len() as u64);
         // Every technology present, fractions sum to one.
         assert_eq!(rates.rows.len(), 3);
@@ -233,7 +229,7 @@ mod tests {
 
     #[test]
     fn an_empty_population_renders_without_panicking() {
-        let rates = outcome_rates(&[]);
+        let rates = accum::run(OutcomeRatesAcc::new(), &[]);
         assert!(rates.rows.is_empty());
         assert_eq!(rates.overall.total, 0);
         assert_eq!(rates.overall.complete, 0.0);

@@ -1,6 +1,6 @@
 //! Streaming fused generate→analyze engine.
 //!
-//! [`stream_figures`] fuses the two pipeline halves: per-shard record
+//! [`stream_figures_cached`] fuses the two pipeline halves: per-shard record
 //! generation (`mbw_dataset::parallel`) feeds straight into per-worker
 //! [`FigureSet`] accumulators, so the populations are **never
 //! materialised** — peak memory is one [`BATCH`]-record buffer per
@@ -17,8 +17,9 @@
 //! [`FigureSet::merge`] is exactly observe-concatenation (see
 //! [`crate::accum`]) and shard content is a pure function of
 //! `(config, shard_size)` (see `mbw_dataset::parallel`), the finished
-//! [`MeasurementFigures`] are byte-identical to the two-phase
-//! materialize-then-sweep path for **any** thread count.
+//! [`MeasurementFigures`] are byte-identical to folding both whole
+//! populations into one [`FigureSet`] in order, for **any** thread
+//! count.
 
 use crate::fitcache::FitCache;
 use crate::sweep::{FigureSet, FinishOptions, MeasurementFigures};
@@ -175,14 +176,13 @@ fn fold_list(units: &[Unit], threads: usize, tracer: &trace::Tracer) -> Vec<Work
     slots.resize_with(workers, || None);
     // Spawned workers do not inherit the caller's trace scope, so
     // each one re-`scope`s the captured tracer around its fold.
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (chunk, slot) in units.chunks(per_worker).zip(slots.iter_mut()) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(trace::scope(tracer, || fold_units(chunk)));
             });
         }
-    })
-    .expect("stream worker panicked");
+    });
     slots.into_iter().flatten().collect()
 }
 
@@ -190,7 +190,7 @@ fn fold_list(units: &[Unit], threads: usize, tracer: &trace::Tracer) -> Vec<Work
 /// the domain over which distributed slice assignments
 /// (`mbw_dataset::SliceAssignment`) are expressed. Baseline shards come
 /// first, then current shards, matching the fold order of
-/// [`stream_figures_timed`].
+/// [`stream_figures_cached`].
 pub fn stream_unit_count(
     baseline: DatasetConfig,
     current: DatasetConfig,
@@ -206,7 +206,7 @@ pub fn stream_unit_count(
 /// The work list is deterministic and [`FigureSet::merge`] is
 /// observe-concatenation, so merging the partial sets of a contiguous
 /// partition of `0 .. stream_unit_count(..)` in slice order rebuilds
-/// exactly the set one [`stream_figures_timed`] run would have built —
+/// exactly the set one [`stream_figures_cached`] run would have built —
 /// and therefore byte-identical finished figures. `timings.finish` is
 /// zero: finishing belongs to the reduce side.
 ///
@@ -279,20 +279,10 @@ pub fn stream_partial(
 ///
 /// `plan.thread_count()` sets the worker count for both the streaming
 /// fold *and* the finish work pool; `plan.shard_size()` fixes the
-/// output (it must match the plan used by any two-phase run being
-/// compared against — both default to
-/// [`mbw_dataset::DEFAULT_SHARD_SIZE`]).
-pub fn stream_figures_timed(
-    baseline: DatasetConfig,
-    current: DatasetConfig,
-    plan: ShardPlan,
-) -> (MeasurementFigures, StreamTimings) {
-    stream_figures_cached(baseline, current, plan, None)
-}
-
-/// [`stream_figures_timed`] with an optional GMM fit cache consulted
-/// (and fed) by the finish stage. Cached fits reproduce the uncached
-/// figures byte-for-byte — the cache only skips converged EM reruns.
+/// output (the default is [`mbw_dataset::DEFAULT_SHARD_SIZE`]). The
+/// optional GMM fit cache is consulted (and fed) by the finish stage:
+/// cached fits reproduce the uncached figures byte-for-byte — the cache
+/// only skips converged EM reruns.
 pub fn stream_figures_cached(
     baseline: DatasetConfig,
     current: DatasetConfig,
@@ -358,20 +348,20 @@ pub fn stream_figures_cached(
     (figures, timings)
 }
 
-/// [`stream_figures_timed`] without the timing report.
-pub fn stream_figures(
-    baseline: DatasetConfig,
-    current: DatasetConfig,
-    plan: ShardPlan,
-) -> MeasurementFigures {
-    stream_figures_timed(baseline, current, plan).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{sweep_records, SWEEP_IDS};
+    use crate::sweep::SWEEP_IDS;
     use mbw_dataset::{generate_sharded, Year};
+
+    /// The reference: both whole populations folded into one set, in
+    /// order, on this thread.
+    fn sequential_fold(b: DatasetConfig, c: DatasetConfig, plan: ShardPlan) -> MeasurementFigures {
+        let mut set = FigureSet::new();
+        set.observe_baseline_records(&generate_sharded(b, plan));
+        set.observe_records(&generate_sharded(c, plan));
+        set.finish()
+    }
 
     fn configs(tests: usize, seed: u64) -> (DatasetConfig, DatasetConfig) {
         let cfg = |year| DatasetConfig {
@@ -384,17 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_two_phase_and_is_thread_count_independent() {
+    fn streaming_matches_a_sequential_fold_and_is_thread_count_independent() {
         let (b, c) = configs(20_000, 0x57AB);
-        let plan_1t = ShardPlan::new(1_024, 1);
-        let y20 = generate_sharded(b, plan_1t);
-        let y21 = generate_sharded(c, plan_1t);
-        let two_phase = sweep_records(&y20, &y21, 1);
+        let reference = sequential_fold(b, c, ShardPlan::new(1_024, 1));
         for threads in [1usize, 2, 8] {
-            let figs = stream_figures(b, c, ShardPlan::new(1_024, threads));
+            let (figs, _) = stream_figures_cached(b, c, ShardPlan::new(1_024, threads), None);
             for id in SWEEP_IDS {
                 assert_eq!(
-                    two_phase.render(id),
+                    reference.render(id),
                     figs.render(id),
                     "{id} differs at {threads} threads"
                 );
@@ -405,7 +392,7 @@ mod tests {
     #[test]
     fn timings_cover_the_run() {
         let (b, c) = configs(5_000, 7);
-        let (figs, t) = stream_figures_timed(b, c, ShardPlan::new(512, 4));
+        let (figs, t) = stream_figures_cached(b, c, ShardPlan::new(512, 4), None);
         assert_eq!(t.records, 10_000);
         assert!(t.records_per_second() > 0.0);
         assert!(t.wall >= t.merge + t.finish);
@@ -422,7 +409,7 @@ mod tests {
         let tracer = Tracer::new(Arc::new(WallClock::new()), 0xF1);
         let (b, c) = configs(20_000, 0xBEEF);
         let (figs, t) = trace::scope(&tracer, || {
-            stream_figures_timed(b, c, ShardPlan::new(1_024, 4))
+            stream_figures_cached(b, c, ShardPlan::new(1_024, 4), None)
         });
         assert!(figs.summary.is_ok());
 
@@ -503,7 +490,7 @@ mod tests {
 
         let (b, c) = configs(20_000, 0xCACE);
         let plan = ShardPlan::new(1_024, 2);
-        let (cold, _) = stream_figures_timed(b, c, plan);
+        let (cold, _) = stream_figures_cached(b, c, plan, None);
         let cache = FitCache::new();
         let (first, _) = stream_figures_cached(b, c, plan, Some(&cache));
         let misses_after_cold = cache.misses();
@@ -531,8 +518,8 @@ mod tests {
             year,
             profile,
         };
-        let (figs, _) =
-            stream_figures_timed(cfg(Year::Y2020), cfg(Year::Y2021), ShardPlan::new(512, 2));
+        let plan = ShardPlan::new(512, 2);
+        let (figs, _) = stream_figures_cached(cfg(Year::Y2020), cfg(Year::Y2021), plan, None);
         for id in SWEEP_IDS {
             assert!(
                 figs.render(id)
@@ -543,7 +530,7 @@ mod tests {
         }
         // The paper's own profile stays untagged.
         let (china, _) = configs(2_000, 5);
-        let (figs, _) = stream_figures_timed(china, china, ShardPlan::new(512, 1));
+        let (figs, _) = stream_figures_cached(china, china, ShardPlan::new(512, 1), None);
         assert!(figs.profile_tag.is_none());
         assert!(!figs.render("fig01").unwrap().starts_with("profile:"));
     }
@@ -551,7 +538,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let (b, c) = configs(2_000, 3);
-        let (figs, _) = stream_figures_timed(b, c, ShardPlan::new(512, 2));
+        let (figs, _) = stream_figures_cached(b, c, ShardPlan::new(512, 2), None);
         assert!(figs.summary.is_ok());
         let ambient = trace::active();
         assert!(!ambient.enabled());
@@ -561,7 +548,7 @@ mod tests {
     #[test]
     fn empty_populations_stream_cleanly() {
         let (b, c) = configs(0, 1);
-        let (figs, t) = stream_figures_timed(b, c, ShardPlan::threads(4));
+        let (figs, t) = stream_figures_cached(b, c, ShardPlan::threads(4), None);
         assert_eq!(t.records, 0);
         assert!(figs.summary.is_err());
         assert!(figs.render("table1").is_some());
@@ -610,7 +597,7 @@ mod tests {
         }
 
         // Finishing the rebuilt set reproduces the one-process figures.
-        let figs = stream_figures(b, c, plan);
+        let (figs, _) = stream_figures_cached(b, c, plan, None);
         let rebuilt = whole.finish();
         for id in SWEEP_IDS {
             assert_eq!(figs.render(id), rebuilt.render(id), "{id} differs");

@@ -1,18 +1,15 @@
-//! The fused single-pass figure sweep.
+//! The fused figure set.
 //!
-//! [`FigureSet`] bundles one accumulator per paper figure; [`sweep`]
-//! drives the whole set over the two yearly populations in **one pass
-//! per population** — instead of the legacy one-pass-per-figure — and
-//! optionally shards that pass across threads with crossbeam scoped
-//! workers. Each worker folds a contiguous chunk of the population into
-//! its own [`FigureSet`]; chunks are merged back in population order,
-//! so the result is byte-identical to the single-threaded pass (see the
-//! determinism contract in [`crate::accum`]) and independent of the
-//! thread count.
-//!
-//! Populations can be row-major slices (`&[TestRecord]`) or columnar
-//! [`Dataset`]s — both implement [`RecordSource`], and the figure code
-//! only ever sees [`RecordView`]s.
+//! [`FigureSet`] bundles one accumulator per paper figure, so one pass
+//! over a population feeds every figure at once. The streaming engine
+//! ([`mod@crate::stream`]) gives each worker its own set, folds that
+//! worker's shards into it in generation order and merges the sets back
+//! in work-list order; [`FigureSet::merge`] is exactly
+//! observe-concatenation (see the determinism contract in
+//! [`crate::accum`]), so the finished [`MeasurementFigures`] do not
+//! depend on the thread count. A set is also the unit of distributed
+//! state: it encodes with [`mbw_frame::Codec`], and merging decoded
+//! parts in slice order rebuilds the single-process set.
 
 use crate::accum::FigureAccumulator;
 use crate::cellular::{
@@ -31,51 +28,11 @@ use crate::robustness::{OutcomeRates, OutcomeRatesAcc};
 use crate::tables::{Table1, Table2};
 use crate::wifi::{SlowPlanAcc, WifiAcc, WifiCdfFigure};
 use crate::Render;
-use mbw_dataset::{AccessTech, Dataset, RecordView, TestRecord};
+use mbw_dataset::{AccessTech, RecordView, TestRecord};
 use mbw_stats::pool;
 use mbw_telemetry::trace::{self, ArgValue};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// A population the sweep can walk: row-major slices and columnar
-/// datasets both qualify, and both hand the figure code [`RecordView`]s.
-pub trait RecordSource: Sync {
-    /// Number of records.
-    fn len(&self) -> usize;
-
-    /// Whether the population is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Visit `range` in order.
-    fn for_each_in<F: FnMut(&RecordView<'_>)>(&self, range: Range<usize>, f: F);
-}
-
-impl RecordSource for [TestRecord] {
-    fn len(&self) -> usize {
-        <[TestRecord]>::len(self)
-    }
-
-    fn for_each_in<F: FnMut(&RecordView<'_>)>(&self, range: Range<usize>, mut f: F) {
-        for r in &self[range] {
-            f(&RecordView::from(r));
-        }
-    }
-}
-
-impl RecordSource for Dataset {
-    fn len(&self) -> usize {
-        Dataset::len(self)
-    }
-
-    fn for_each_in<F: FnMut(&RecordView<'_>)>(&self, range: Range<usize>, mut f: F) {
-        for i in range {
-            f(&self.view(i));
-        }
-    }
-}
 
 /// One accumulator per measurement figure — the state of a fused sweep.
 #[derive(Debug)]
@@ -179,10 +136,8 @@ impl FigureSet {
         self.outcomes.observe(r);
     }
 
-    /// Fold a batch of baseline records, in slice order. Equivalent to
-    /// calling [`Self::observe_baseline`] per record, but monomorphised
-    /// over `&[TestRecord]` so the streaming engine skips the
-    /// per-record dispatch through [`RecordSource`].
+    /// Fold a batch of baseline records, in slice order (batch sibling
+    /// of [`Self::observe_baseline`]).
     pub fn observe_baseline_records(&mut self, records: &[TestRecord]) {
         for r in records {
             self.observe_baseline(&RecordView::from(r));
@@ -694,110 +649,31 @@ impl MeasurementFigures {
     }
 }
 
-/// Split `len` items into `parts` contiguous chunks; chunk `i` of the
-/// split (earlier chunks absorb the remainder, so sizes differ by at
-/// most one).
-fn chunk_range(len: usize, parts: usize, i: usize) -> Range<usize> {
-    let base = len / parts;
-    let rem = len % parts;
-    let start = i * base + i.min(rem);
-    let size = base + usize::from(i < rem);
-    start..start + size
-}
-
-/// Run the fused sweep over the two populations.
-///
-/// `threads <= 1` runs in-place; otherwise the populations are split
-/// into `threads` contiguous chunk pairs, folded concurrently, and
-/// merged back in population order — the result is identical for every
-/// thread count.
-pub fn sweep<S: RecordSource + ?Sized>(
-    baseline: &S,
-    current: &S,
-    threads: usize,
-) -> MeasurementFigures {
-    let parts = threads.min(baseline.len().max(current.len()).max(1)).max(1);
-    if parts == 1 {
-        let mut set = FigureSet::new();
-        baseline.for_each_in(0..baseline.len(), |r| set.observe_baseline(r));
-        current.for_each_in(0..current.len(), |r| set.observe(r));
-        return set.finish();
-    }
-
-    let mut sets: Vec<Option<FigureSet>> = (0..parts).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        for (i, slot) in sets.iter_mut().enumerate() {
-            let b_range = chunk_range(baseline.len(), parts, i);
-            let c_range = chunk_range(current.len(), parts, i);
-            scope.spawn(move |_| {
-                let mut set = FigureSet::new();
-                baseline.for_each_in(b_range, |r| set.observe_baseline(r));
-                current.for_each_in(c_range, |r| set.observe(r));
-                *slot = Some(set);
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-
-    let mut sets = sets.into_iter().map(|s| s.expect("worker completed"));
-    let mut first = sets.next().expect("at least one chunk");
-    for set in sets {
-        first.merge(set);
-    }
-    first.finish()
-}
-
-/// [`sweep`] over row-major populations.
-pub fn sweep_records(
-    records_2020: &[TestRecord],
-    records_2021: &[TestRecord],
-    threads: usize,
-) -> MeasurementFigures {
-    sweep(records_2020, records_2021, threads)
-}
-
-/// [`sweep`] over columnar populations.
-pub fn sweep_datasets(baseline: &Dataset, current: &Dataset, threads: usize) -> MeasurementFigures {
-    sweep(baseline, current, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbw_dataset::{DatasetConfig, Generator, Year};
+    use mbw_dataset::{generate_sharded, DatasetConfig, ShardPlan, Year};
 
-    fn pops(tests: usize, seed: u64) -> (Vec<TestRecord>, Vec<TestRecord>) {
-        let make = |year| {
-            Generator::new(DatasetConfig {
+    /// Both yearly populations folded through one set, serially.
+    fn figures(tests: usize, seed: u64) -> MeasurementFigures {
+        let rows = |year| {
+            let config = DatasetConfig {
                 seed,
                 tests,
                 year,
                 ..Default::default()
-            })
-            .generate()
+            };
+            generate_sharded(config, ShardPlan::default())
         };
-        (make(Year::Y2020), make(Year::Y2021))
-    }
-
-    #[test]
-    fn chunk_ranges_cover_everything_once() {
-        for len in [0usize, 1, 7, 100, 101] {
-            for parts in [1usize, 2, 3, 8] {
-                let mut next = 0;
-                for i in 0..parts {
-                    let r = chunk_range(len, parts, i);
-                    assert_eq!(r.start, next, "len {len} parts {parts} chunk {i}");
-                    next = r.end;
-                }
-                assert_eq!(next, len);
-            }
-        }
+        let mut set = FigureSet::new();
+        set.observe_baseline_records(&rows(Year::Y2020));
+        set.observe_records(&rows(Year::Y2021));
+        set.finish()
     }
 
     #[test]
     fn every_sweep_id_renders() {
-        let (y20, y21) = pops(30_000, 901);
-        let figs = sweep_records(&y20, &y21, 1);
+        let figs = figures(30_000, 901);
         for id in SWEEP_IDS {
             let text = figs.render(id).unwrap_or_else(|| panic!("unknown id {id}"));
             assert!(text.len() > 20, "{id} rendered almost nothing");
@@ -806,39 +682,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_any_figure() {
-        let (y20, y21) = pops(40_000, 903);
-        let single = sweep_records(&y20, &y21, 1);
-        for threads in [2usize, 4, 7] {
-            let multi = sweep_records(&y20, &y21, threads);
-            for id in SWEEP_IDS {
-                assert_eq!(
-                    single.render(id),
-                    multi.render(id),
-                    "{id} differs at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_source_matches_row_major() {
-        let (y20, y21) = pops(25_000, 907);
-        let row = sweep_records(&y20, &y21, 2);
-        let col = sweep_datasets(
-            &Dataset::from_records(&y20),
-            &Dataset::from_records(&y21),
-            2,
-        );
-        for id in SWEEP_IDS {
-            assert_eq!(row.render(id), col.render(id), "{id} differs");
-        }
-    }
-
-    #[test]
     fn profile_tag_prepends_every_rendered_figure() {
-        let (y20, y21) = pops(5_000, 909);
-        let figs = sweep_records(&y20, &y21, 1);
+        let figs = figures(5_000, 909);
         let untagged = figs.render("fig04").unwrap();
         let tagged = figs.with_profile_tag("europe-ran");
         for id in SWEEP_IDS {
@@ -856,7 +701,7 @@ mod tests {
 
     #[test]
     fn empty_population_reports_typed_summary_error() {
-        let figs = sweep_records(&[], &[], 4);
+        let figs = FigureSet::new().finish();
         assert!(figs.summary.is_err());
         assert!(figs.render("summary").unwrap().contains("empty"));
         assert!(figs.render("table1").is_some());

@@ -8,7 +8,7 @@
 
 use crate::accum::{self, FigureAccumulator};
 use crate::Render;
-use mbw_dataset::{RecordView, TestRecord, WifiStandard};
+use mbw_dataset::{RecordView, WifiStandard};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::Ecdf;
 use std::fmt::Write as _;
@@ -60,17 +60,17 @@ impl WifiAcc {
         }
     }
 
-    /// Accumulator for [`fig13`] (all bands).
+    /// Fig 13: all WiFi tests, per standard.
     pub fn fig13() -> Self {
         Self::new("Fig 13: WiFi bandwidth distribution (all bands)", None)
     }
 
-    /// Accumulator for [`fig14`] (2.4 GHz).
+    /// Fig 14: the 2.4 GHz subset (WiFi 4 and 6 only).
     pub fn fig14() -> Self {
         Self::new("Fig 14: WiFi bandwidth distribution (2.4 GHz)", Some(false))
     }
 
-    /// Accumulator for [`fig15`] (5 GHz).
+    /// Fig 15: the 5 GHz subset.
     pub fn fig15() -> Self {
         Self::new("Fig 15: WiFi bandwidth distribution (5 GHz)", Some(true))
     }
@@ -156,21 +156,6 @@ impl Codec for WifiAcc {
     }
 }
 
-/// Fig 13: all WiFi tests, per standard.
-pub fn fig13(records: &[TestRecord]) -> WifiCdfFigure {
-    accum::run(WifiAcc::fig13(), records)
-}
-
-/// Fig 14: the 2.4 GHz subset (WiFi 4 and 6 only).
-pub fn fig14(records: &[TestRecord]) -> WifiCdfFigure {
-    accum::run(WifiAcc::fig14(), records)
-}
-
-/// Fig 15: the 5 GHz subset.
-pub fn fig15(records: &[TestRecord]) -> WifiCdfFigure {
-    accum::run(WifiAcc::fig15(), records)
-}
-
 impl WifiCdfFigure {
     /// Summary for one standard, if present.
     pub fn of(&self, std: WifiStandard) -> Option<&CdfSummary> {
@@ -202,7 +187,9 @@ impl Render for WifiCdfFigure {
     }
 }
 
-/// Accumulator behind [`slow_plan_shares`] — order-independent counters.
+/// Accumulator behind §3.4's wired-bottleneck statistic: share of WiFi
+/// users on plans ≤ 200 Mbps, overall and for WiFi 6 —
+/// order-independent counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SlowPlanAcc {
     wifi_total: usize,
@@ -265,16 +252,10 @@ impl Codec for SlowPlanAcc {
     }
 }
 
-/// §3.4's wired-bottleneck statistic: share of WiFi users on plans
-/// ≤ 200 Mbps, overall and for WiFi 6.
-pub fn slow_plan_shares(records: &[TestRecord]) -> (f64, f64) {
-    accum::run(SlowPlanAcc::new(), records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbw_dataset::{DatasetConfig, Generator, Year};
+    use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 
     fn y2021(tests: usize, seed: u64) -> Vec<TestRecord> {
         Generator::new(DatasetConfig {
@@ -289,7 +270,7 @@ mod tests {
     #[test]
     fn fig13_generational_ladder() {
         let records = y2021(400_000, 301);
-        let fig = fig13(&records);
+        let fig = accum::run(WifiAcc::fig13(), &records);
         let m4 = fig.of(WifiStandard::Wifi4).unwrap().mean;
         let m5 = fig.of(WifiStandard::Wifi5).unwrap().mean;
         let m6 = fig.of(WifiStandard::Wifi6).unwrap().mean;
@@ -304,7 +285,7 @@ mod tests {
     #[test]
     fn fig14_24ghz_subset() {
         let records = y2021(400_000, 303);
-        let fig = fig14(&records);
+        let fig = accum::run(WifiAcc::fig14(), &records);
         assert!(
             fig.of(WifiStandard::Wifi5).is_none(),
             "WiFi 5 has no 2.4 GHz"
@@ -318,7 +299,7 @@ mod tests {
     #[test]
     fn fig15_wifi4_nearly_matches_wifi5_on_5ghz() {
         let records = y2021(500_000, 307);
-        let fig = fig15(&records);
+        let fig = accum::run(WifiAcc::fig15(), &records);
         let m4 = fig.of(WifiStandard::Wifi4).unwrap().mean;
         let m5 = fig.of(WifiStandard::Wifi5).unwrap().mean;
         let m6 = fig.of(WifiStandard::Wifi6).unwrap().mean;
@@ -335,7 +316,7 @@ mod tests {
     #[test]
     fn slow_plans_dominate_except_wifi6() {
         let records = y2021(300_000, 311);
-        let (overall, w6) = slow_plan_shares(&records);
+        let (overall, w6) = accum::run(SlowPlanAcc::new(), &records);
         assert!((overall - 0.64).abs() < 0.06, "overall {overall}");
         assert!((w6 - 0.39).abs() < 0.06, "wifi6 {w6}");
     }
@@ -369,7 +350,7 @@ mod tests {
     #[test]
     fn render_lists_all_standards() {
         let records = y2021(60_000, 313);
-        let text = fig13(&records).render();
+        let text = accum::run(WifiAcc::fig13(), &records).render();
         for std in WifiStandard::ALL {
             assert!(text.contains(std.name()), "{text}");
         }

@@ -1,4 +1,4 @@
-//! Property and regression tests for `robustness::outcome_rates`.
+//! Property and regression tests for `robustness::OutcomeRatesAcc`.
 //!
 //! The property: for *any* generated population, every outcome rate is
 //! a valid probability and each row's rates partition its population
@@ -6,12 +6,14 @@
 //! seed's exact rates so a silent change to the generator's fault model
 //! or the tally shows up as a diff, not a drift.
 
-use mbw_analysis::robustness::outcome_rates;
+use mbw_analysis::accum;
+use mbw_analysis::robustness::OutcomeRatesAcc;
 use mbw_dataset::{AccessTech, DatasetConfig, Generator, Year};
 use proptest::prelude::*;
 
 fn rates_for(seed: u64, tests: usize, year: Year) -> mbw_analysis::robustness::OutcomeRates {
-    outcome_rates(
+    accum::run(
+        OutcomeRatesAcc::new(),
         &Generator::new(DatasetConfig {
             seed,
             tests,

@@ -21,8 +21,7 @@
 
 use mbw_analysis::accum::FigureAccumulator;
 use mbw_core::{
-    run_campaign, CampaignPlan, EmptyCampaign, ScenarioId, TechClass, TrialKind, TrialView,
-    VariantId,
+    CampaignPlan, EmptyCampaign, ScenarioId, TechClass, TrialKind, TrialView, VariantId,
 };
 use mbw_deploy::{solve_greedy, solve_ilp, synthetic_catalog, PurchaseProblem};
 use mbw_stats::descriptive;
@@ -180,34 +179,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for AblationAcc {
     }
 }
 
-fn run_table(
-    rows: &[(VariantId, &str)],
-    n: usize,
-    seed: u64,
-) -> Result<Vec<VariantOutcome>, EmptyCampaign> {
-    let mut plan = CampaignPlan::new(seed);
-    let variants: Vec<VariantId> = rows.iter().map(|&(v, _)| v).collect();
-    plan_variants(&mut plan, &variants, n);
-    let pool = run_campaign(&plan, 1);
-    let tables = crate::eval_sweep::reduce(AblationAcc::default(), &pool)?;
-    tables.table(rows).ok_or(EmptyCampaign)
-}
-
-/// Ablation 1: initial probing rate.
-pub fn ablation_init(n: usize, seed: u64) -> Result<Vec<VariantOutcome>, EmptyCampaign> {
-    run_table(&INIT_TABLE, n, seed)
-}
-
-/// Ablation 2: convergence rule.
-pub fn ablation_converge(n: usize, seed: u64) -> Result<Vec<VariantOutcome>, EmptyCampaign> {
-    run_table(&CONVERGE_TABLE, n, seed)
-}
-
-/// Ablation 3: escalation policy.
-pub fn ablation_escalate(n: usize, seed: u64) -> Result<Vec<VariantOutcome>, EmptyCampaign> {
-    run_table(&ESCALATE_TABLE, n, seed)
-}
-
 /// Render a variant table.
 pub fn render_variants(title: &str, variants: &[VariantOutcome]) -> String {
     let mut out = format!("{title}\n");
@@ -248,10 +219,26 @@ pub fn ablation_ilp(seed: u64) -> Vec<(f64, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbw_core::run_campaign;
+
+    /// One table on its own: plan its variants, run them on one
+    /// thread, reduce, project.
+    fn run_table(
+        rows: &[(VariantId, &str)],
+        n: usize,
+        seed: u64,
+    ) -> Result<Vec<VariantOutcome>, EmptyCampaign> {
+        let mut plan = CampaignPlan::new(seed);
+        let variants: Vec<VariantId> = rows.iter().map(|&(v, _)| v).collect();
+        plan_variants(&mut plan, &variants, n);
+        let pool = run_campaign(&plan, 1);
+        let tables = crate::eval_sweep::reduce(AblationAcc::default(), &pool)?;
+        tables.table(rows).ok_or(EmptyCampaign)
+    }
 
     #[test]
     fn gmm_prior_beats_blind_rampup_on_time() {
-        let variants = ablation_init(25, 4000).expect("non-empty campaign");
+        let variants = run_table(&INIT_TABLE, 25, 4000).expect("non-empty campaign");
         let gmm = &variants[0];
         let blind = &variants[2];
         assert!(
@@ -269,7 +256,7 @@ mod tests {
 
     #[test]
     fn strict_convergence_costs_time() {
-        let variants = ablation_converge(25, 4100).expect("non-empty campaign");
+        let variants = run_table(&CONVERGE_TABLE, 25, 4100).expect("non-empty campaign");
         let paper = &variants[0];
         let strict = &variants[2];
         assert!(strict.mean_duration_s > paper.mean_duration_s);
@@ -279,7 +266,7 @@ mod tests {
 
     #[test]
     fn modal_escalation_is_competitive_with_fixed_growth() {
-        let variants = ablation_escalate(40, 4200).expect("non-empty campaign");
+        let variants = run_table(&ESCALATE_TABLE, 40, 4200).expect("non-empty campaign");
         let modal = &variants[0];
         let fixed = &variants[1];
         // Both policies finish in the ~1 s regime; modal jumps must not
@@ -301,9 +288,9 @@ mod tests {
         // All three tables project the same PaperDefault trial series;
         // with structural per-trial seeds the row's numbers must agree
         // no matter which table (or the full union) ran it.
-        let init = ablation_init(10, 4400).expect("ok");
-        let converge = ablation_converge(10, 4400).expect("ok");
-        let escalate = ablation_escalate(10, 4400).expect("ok");
+        let init = run_table(&INIT_TABLE, 10, 4400).expect("ok");
+        let converge = run_table(&CONVERGE_TABLE, 10, 4400).expect("ok");
+        let escalate = run_table(&ESCALATE_TABLE, 10, 4400).expect("ok");
         assert_eq!(init[0].mean_duration_s, converge[0].mean_duration_s);
         assert_eq!(init[0].mean_accuracy, escalate[0].mean_accuracy);
         assert_eq!(converge[0].mean_data_mb, escalate[0].mean_data_mb);
@@ -311,7 +298,7 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_a_typed_error() {
-        assert_eq!(ablation_init(0, 1).unwrap_err(), EmptyCampaign);
+        assert_eq!(run_table(&INIT_TABLE, 0, 1).unwrap_err(), EmptyCampaign);
     }
 
     #[test]
@@ -326,7 +313,7 @@ mod tests {
 
     #[test]
     fn variant_rendering() {
-        let text = render_variants("test", &ablation_escalate(3, 1).expect("ok"));
+        let text = render_variants("test", &run_table(&ESCALATE_TABLE, 3, 1).expect("ok"));
         assert!(text.contains("accuracy"));
         assert!(text.lines().count() >= 4);
     }

@@ -57,9 +57,9 @@
 //! process would have produced. A killed runner leaves no torn part
 //! behind, and re-running it skips shards whose parts already exist.
 
-use mbw_analysis::ProfileFigures;
+use mbw_analysis::{FitCache, MeasurementFigures, ProfileFigures, StreamTimings};
 use mbw_bench::distributed::{self, ShardRun, COST_SEED, EVAL_SEED, MEASUREMENT_SEED};
-use mbw_bench::{bts_eval, deploy_eval, eval_sweep, load, measurement};
+use mbw_bench::{bts_eval, deploy_eval, eval_sweep, load};
 use mbw_core::{run_campaign_metered, EvalCounts, ProfileDim};
 use mbw_dataset::csv::CsvWriter;
 use mbw_dataset::{generate_sharded, DatasetConfig, EcosystemProfile, RecordView, ShardPlan, Year};
@@ -442,13 +442,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
              ({} threads, profile {})...",
             opts.threads, opts.profile.name
         );
-        let (figs, t) = measurement::stream_measurement_figures_cached(
-            opts.profile,
-            dataset,
-            MEASUREMENT_SEED,
-            ShardPlan::threads(opts.threads),
-            fit_cache.as_ref(),
-        );
+        let (figs, t) = stream_profile(opts.profile, dataset, opts.threads, fit_cache.as_ref());
         let records = t.records as u64;
         // The rate gauges report actual pipeline throughput, so they
         // get wall clock; the per-stage series below carry the CPU
@@ -647,15 +641,37 @@ fn run(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Stream the measurement sweep: both yearly populations of `records`
+/// tests under `profile`, from the run's fixed dataset seed.
+fn stream_profile(
+    profile: &'static EcosystemProfile,
+    records: usize,
+    threads: usize,
+    fit_cache: Option<&FitCache>,
+) -> (MeasurementFigures, StreamTimings) {
+    let config = |year| DatasetConfig {
+        seed: MEASUREMENT_SEED,
+        tests: records,
+        year,
+        profile,
+    };
+    mbw_analysis::stream_figures_cached(
+        config(Year::Y2020),
+        config(Year::Y2021),
+        ShardPlan::threads(threads),
+        fit_cache,
+    )
+}
+
 /// Load the GMM fit cache at `path`, or start a fresh one when the
 /// file does not exist yet (first run) or cannot be read (a stale or
 /// corrupt snapshot is reported and ignored, never trusted).
-fn load_fit_cache(path: &Path) -> mbw_analysis::FitCache {
+fn load_fit_cache(path: &Path) -> FitCache {
     if !path.exists() {
         eprintln!("fit cache: starting fresh (no file at {})", path.display());
-        return mbw_analysis::FitCache::new();
+        return FitCache::new();
     }
-    match mbw_analysis::FitCache::load(path) {
+    match FitCache::load(path) {
         Ok(cache) => {
             eprintln!(
                 "fit cache: loaded {} entries from {}",
@@ -666,7 +682,7 @@ fn load_fit_cache(path: &Path) -> mbw_analysis::FitCache {
         }
         Err(e) => {
             eprintln!("fit cache: ignoring {}: {e}", path.display());
-            mbw_analysis::FitCache::new()
+            FitCache::new()
         }
     }
 }
@@ -674,11 +690,7 @@ fn load_fit_cache(path: &Path) -> mbw_analysis::FitCache {
 /// Report the run's fit-cache outcomes (stderr + registry counters) and
 /// persist the cache back to `--fit-cache` when it learned new fits or
 /// evicted poisoned entries. A clean warm run leaves the file untouched.
-fn save_fit_cache(
-    opts: &Options,
-    cache: Option<&mbw_analysis::FitCache>,
-    metrics: &PipelineMetrics,
-) {
+fn save_fit_cache(opts: &Options, cache: Option<&FitCache>, metrics: &PipelineMetrics) {
     let (Some(path), Some(cache)) = (opts.fit_cache.as_deref(), cache) else {
         return;
     };
@@ -814,7 +826,7 @@ fn run_all_profiles(
     opts: &Options,
     dataset: usize,
     metrics: &PipelineMetrics,
-    fit_cache: Option<&mbw_analysis::FitCache>,
+    fit_cache: Option<&FitCache>,
 ) -> Result<(), CliError> {
     let is_sweep_id = |id: &str| mbw_analysis::sweep::SWEEP_IDS.contains(&id);
     let sweep_ids: Vec<&str> = if opts.selected.is_empty() {
@@ -839,13 +851,7 @@ fn run_all_profiles(
                 "streaming {dataset} records per year under profile {} ({} threads)...",
                 profile.name, opts.threads
             );
-            let (figures, t) = measurement::stream_measurement_figures_cached(
-                profile,
-                dataset,
-                MEASUREMENT_SEED,
-                ShardPlan::threads(opts.threads),
-                fit_cache,
-            );
+            let (figures, t) = stream_profile(profile, dataset, opts.threads, fit_cache);
             metrics.observe_generated(t.records as u64, t.wall);
             metrics.observe_analyzed(t.records as u64, t.wall);
             ProfileFigures {

@@ -11,8 +11,8 @@
 
 use mbw_analysis::accum::FigureAccumulator;
 use mbw_core::{
-    run_campaign, trial_seed, BackToBack, BtsKind, CampaignPlan, EmptyCampaign, ScenarioId,
-    TechClass, TestHarness, TrialKind, TrialOutcome, TrialView,
+    trial_seed, BackToBack, BtsKind, CampaignPlan, EmptyCampaign, ScenarioId, TechClass,
+    TestHarness, TrialKind, TrialOutcome, TrialView,
 };
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::{descriptive, Ecdf};
@@ -134,14 +134,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig20Acc {
     }
 }
 
-/// Run Fig 20 with `n` shared pairs per technology.
-pub fn fig20(n: usize, seed: u64) -> Result<Fig20, EmptyCampaign> {
-    let mut plan = CampaignPlan::new(seed);
-    plan_pairs(&mut plan, n);
-    let pool = run_campaign(&plan, 1);
-    crate::eval_sweep::reduce(Fig20Acc::default(), &pool)
-}
-
 impl Fig20 {
     /// Text report.
     pub fn render(&self) -> String {
@@ -234,14 +226,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig21Acc {
     }
 }
 
-/// Run Fig 21 with `n` shared pairs per technology.
-pub fn fig21(n: usize, seed: u64) -> Result<Fig21, EmptyCampaign> {
-    let mut plan = CampaignPlan::new(seed);
-    plan_pairs(&mut plan, n);
-    let pool = run_campaign(&plan, 1);
-    crate::eval_sweep::reduce(Fig21Acc::default(), &pool)
-}
-
 impl Fig21 {
     /// Text report.
     pub fn render(&self) -> String {
@@ -332,14 +316,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig22Acc {
             series,
         })
     }
-}
-
-/// Run Fig 22 with `n` shared pairs per technology.
-pub fn fig22(n: usize, seed: u64) -> Result<Fig22, EmptyCampaign> {
-    let mut plan = CampaignPlan::new(seed);
-    plan_pairs(&mut plan, n);
-    let pool = run_campaign(&plan, 1);
-    crate::eval_sweep::reduce(Fig22Acc::default(), &pool)
 }
 
 impl Fig22 {
@@ -463,14 +439,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig23to25Acc {
         }
         Ok(Fig23to25 { rows })
     }
-}
-
-/// Run the benchmark-study figures with `n` test groups per technology.
-pub fn fig23_25(n: usize, seed: u64) -> Result<Fig23to25, EmptyCampaign> {
-    let mut plan = CampaignPlan::new(seed);
-    plan_groups(&mut plan, n);
-    let pool = run_campaign(&plan, 1);
-    crate::eval_sweep::reduce(Fig23to25Acc::default(), &pool)
 }
 
 impl Fig23to25 {
@@ -670,21 +638,25 @@ impl MmwaveReport {
     }
 }
 
-/// Run the mmWave report with `n` links.
-pub fn mmwave_report(n: usize, seed: u64) -> Result<MmwaveReport, EmptyCampaign> {
-    let mut plan = CampaignPlan::new(seed);
-    plan_mmwave(&mut plan, n);
-    let pool = run_campaign(&plan, 1);
-    crate::eval_sweep::reduce(MmwaveAcc::default(), &pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbw_core::run_campaign;
+
+    /// One figure on its own: plan its series, run them on one thread,
+    /// fold its reducer over the pool.
+    fn solo<A, O>(series: fn(&mut CampaignPlan, usize), n: usize, seed: u64, acc: A) -> O
+    where
+        A: for<'a> FigureAccumulator<TrialView<'a>, Output = O>,
+    {
+        let mut plan = CampaignPlan::new(seed);
+        series(&mut plan, n);
+        crate::eval_sweep::reduce(acc, &run_campaign(&plan, 1))
+    }
 
     #[test]
     fn fig20_swiftest_is_about_one_second() {
-        let fig = fig20(60, 2000).expect("non-empty campaign");
+        let fig = solo(plan_pairs, 60, 2000, Fig20Acc::default()).expect("non-empty campaign");
         for (tech, ecdf, mean_total) in &fig.series {
             // §5.3: means 0.95–1.05 s probing; ≈1.19 s incl. PING.
             assert!(
@@ -701,16 +673,31 @@ mod tests {
 
     #[test]
     fn fig20_empty_campaign_is_a_typed_error() {
-        assert_eq!(fig20(0, 1).unwrap_err(), EmptyCampaign);
-        assert_eq!(fig21(0, 1).unwrap_err(), EmptyCampaign);
-        assert_eq!(fig22(0, 1).unwrap_err(), EmptyCampaign);
-        assert_eq!(fig23_25(0, 1).unwrap_err(), EmptyCampaign);
-        assert_eq!(mmwave_report(0, 1).unwrap_err(), EmptyCampaign);
+        assert_eq!(
+            solo(plan_pairs, 0, 1, Fig20Acc::default()).unwrap_err(),
+            EmptyCampaign
+        );
+        assert_eq!(
+            solo(plan_pairs, 0, 1, Fig21Acc::default()).unwrap_err(),
+            EmptyCampaign
+        );
+        assert_eq!(
+            solo(plan_pairs, 0, 1, Fig22Acc::default()).unwrap_err(),
+            EmptyCampaign
+        );
+        assert_eq!(
+            solo(plan_groups, 0, 1, Fig23to25Acc::default()).unwrap_err(),
+            EmptyCampaign
+        );
+        assert_eq!(
+            solo(plan_mmwave, 0, 1, MmwaveAcc::default()).unwrap_err(),
+            EmptyCampaign
+        );
     }
 
     #[test]
     fn fig21_data_usage_ratio() {
-        let fig = fig21(40, 2100).expect("non-empty campaign");
+        let fig = solo(plan_pairs, 40, 2100, Fig21Acc::default()).expect("non-empty campaign");
         for (tech, bts, swift, ratio) in &fig.rows {
             assert!(bts > swift, "{tech}");
             // §5.3: 8.2–9.0×; accept a broad band for the simulation.
@@ -724,7 +711,7 @@ mod tests {
 
     #[test]
     fn fig22_deviations_are_small() {
-        let fig = fig22(50, 2200).expect("non-empty campaign");
+        let fig = solo(plan_pairs, 50, 2200, Fig22Acc::default()).expect("non-empty campaign");
         // §5.3: mean 5.1%, median 3.0%; a small fraction exceeds 10%.
         assert!(fig.overall.mean() < 0.12, "mean {}", fig.overall.mean());
         assert!(
@@ -738,7 +725,7 @@ mod tests {
 
     #[test]
     fn fig23_25_swiftest_wins_time_data_and_accuracy() {
-        let fig = fig23_25(30, 2300).expect("non-empty campaign");
+        let fig = solo(plan_groups, 30, 2300, Fig23to25Acc::default()).expect("non-empty campaign");
         for tech in TechClass::ALL {
             let (t_fast, d_fast, a_fast) = fig.cell(tech, BtsKind::Fast).unwrap();
             let (t_fbts, d_fbts, a_fbts) = fig.cell(tech, BtsKind::FastBts).unwrap();
@@ -789,10 +776,25 @@ mod tests {
 
     #[test]
     fn renders_are_tables() {
-        assert!(fig20(5, 1).expect("ok").render().contains("WiFi"));
-        assert!(fig21(5, 2).expect("ok").render().contains('x'));
-        assert!(fig22(5, 3).expect("ok").render().contains("overall"));
-        assert!(fig23_25(5, 4).expect("ok").render().contains("Swiftest"));
-        assert!(mmwave_report(5, 5).expect("ok").render().contains("mmWave"));
+        assert!(solo(plan_pairs, 5, 1, Fig20Acc::default())
+            .expect("ok")
+            .render()
+            .contains("WiFi"));
+        assert!(solo(plan_pairs, 5, 2, Fig21Acc::default())
+            .expect("ok")
+            .render()
+            .contains('x'));
+        assert!(solo(plan_pairs, 5, 3, Fig22Acc::default())
+            .expect("ok")
+            .render()
+            .contains("overall"));
+        assert!(solo(plan_groups, 5, 4, Fig23to25Acc::default())
+            .expect("ok")
+            .render()
+            .contains("Swiftest"));
+        assert!(solo(plan_mmwave, 5, 5, MmwaveAcc::default())
+            .expect("ok")
+            .render()
+            .contains("mmWave"));
     }
 }

@@ -735,11 +735,11 @@ mod tests {
 
     /// Reference single-process figures under the same parameters.
     fn single_process(cfg: &DistConfig) -> (MeasurementFigures, EvalFigures) {
-        let (figures, _) = crate::measurement::stream_measurement_figures_for(
-            cfg.profile,
-            cfg.records,
-            MEASUREMENT_SEED,
+        let (figures, _) = mbw_analysis::stream_figures_cached(
+            dataset_config(cfg.profile, cfg.records, Year::Y2020),
+            dataset_config(cfg.profile, cfg.records, Year::Y2021),
             ShardPlan::threads(1),
+            None,
         );
         let plan = full_eval_plan(&cfg.counts, cfg.profile);
         let pool = run_campaign(&plan, 1);

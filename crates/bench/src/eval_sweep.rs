@@ -12,14 +12,15 @@
 //! 2. **Execute** — [`mbw_core::run_campaign`] fills a columnar
 //!    [`TrialPool`], byte-identical for any thread count.
 //! 3. **Reduce** — [`EvalFigureSet`] folds every requested figure in a
-//!    single pass over the pool; [`reduce`] is the one-accumulator
-//!    version the per-figure entry points use.
+//!    single pass over the pool; [`reduce`] folds one accumulator, which
+//!    is how a figure is computed on its own.
 //!
 //! Per-trial seeds are *structural* (derived from what a trial is, not
-//! where it sits in the plan), so the fused pool reproduces each
-//! legacy per-figure run exactly: `EvalFigures::render("fig20")` is
-//! byte-identical to `bts_eval::fig20(n, seed)?.render()` for the same
-//! count and campaign seed.
+//! where it sits in the plan), so the fused pool reproduces each figure
+//! computed alone exactly: `EvalFigures::render("fig20")` is
+//! byte-identical to `plan_pairs` → `run_campaign(.., 1)` →
+//! `reduce(Fig20Acc::default(), ..)` rendered, for the same count and
+//! campaign seed.
 
 use crate::ablation::{
     render_variants, AblationAcc, AblationTables, CONVERGE_TABLE, ESCALATE_TABLE, INIT_TABLE,

@@ -7,13 +7,12 @@
 //! spurious wireless loss, and a radio-scheduler ramp; the metric is
 //! the time until the 50 ms goodput samples first reach 90% of the
 //! link's nominal rate. All `(bandwidth, algorithm)` cells share one
-//! seed stream (common random numbers), as the legacy per-figure sweep
-//! arranged by reusing one stride sequence.
+//! seed stream (common random numbers).
 
 use mbw_analysis::accum::FigureAccumulator;
 use mbw_congestion::CcAlgorithm;
 pub use mbw_core::campaign::BANDWIDTH_BINS;
-use mbw_core::{run_campaign, CampaignPlan, EmptyCampaign, TrialKind, TrialView};
+use mbw_core::{CampaignPlan, EmptyCampaign, TrialKind, TrialView};
 use mbw_stats::descriptive;
 use std::fmt::Write as _;
 
@@ -148,17 +147,18 @@ pub fn plan_fig17(plan: &mut CampaignPlan, paths_per_point: usize) {
     }
 }
 
-/// Run the full sweep with `paths_per_point` drawn paths per cell.
-pub fn fig17(paths_per_point: usize, seed: u64) -> Result<Fig17, EmptyCampaign> {
-    let mut plan = CampaignPlan::new(seed);
-    plan_fig17(&mut plan, paths_per_point);
-    let pool = run_campaign(&plan, 1);
-    crate::eval_sweep::reduce(Fig17Acc::new(), &pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbw_core::run_campaign;
+
+    /// The full sweep with `paths_per_point` drawn paths per cell.
+    fn fig17(paths_per_point: usize, seed: u64) -> Result<Fig17, EmptyCampaign> {
+        let mut plan = CampaignPlan::new(seed);
+        plan_fig17(&mut plan, paths_per_point);
+        let pool = run_campaign(&plan, 1);
+        crate::eval_sweep::reduce(Fig17Acc::new(), &pool)
+    }
 
     #[test]
     fn fig17_shape_matches_paper() {

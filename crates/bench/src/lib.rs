@@ -1,14 +1,14 @@
 #![warn(missing_docs)]
-//! Experiment drivers: one function per paper table/figure.
+//! Experiment drivers behind the `figures` binary.
 //!
-//! Every table and figure in the paper's evaluation is regenerated by a
-//! function here, shared by the `figures` binary (full-size populations,
-//! text reports into `results/`) and the Criterion benches (scaled-down
-//! parameters, wall-time tracking). The per-experiment index in
-//! DESIGN.md maps figure ids to these functions.
+//! The paper implies two runs, and each has one implementation. The
+//! measurement figures (Tables 1–2, Figs 1–16, 18–19) come from
+//! `mbw_analysis::stream_figures_cached`, which the binary calls
+//! directly. The evaluation figures come from one plan → execute →
+//! reduce campaign ([`eval_sweep`]); the modules below hold the trial
+//! series each figure plans (`plan_*`) and the accumulator that reduces
+//! it. The per-experiment index in DESIGN.md maps figure ids to them.
 //!
-//! - [`measurement`] — Tables 1–2 and Figs 1–16 over the synthetic
-//!   dataset (`mbw-dataset` + `mbw-analysis`).
 //! - [`fig17`] — the TCP slow-start/saturation sweep (Cubic/Reno/BBR).
 //! - [`bts_eval`] — Figs 20–25: Swiftest vs BTS-APP / FAST / FastBTS.
 //! - [`deploy_eval`] — Fig 26 and the §5.3 infrastructure-cost result.
@@ -32,4 +32,3 @@ pub mod distributed;
 pub mod eval_sweep;
 pub mod fig17;
 pub mod load;
-pub mod measurement;

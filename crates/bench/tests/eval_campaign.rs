@@ -1,16 +1,28 @@
-//! The fused evaluation campaign is byte-identical to the legacy
-//! one-run-per-figure pipeline for every evaluation figure id, and the
-//! executed pool is byte-identical for any worker thread count.
+//! The fused evaluation campaign reproduces, for every evaluation
+//! figure id, the figure computed on its own — that id's series planned
+//! alone, run on one thread, folded through that id's accumulator alone
+//! — and the executed pool is byte-identical for any worker thread
+//! count.
 //!
-//! This mirrors `sweep_equivalence.rs` (the measurement half's
-//! guarantee) for the Swiftest evaluation half. The equivalence holds
-//! by construction — per-trial seeds are structural, derived from what
-//! a trial *is* rather than where it sits in the plan — and these
-//! tests keep that construction honest.
+//! This mirrors `mbw-analysis`' `stream_equivalence.rs` (the
+//! measurement half's guarantee) for the Swiftest evaluation half. The
+//! equivalence holds by construction — per-trial seeds are structural,
+//! derived from what a trial *is* rather than where it sits in the plan
+//! — and these tests keep that construction honest.
 
+use mbw_analysis::accum::FigureAccumulator;
+use mbw_bench::ablation::{
+    plan_variants, render_variants, AblationAcc, CONVERGE_TABLE, ESCALATE_TABLE, INIT_TABLE,
+};
+use mbw_bench::bts_eval::{
+    plan_groups, plan_mmwave, plan_pairs, Fig20Acc, Fig21Acc, Fig22Acc, Fig23to25Acc, MmwaveAcc,
+};
+use mbw_bench::deploy_eval::{cost_report_with, WorkloadAcc};
 use mbw_bench::eval_sweep::{plan_for, reduce, EvalFigureSet, EVAL_SWEEP_IDS};
-use mbw_bench::{ablation, bts_eval, deploy_eval, fig17};
-use mbw_core::{run_campaign, trial_seed, CampaignPlan, EvalCounts};
+use mbw_bench::fig17::{plan_fig17, Fig17Acc};
+use mbw_core::{
+    run_campaign, trial_seed, CampaignPlan, EmptyCampaign, EvalCounts, TrialView, VariantId,
+};
 use proptest::prelude::*;
 
 const SEED: u64 = 0xE7A1;
@@ -20,63 +32,67 @@ fn counts() -> EvalCounts {
     EvalCounts::uniform(10)
 }
 
-/// The pre-campaign pipeline: one figure function per id, each running
-/// its own trials.
-fn legacy_render(id: &str, c: &EvalCounts) -> String {
+/// One figure on its own: only its series in the plan, one thread, only
+/// its accumulator over the pool.
+fn alone(id: &str, c: &EvalCounts) -> String {
+    fn one<A, T>(series: impl FnOnce(&mut CampaignPlan), acc: A) -> T
+    where
+        A: for<'a> FigureAccumulator<TrialView<'a>, Output = Result<T, EmptyCampaign>>,
+    {
+        let mut plan = CampaignPlan::new(SEED);
+        series(&mut plan);
+        reduce(acc, &run_campaign(&plan, 1)).expect("non-empty campaign")
+    }
+    let table = |rows: &[(VariantId, &str)], title: &str| {
+        let variants: Vec<VariantId> = rows.iter().map(|&(v, _)| v).collect();
+        let tables = one(
+            |p| plan_variants(p, &variants, c.ablation),
+            AblationAcc::default(),
+        );
+        render_variants(title, &tables.table(rows).expect("every row planned"))
+    };
     match id {
-        "fig17" => fig17::fig17(c.ramp_paths, SEED).expect("ok").render(),
-        "fig20" => bts_eval::fig20(c.tests, SEED).expect("ok").render(),
-        "fig21" => bts_eval::fig21(c.tests, SEED).expect("ok").render(),
-        "fig22" => bts_eval::fig22(c.tests, SEED).expect("ok").render(),
-        "fig23" | "fig24" | "fig25" => bts_eval::fig23_25(c.groups, SEED).expect("ok").render(),
-        "ablation_init" => ablation::render_variants(
-            "Ablation: initial probing rate",
-            &ablation::ablation_init(c.ablation, SEED).expect("ok"),
-        ),
-        "ablation_converge" => ablation::render_variants(
-            "Ablation: convergence rule",
-            &ablation::ablation_converge(c.ablation, SEED).expect("ok"),
-        ),
-        "ablation_escalate" => ablation::render_variants(
-            "Ablation: escalation policy",
-            &ablation::ablation_escalate(c.ablation, SEED).expect("ok"),
-        ),
-        "mmwave" => bts_eval::mmwave_report(c.mmwave, SEED)
-            .expect("ok")
-            .render(),
-        "cost" => {
-            // Legacy shape: estimate the workload from a pairs-only run,
-            // then purchase for it.
-            let mut plan = CampaignPlan::new(SEED);
-            bts_eval::plan_pairs(&mut plan, c.tests);
-            let pool = run_campaign(&plan, 1);
-            let w = reduce(deploy_eval::WorkloadAcc::default(), &pool).expect("ok");
-            deploy_eval::cost_report_with(&w, COST_SEED).render()
+        "fig17" => one(|p| plan_fig17(p, c.ramp_paths), Fig17Acc::new()).render(),
+        "fig20" => one(|p| plan_pairs(p, c.tests), Fig20Acc::default()).render(),
+        "fig21" => one(|p| plan_pairs(p, c.tests), Fig21Acc::default()).render(),
+        "fig22" => one(|p| plan_pairs(p, c.tests), Fig22Acc::default()).render(),
+        "fig23" | "fig24" | "fig25" => {
+            one(|p| plan_groups(p, c.groups), Fig23to25Acc::default()).render()
         }
-        other => panic!("no legacy mapping for {other}"),
+        "ablation_init" => table(&INIT_TABLE, "Ablation: initial probing rate"),
+        "ablation_converge" => table(&CONVERGE_TABLE, "Ablation: convergence rule"),
+        "ablation_escalate" => table(&ESCALATE_TABLE, "Ablation: escalation policy"),
+        "mmwave" => one(|p| plan_mmwave(p, c.mmwave), MmwaveAcc::default()).render(),
+        // Estimate the workload from a pairs-only run, then purchase
+        // for it.
+        "cost" => {
+            let workload = one(|p| plan_pairs(p, c.tests), WorkloadAcc::default());
+            cost_report_with(&workload, COST_SEED).render()
+        }
+        other => panic!("no accumulator mapping for {other}"),
     }
 }
 
 #[test]
-fn fused_campaign_reproduces_every_legacy_figure() {
+fn fused_campaign_reproduces_every_standalone_figure() {
     let c = counts();
-    let legacy: Vec<(&str, String)> = EVAL_SWEEP_IDS
+    let expected: Vec<(&str, String)> = EVAL_SWEEP_IDS
         .iter()
-        .map(|&id| (id, legacy_render(id, &c)))
+        .map(|&id| (id, alone(id, &c)))
         .collect();
 
     let plan = plan_for(&EVAL_SWEEP_IDS, &c, SEED);
     for threads in [1usize, 4] {
         let pool = run_campaign(&plan, threads);
         let figs = reduce(EvalFigureSet::new(COST_SEED), &pool);
-        for (id, expected) in &legacy {
+        for (id, expected) in &expected {
             let fused = figs
                 .render(id)
                 .unwrap_or_else(|| panic!("unknown id {id}"))
                 .unwrap_or_else(|e| panic!("{id}: {e}"));
             assert_eq!(
                 &fused, expected,
-                "{id} diverged from the legacy pipeline at {threads} thread(s)"
+                "{id} diverged from the figure computed alone at {threads} thread(s)"
             );
         }
     }
@@ -97,9 +113,9 @@ fn trial_count_does_not_disturb_the_shared_prefix() {
     // Growing a series appends trials; the existing ones keep their
     // structural seeds, so figures over the common prefix agree.
     let mut small = CampaignPlan::new(77);
-    bts_eval::plan_pairs(&mut small, 6);
+    plan_pairs(&mut small, 6);
     let mut large = CampaignPlan::new(77);
-    bts_eval::plan_pairs(&mut large, 9);
+    plan_pairs(&mut large, 9);
     let small_pool = run_campaign(&small, 1);
     let large_pool = run_campaign(&large, 2);
     for (i, spec) in small.specs().iter().enumerate() {

@@ -18,9 +18,9 @@
 //!   `StreamTimings::finish` wall time.
 //! - *regression*: current throughput must stay within 20% of a
 //!   baseline measured on the *same runner class*. Cross-machine
-//!   wall-clock comparison is inherently unstable (the committed BENCH
-//!   files are regenerated wherever the tree is developed, which may be
-//!   a 1-core container), so the baseline lives in a file under
+//!   wall-clock comparison is inherently unstable, and the benchmark of
+//!   record (`benchmark/`) times one thread only, so this job is the
+//!   gate on threads > 1 and its baseline lives in a file under
 //!   `$MBW_SCALING_BASELINE_DIR` — in CI that directory is carried
 //!   between runs by the actions cache, so every comparison is
 //!   runner-against-same-runner. The first run on a fresh cache seeds
@@ -32,10 +32,10 @@
 //! same-machine baseline to gate against — in both cases the tests
 //! skip with a notice instead of failing.
 
+use mbw_analysis::{stream_figures_cached, StreamTimings};
 use mbw_bench::eval_sweep::{plan_for, reduce, EvalFigureSet, EVAL_SWEEP_IDS};
-use mbw_bench::measurement;
 use mbw_core::{run_campaign, EvalCounts};
-use mbw_dataset::ShardPlan;
+use mbw_dataset::{DatasetConfig, ShardPlan, Year};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -121,18 +121,27 @@ fn gate_against_baseline(test: &str, metric: &str, unit: &str, current: f64) {
     }
 }
 
+/// One streaming run of `records` per year at `threads` workers.
+fn stream_timings(records: usize, threads: usize) -> StreamTimings {
+    let cfg = |year| DatasetConfig {
+        seed: 0xBE7C,
+        tests: records,
+        year,
+        ..Default::default()
+    };
+    let plan = ShardPlan::threads(threads);
+    let (figs, t) = stream_figures_cached(cfg(Year::Y2020), cfg(Year::Y2021), plan, None);
+    black_box(figs);
+    t
+}
+
 /// Best-of-`ITERS` streaming timings at `threads` workers. Returns
 /// `(end_to_end_rps, parallel_phase_rps)`, each the max over the
 /// iterations.
 fn stream_rps(records: usize, threads: usize) -> (f64, f64) {
     (0..ITERS)
         .map(|_| {
-            let (figs, t) = measurement::stream_measurement_figures(
-                records,
-                0xBE7C,
-                ShardPlan::threads(threads),
-            );
-            black_box(figs);
+            let t = stream_timings(records, threads);
             (t.records_per_second(), t.parallel_records_per_second())
         })
         .fold((0.0, 0.0), |(e, p), (e2, p2)| (e.max(e2), p.max(p2)))
@@ -142,15 +151,7 @@ fn stream_rps(records: usize, threads: usize) -> (f64, f64) {
 /// finish pool inherits the shard plan's thread count).
 fn finish_secs(records: usize, threads: usize) -> f64 {
     (0..ITERS)
-        .map(|_| {
-            let (figs, t) = measurement::stream_measurement_figures(
-                records,
-                0xBE7C,
-                ShardPlan::threads(threads),
-            );
-            black_box(figs);
-            t.finish.as_secs_f64()
-        })
+        .map(|_| stream_timings(records, threads).finish.as_secs_f64())
         .fold(f64::INFINITY, f64::min)
 }
 

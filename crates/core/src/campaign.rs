@@ -410,8 +410,7 @@ impl TrialKind {
     /// The seed-series code. Ramp cells deliberately share one code:
     /// every `(bandwidth, algorithm)` cell then sees the *same* path
     /// draws (common random numbers), which is what makes Fig 17's
-    /// cross-cell comparisons low-variance — the legacy sweep had the
-    /// same property by reusing one stride sequence for all cells.
+    /// cross-cell comparisons low-variance.
     fn seed_code(self) -> u64 {
         match self {
             TrialKind::Single(k) => 0x100 + bts_tag(k),
@@ -1274,9 +1273,9 @@ pub fn run_campaign_metered(
         // `campaign.batch` span per claimed batch.
         let tracer_ref = &tracer;
         let exec_span_id = exec_span.id;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for slot in locals.iter_mut() {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     trace::scope(tracer_ref, || {
                         let mut worker_spans = tracer_ref.local();
                         let mut mine: Vec<Executed> = Vec::with_capacity(n / workers + CLAIM_BATCH);
@@ -1310,8 +1309,7 @@ pub fn run_campaign_metered(
                     });
                 });
             }
-        })
-        .expect("campaign worker panicked");
+        });
         // Reassemble in plan order by scattering into a slot per trial
         // (O(n), no sort); the pool push below then walks the slots in
         // order, so the result is byte-identical to the serial path.

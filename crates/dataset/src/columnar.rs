@@ -1,13 +1,9 @@
-//! Columnar (struct-of-arrays) storage for measurement records.
+//! The row cursor the analysis layer consumes.
 //!
-//! [`Dataset`] stores each [`TestRecord`] field in its own column so a
-//! paper-scale sweep (millions of records) walks tightly packed arrays
-//! instead of 100+-byte row structs: the bandwidth column alone is what
-//! most figures touch, and it is 8 bytes per record here. [`RecordView`]
-//! is the cheap row cursor over the columns — a `Copy` bundle of scalar
-//! fields plus a borrow of the link context — and is the type every
-//! figure accumulator observes, so row-major slices (`&[TestRecord]`)
-//! and columnar datasets feed the exact same analysis code.
+//! [`RecordView`] is a `Copy` bundle of a record's scalar fields plus a
+//! borrow of its link context, and is the type every figure accumulator
+//! observes: the figure code never names the storage the records came
+//! from.
 
 use crate::types::*;
 
@@ -15,8 +11,7 @@ use crate::types::*;
 ///
 /// All scalar fields are copied out (they are at most 8 bytes each);
 /// the variant-sized link context stays behind a reference. Built
-/// either from a [`Dataset`] row via [`Dataset::view`] or from a
-/// `&TestRecord` via `From`.
+/// from a `&TestRecord` via `From`.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordView<'a> {
     /// Measured downlink bandwidth in Mbps.
@@ -120,157 +115,7 @@ impl<'a> From<&'a TestRecord> for RecordView<'a> {
     }
 }
 
-/// Struct-of-arrays record storage.
-///
-/// Column `i` of every array belongs to the same logical record; the
-/// invariant that all columns share one length is maintained by
-/// construction (records only enter via [`Dataset::push`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Dataset {
-    bandwidth_mbps: Vec<f64>,
-    tech: Vec<AccessTech>,
-    isp: Vec<Isp>,
-    year: Vec<Year>,
-    city_id: Vec<u16>,
-    city_tier: Vec<CityTier>,
-    urban: Vec<bool>,
-    hour: Vec<u8>,
-    android_version: Vec<u8>,
-    device_model: Vec<u16>,
-    device_tier: Vec<DeviceTier>,
-    link: Vec<LinkInfo>,
-    outcome: Vec<OutcomeClass>,
-}
-
-impl Dataset {
-    /// An empty dataset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty dataset with room for `n` records per column.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            bandwidth_mbps: Vec::with_capacity(n),
-            tech: Vec::with_capacity(n),
-            isp: Vec::with_capacity(n),
-            year: Vec::with_capacity(n),
-            city_id: Vec::with_capacity(n),
-            city_tier: Vec::with_capacity(n),
-            urban: Vec::with_capacity(n),
-            hour: Vec::with_capacity(n),
-            android_version: Vec::with_capacity(n),
-            device_model: Vec::with_capacity(n),
-            device_tier: Vec::with_capacity(n),
-            link: Vec::with_capacity(n),
-            outcome: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.bandwidth_mbps.len()
-    }
-
-    /// Whether the dataset holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.bandwidth_mbps.is_empty()
-    }
-
-    /// Append one record, scattering its fields into the columns.
-    pub fn push(&mut self, r: &TestRecord) {
-        self.bandwidth_mbps.push(r.bandwidth_mbps);
-        self.tech.push(r.tech);
-        self.isp.push(r.isp);
-        self.year.push(r.year);
-        self.city_id.push(r.city_id);
-        self.city_tier.push(r.city_tier);
-        self.urban.push(r.urban);
-        self.hour.push(r.hour);
-        self.android_version.push(r.android_version);
-        self.device_model.push(r.device_model);
-        self.device_tier.push(r.device_tier);
-        self.link.push(r.link);
-        self.outcome.push(r.outcome);
-    }
-
-    /// Move every record of `other` onto the end of `self`, preserving
-    /// order. Used to concatenate per-shard datasets.
-    pub fn append(&mut self, mut other: Dataset) {
-        self.bandwidth_mbps.append(&mut other.bandwidth_mbps);
-        self.tech.append(&mut other.tech);
-        self.isp.append(&mut other.isp);
-        self.year.append(&mut other.year);
-        self.city_id.append(&mut other.city_id);
-        self.city_tier.append(&mut other.city_tier);
-        self.urban.append(&mut other.urban);
-        self.hour.append(&mut other.hour);
-        self.android_version.append(&mut other.android_version);
-        self.device_model.append(&mut other.device_model);
-        self.device_tier.append(&mut other.device_tier);
-        self.link.append(&mut other.link);
-        self.outcome.append(&mut other.outcome);
-    }
-
-    /// View of record `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    pub fn view(&self, i: usize) -> RecordView<'_> {
-        RecordView {
-            bandwidth_mbps: self.bandwidth_mbps[i],
-            tech: self.tech[i],
-            isp: self.isp[i],
-            year: self.year[i],
-            city_id: self.city_id[i],
-            city_tier: self.city_tier[i],
-            urban: self.urban[i],
-            hour: self.hour[i],
-            android_version: self.android_version[i],
-            device_model: self.device_model[i],
-            device_tier: self.device_tier[i],
-            link: &self.link[i],
-            outcome: self.outcome[i],
-        }
-    }
-
-    /// Iterate over record views in order.
-    pub fn iter(&self) -> impl Iterator<Item = RecordView<'_>> {
-        (0..self.len()).map(move |i| self.view(i))
-    }
-
-    /// Gather a row-major slice into columns.
-    pub fn from_records(records: &[TestRecord]) -> Self {
-        let mut ds = Self::with_capacity(records.len());
-        for r in records {
-            ds.push(r);
-        }
-        ds
-    }
-
-    /// Materialise owned rows (the inverse of [`Dataset::from_records`]).
-    pub fn to_records(&self) -> Vec<TestRecord> {
-        self.iter().map(|v| v.to_record()).collect()
-    }
-
-    /// The raw bandwidth column (the one most figures reduce over).
-    pub fn bandwidths(&self) -> &[f64] {
-        &self.bandwidth_mbps
-    }
-
-    /// The raw access-technology column.
-    pub fn techs(&self) -> &[AccessTech] {
-        &self.tech
-    }
-
-    /// The raw outcome column.
-    pub fn outcomes(&self) -> &[OutcomeClass] {
-        &self.outcome
-    }
-}
-
-/// Iterate [`RecordView`]s over a row-major slice, so slice-based and
-/// columnar callers share the same downstream code.
+/// Iterate [`RecordView`]s over a row-major slice.
 pub fn views(records: &[TestRecord]) -> impl Iterator<Item = RecordView<'_>> {
     records.iter().map(RecordView::from)
 }
@@ -289,65 +134,23 @@ where
         .collect()
 }
 
-impl FromIterator<TestRecord> for Dataset {
-    fn from_iter<I: IntoIterator<Item = TestRecord>>(iter: I) -> Self {
-        let mut ds = Dataset::new();
-        for r in iter {
-            ds.push(&r);
-        }
-        ds
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{DatasetConfig, Generator};
 
-    fn sample(n: usize) -> Vec<TestRecord> {
-        Generator::new(DatasetConfig {
-            tests: n,
-            ..DatasetConfig::default()
-        })
-        .generate()
-    }
-
-    #[test]
-    fn round_trips_rows() {
-        let records = sample(500);
-        let ds = Dataset::from_records(&records);
-        assert_eq!(ds.len(), records.len());
-        assert_eq!(ds.to_records(), records);
-    }
-
     #[test]
     fn views_match_rows() {
-        let records = sample(200);
-        let ds = Dataset::from_records(&records);
-        for (i, r) in records.iter().enumerate() {
-            let v = ds.view(i);
+        let records = Generator::new(DatasetConfig {
+            tests: 200,
+            ..DatasetConfig::default()
+        })
+        .generate();
+        for (v, r) in views(&records).zip(&records) {
             assert_eq!(v.to_record(), *r);
             assert_eq!(v.cell().is_some(), r.cell().is_some());
             assert_eq!(v.lte_band(), r.lte_band());
             assert_eq!(v.nr_band(), r.nr_band());
         }
-    }
-
-    #[test]
-    fn append_preserves_order() {
-        let records = sample(300);
-        let (a, b) = records.split_at(120);
-        let mut ds = Dataset::from_records(a);
-        ds.append(Dataset::from_records(b));
-        assert_eq!(ds.to_records(), records);
-    }
-
-    #[test]
-    fn columns_expose_raw_data() {
-        let records = sample(100);
-        let ds = Dataset::from_records(&records);
-        assert_eq!(ds.bandwidths().len(), 100);
-        assert_eq!(ds.techs()[7], records[7].tech);
-        assert_eq!(ds.outcomes()[42], records[42].outcome);
     }
 }

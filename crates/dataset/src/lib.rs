@@ -11,7 +11,7 @@
 //! base-station/AP identifiers, device/OS information, time and location
 //! context, and the measured downlink bandwidth.
 //!
-//! The analysis pipeline (`mbw-analysis`) consumes only `&[TestRecord]`,
+//! The analysis pipeline (`mbw-analysis`) consumes only [`RecordView`]s,
 //! so every paper figure's computation runs unchanged on this synthetic
 //! population. Where the paper's findings are *emergent* (multi-modal
 //! WiFi PDFs from broadband plans, the non-monotonic 5G RSS-bandwidth
@@ -37,9 +37,9 @@
 //! - [`generator`] — the seeded record generator, parameterized by a
 //!   profile.
 //! - [`parallel`] — sharded, thread-count-independent parallel
-//!   generation (owned rows, columnar, or streaming).
-//! - [`columnar`] — struct-of-arrays [`Dataset`] storage and the
-//!   [`RecordView`] row cursor the analysis layer consumes.
+//!   generation (owned rows or streaming).
+//! - [`columnar`] — the [`RecordView`] row cursor the analysis layer
+//!   consumes.
 
 pub mod bands;
 pub mod columnar;
@@ -52,11 +52,11 @@ pub mod profile;
 pub mod types;
 
 pub use bands::{LteBandInfo, NrBandInfo, LTE_BANDS, NR_BANDS};
-pub use columnar::{Dataset, RecordView};
+pub use columnar::RecordView;
 pub use generator::{DatasetConfig, Generator};
 pub use parallel::{
-    for_each_record, generate_dataset, generate_sharded, validate_partition, PartitionError,
-    ShardPlan, ShardSpec, SliceAssignment, DEFAULT_SHARD_SIZE,
+    for_each_record, generate_sharded, validate_partition, PartitionError, ShardPlan, ShardSpec,
+    SliceAssignment, DEFAULT_SHARD_SIZE,
 };
 pub use profile::{EcosystemProfile, ProfileError};
 pub use types::{

@@ -8,12 +8,10 @@
 //! is **byte-identical for any worker thread count** — threads only
 //! decide which core runs which shard, never what the shard contains.
 //!
-//! Three drivers share the same shard plan:
-//! [`generate_sharded`] collects rows, [`generate_dataset`] scatters
-//! straight into a columnar [`Dataset`], and [`for_each_record`]
-//! streams records through a callback without materialising them.
+//! Two drivers share the same shard plan: [`generate_sharded`]
+//! collects rows and [`for_each_record`] streams records through a
+//! callback without materialising them.
 
-use crate::columnar::Dataset;
 use crate::generator::{DatasetConfig, Generator};
 use crate::types::TestRecord;
 use mbw_frame::{Codec, CodecError, Dec, Enc};
@@ -339,7 +337,7 @@ pub fn validate_partition(slices: &[SliceAssignment]) -> Result<(), PartitionErr
 
 /// Run `work` once per shard and return the results in shard order.
 /// With more than one thread, shards are assigned to workers in
-/// contiguous chunks via crossbeam scoped threads; the output order is
+/// contiguous chunks on scoped threads; the output order is
 /// the shard order regardless.
 fn run_shards<T, F>(config: DatasetConfig, plan: ShardPlan, work: F) -> Vec<T>
 where
@@ -360,16 +358,15 @@ where
     let per_worker = specs.len().div_ceil(workers);
     let work = &work;
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (chunk, slots) in specs.chunks(per_worker).zip(out.chunks_mut(per_worker)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (&(shard, start, len), slot) in chunk.iter().zip(slots.iter_mut()) {
                     *slot = Some(work(shard, start, len));
                 }
             });
         }
-    })
-    .expect("generation worker panicked");
+    });
 
     out.into_iter()
         .map(|slot| slot.expect("every shard produced output"))
@@ -388,24 +385,6 @@ pub fn generate_sharded(config: DatasetConfig, plan: ShardPlan) -> Vec<TestRecor
     let mut all = Vec::with_capacity(config.tests);
     for chunk in chunks {
         all.extend(chunk);
-    }
-    all
-}
-
-/// Generate straight into columnar storage, sharded per `plan`.
-/// Record-for-record identical to [`generate_sharded`].
-pub fn generate_dataset(config: DatasetConfig, plan: ShardPlan) -> Dataset {
-    let chunks = run_shards(config, plan, |shard, _start, len| {
-        let mut gen = Generator::for_shard(config, shard);
-        let mut ds = Dataset::with_capacity(len);
-        for _ in 0..len {
-            ds.push(&gen.generate_one());
-        }
-        ds
-    });
-    let mut all = Dataset::with_capacity(config.tests);
-    for chunk in chunks {
-        all.append(chunk);
     }
     all
 }
@@ -446,19 +425,12 @@ mod tests {
     fn thread_count_never_changes_output() {
         let cfg = config(5_000);
         let baseline = generate_sharded(cfg, ShardPlan::new(1_024, 1));
+        assert_eq!(baseline.len(), cfg.tests);
+        assert!(baseline.iter().all(|r| r.year == cfg.year));
         for threads in [2, 3, 8] {
             let run = generate_sharded(cfg, ShardPlan::new(1_024, threads));
             assert_eq!(run, baseline, "threads={threads} diverged");
         }
-    }
-
-    #[test]
-    fn dataset_driver_matches_row_driver() {
-        let cfg = config(3_000);
-        let plan = ShardPlan::new(512, 4);
-        let rows = generate_sharded(cfg, plan);
-        let ds = generate_dataset(cfg, plan);
-        assert_eq!(ds.to_records(), rows);
     }
 
     #[test]

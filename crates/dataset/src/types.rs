@@ -5,10 +5,8 @@
 //! context for cellular (band, RSS, SNR, base-station id) or WiFi
 //! (standard, radio band, AP id) access, and device/OS/location metadata.
 
-use serde::{Deserialize, Serialize};
-
 /// Measurement year; the paper compares 2020 and 2021 populations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Year {
     /// Pre-refarming population (BTS-APP's 2020 measurement reports).
     Y2020,
@@ -17,7 +15,7 @@ pub enum Year {
 }
 
 /// Access technology of one test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AccessTech {
     /// Legacy 3G (0.09% of tests; kept for the §3.1 totals).
     Cellular3g,
@@ -68,7 +66,7 @@ impl mbw_frame::Codec for AccessTech {
 /// The four major Chinese ISPs, anonymised as in the paper (§3.1):
 /// ISP-1 = China Mobile, ISP-2 = China Unicom, ISP-3 = China Telecom,
 /// ISP-4 = China Broadcast Network (the new 5G-first entrant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isp {
     /// Largest subscriber base; deploys LTE B3/B8/B34/B39/B40/B41, NR N41/N79.
     Isp1,
@@ -96,7 +94,7 @@ impl Isp {
 }
 
 /// City size tier (§3.1: 21 mega, 51 medium, 254 small cities).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CityTier {
     /// Mega city (e.g. Beijing, Shanghai, Guangzhou, Shenzhen).
     Mega,
@@ -112,7 +110,7 @@ impl CityTier {
 }
 
 /// The nine LTE bands of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LteBandId {
     /// 758–803 MHz, ISP-4.
     B28,
@@ -165,7 +163,7 @@ impl LteBandId {
 }
 
 /// The five NR bands of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NrBandId {
     /// 758–803 MHz, ISP-4, refarmed from B28.
     N28,
@@ -202,7 +200,7 @@ impl NrBandId {
 }
 
 /// WiFi generation (§3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WifiStandard {
     /// 802.11n — 2.4 GHz and 5 GHz.
     Wifi4,
@@ -236,7 +234,7 @@ impl WifiStandard {
 }
 
 /// Either cell band identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellBand {
     /// An LTE band.
     Lte(LteBandId),
@@ -245,7 +243,7 @@ pub enum CellBand {
 }
 
 /// Cellular-side context captured during a test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellInfo {
     /// Serving band.
     pub band: CellBand,
@@ -267,7 +265,7 @@ pub struct CellInfo {
 }
 
 /// WiFi-side context captured during a test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WifiInfo {
     /// WiFi generation of the connected AP.
     pub standard: WifiStandard,
@@ -288,7 +286,7 @@ pub struct WifiInfo {
 }
 
 /// Link-specific context, cellular or WiFi.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkInfo {
     /// Cellular test.
     Cell(CellInfo),
@@ -300,7 +298,7 @@ pub enum LinkInfo {
 /// rather low-end to very high-end"). The paper's finding: tier only
 /// *appears* to drive bandwidth — conditioning on the Android version
 /// shrinks the tier effect to a ≤23 Mbps standard deviation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceTier {
     /// Budget models.
     Low,
@@ -328,7 +326,7 @@ impl DeviceTier {
 /// slice of tests to radio blackouts, server faults, and app kills;
 /// the schema records that instead of silently dropping the rows, so
 /// the analysis layer can report failure rates per technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OutcomeClass {
     /// The test converged normally.
     #[default]
@@ -367,7 +365,7 @@ impl OutcomeClass {
 }
 
 /// One access-bandwidth test with its full cross-layer context.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestRecord {
     /// Measured downlink bandwidth, Mbps.
     pub bandwidth_mbps: f64,

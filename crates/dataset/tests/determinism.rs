@@ -4,8 +4,8 @@
 //! every per-shard RNG stream — depends only on `(seed, tests, shard
 //! size)`.
 
-use mbw_dataset::csv::{to_csv, CsvWriter};
-use mbw_dataset::{generate_dataset, generate_sharded, DatasetConfig, Generator, ShardPlan, Year};
+use mbw_dataset::csv::to_csv;
+use mbw_dataset::{generate_sharded, DatasetConfig, Generator, ShardPlan, Year};
 use proptest::prelude::*;
 
 fn cfg(tests: usize, seed: u64, year: Year) -> DatasetConfig {
@@ -29,21 +29,6 @@ fn csv_bytes_identical_across_thread_counts() {
             assert_eq!(run, baseline, "threads={threads} changed the CSV bytes");
         }
     }
-}
-
-#[test]
-fn columnar_and_row_drivers_serialise_identically() {
-    let config = cfg(6_000, 0xC01A, Year::Y2021);
-    let plan = ShardPlan::new(1_024, 4);
-    let rows_csv = to_csv(&generate_sharded(config, plan));
-
-    let dataset = generate_dataset(config, plan);
-    let mut writer = CsvWriter::new(Vec::new()).expect("header written");
-    for i in 0..dataset.len() {
-        writer.write_view(&dataset.view(i)).expect("row written");
-    }
-    let dataset_csv = String::from_utf8(writer.into_inner().expect("flushes")).unwrap();
-    assert_eq!(dataset_csv, rows_csv);
 }
 
 #[test]

@@ -9,10 +9,9 @@
 //! providers at every tier.
 
 use mbw_stats::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// One purchasable server configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerOffer {
     /// Catalog index.
     pub id: u32,

@@ -30,7 +30,7 @@ use crate::special::{log_sum_exp, standard_normal_cdf};
 use mbw_telemetry::trace::{self, ArgValue};
 
 /// One Gaussian component of a mixture.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GmmComponent {
     /// Mixing weight `wᵢ` (weights of a valid mixture sum to 1).
     pub weight: f64,
@@ -108,7 +108,7 @@ impl std::fmt::Display for GmmError {
 impl std::error::Error for GmmError {}
 
 /// A 1-D Gaussian mixture.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gmm {
     components: Vec<GmmComponent>,
 }
@@ -314,9 +314,8 @@ impl Gmm {
             / data.len() as f64
     }
 
-    /// Bayesian information criterion for this mixture on `data`
-    /// (lower is better). A k-component 1-D mixture has `3k - 1` free
-    /// parameters.
+    /// BIC of this mixture on `data` (lower is better). A k-component
+    /// 1-D mixture has `3k - 1` free parameters.
     pub fn bic(&self, data: &[f64]) -> f64 {
         let n = data.len().max(1) as f64;
         let ll = self.mean_log_likelihood(data) * n;

@@ -1,13 +1,18 @@
-//! Generate the synthetic measurement dataset and print the headline
-//! findings of the paper's §3 — the year-over-year decline, the 4G/5G
-//! distributions, the refarmed-band story, and the WiFi plan bottleneck.
+//! Stream the synthetic measurement dataset through the analysis
+//! pipeline and print the headline findings of the paper's §3 — the
+//! year-over-year decline, the 4G/5G distributions, the refarmed-band
+//! story, and the WiFi plan bottleneck.
 //!
 //! ```text
 //! cargo run --release --example dataset_report [records-per-year]
 //! ```
+//!
+//! This is the `figures` binary's measurement path with its seed, so
+//! `dataset_report 400000` prints what `results/fig01.txt` etc. hold.
 
-use mobile_bandwidth::analysis::{cellular, overview, wifi, Render};
-use mobile_bandwidth::dataset::{DatasetConfig, Generator, Year};
+use mobile_bandwidth::analysis::stream_figures_cached;
+use mobile_bandwidth::bench::distributed::MEASUREMENT_SEED;
+use mobile_bandwidth::dataset::{DatasetConfig, ShardPlan, Year};
 
 fn main() {
     let tests: usize = std::env::args()
@@ -15,31 +20,27 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(200_000);
 
-    eprintln!("generating {tests} records per year...");
-    let y2020 = Generator::new(DatasetConfig {
-        seed: 0xD5,
+    eprintln!("streaming {tests} records per year...");
+    let config = |year| DatasetConfig {
+        seed: MEASUREMENT_SEED,
         tests,
-        year: Year::Y2020,
+        year,
         ..Default::default()
-    })
-    .generate();
-    let y2021 = Generator::new(DatasetConfig {
-        seed: 0xD5,
-        tests,
-        year: Year::Y2021,
-        ..Default::default()
-    })
-    .generate();
+    };
+    let (figures, _) = stream_figures_cached(
+        config(Year::Y2020),
+        config(Year::Y2021),
+        ShardPlan::default(),
+        None,
+    );
 
-    println!("{}", overview::fig01(&y2020, &y2021).render());
-    println!("{}", cellular::fig04(&y2021).render());
-    println!("{}", cellular::fig05_06(&y2021).render());
-    println!("{}", cellular::fig08_09(&y2021).render());
-    println!("{}", cellular::fig11_12(&y2021).render());
-    println!("{}", wifi::fig13(&y2021).render());
-    println!("{}", wifi::fig15(&y2021).render());
+    for id in [
+        "fig01", "fig04", "fig05", "fig08", "fig11", "fig13", "fig15",
+    ] {
+        println!("{}", figures.render(id).expect("a measurement figure id"));
+    }
 
-    let (overall, w6) = wifi::slow_plan_shares(&y2021);
+    let (overall, w6) = figures.slow_plan_shares;
     println!(
         "fixed broadband: {:.0}% of WiFi users on <=200 Mbps plans ({:.0}% of WiFi 6 users)",
         overall * 100.0,
