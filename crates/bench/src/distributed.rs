@@ -12,7 +12,7 @@
 //!    provenance.
 //! 2. **Execute** ([`run_shard_file`]): each shard-runner process folds
 //!    its measurement slice into a partial
-//!    [`FigureSet`](mbw_analysis::sweep::FigureSet) (no finish) and
+//!    [`FigureSet`] (no finish) and
 //!    runs its trial slice as a sub-campaign into a partial
 //!    [`EvalFigureSet`], then writes both as one atomic part snapshot.
 //!    A runner killed at any instant leaves either no part file or a

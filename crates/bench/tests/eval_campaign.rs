@@ -18,11 +18,13 @@ use mbw_bench::bts_eval::{
     plan_groups, plan_mmwave, plan_pairs, Fig20Acc, Fig21Acc, Fig22Acc, Fig23to25Acc, MmwaveAcc,
 };
 use mbw_bench::deploy_eval::{cost_report_with, WorkloadAcc};
+use mbw_bench::distributed::EVAL_SEED;
 use mbw_bench::eval_sweep::{plan_for, reduce, EvalFigureSet, EVAL_SWEEP_IDS};
 use mbw_bench::fig17::{plan_fig17, Fig17Acc};
 use mbw_core::{
     run_campaign, trial_seed, CampaignPlan, EmptyCampaign, EvalCounts, TrialView, VariantId,
 };
+use mbw_frame::{fnv1a64, Codec};
 use proptest::prelude::*;
 
 const SEED: u64 = 0xE7A1;
@@ -105,6 +107,23 @@ fn pool_is_byte_identical_for_any_thread_count() {
     for threads in [2usize, 8] {
         let parallel = run_campaign(&plan, threads);
         assert_eq!(serial, parallel, "pool diverged at {threads} threads");
+    }
+}
+
+/// The executed pool of the `figures` binary's own plans, frozen as the
+/// fnv1a64 of its `Codec` bytes (computed at 0053e5f, before the
+/// simulator handed samples out through a cursor). Every eval figure is
+/// a pure function of these bytes, so a simulator or prober change that
+/// moves one outcome by one bit fails here before it reaches `results/`.
+#[test]
+fn executed_pool_digests_are_frozen() {
+    for (counts, want) in [
+        (EvalCounts::quick(), 0x60dd_f4f3_4f1f_bdb2_u64),
+        (EvalCounts::full(), 0x1f11_4adc_7155_5060),
+    ] {
+        let pool = run_campaign(&plan_for(&EVAL_SWEEP_IDS, &counts, EVAL_SEED), 2);
+        let got = fnv1a64(&pool.to_bytes());
+        assert_eq!(got, want, "pool digest {got:#018x} for {counts:?}");
     }
 }
 

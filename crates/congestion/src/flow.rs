@@ -69,16 +69,12 @@ impl FlowTrace {
 
     /// Mean goodput over samples at or after `after`.
     pub fn mean_bps_after(&self, after: Duration) -> f64 {
-        let late: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.at >= after)
-            .map(|s| s.bps)
-            .collect();
-        if late.is_empty() {
+        let late = || self.samples.iter().filter(|s| s.at >= after);
+        let n = late().count();
+        if n == 0 {
             0.0
         } else {
-            late.iter().sum::<f64>() / late.len() as f64
+            late().map(|s| s.bps).sum::<f64>() / n as f64
         }
     }
 

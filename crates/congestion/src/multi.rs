@@ -3,8 +3,9 @@
 //! BTS-APP and Speedtest saturate fast links by "progressively setting up
 //! new HTTP connections … if the latest bandwidth sample reaches a
 //! predefined threshold" (§2). The BTS layer drives this simulator round
-//! by round, inspecting the 50 ms samples and calling
-//! [`MultiFlowSim::add_flow`] exactly as the real client adds connections.
+//! by round, draining the 50 ms samples each round finishes with
+//! [`MultiFlowSim::next_sample`] and calling [`MultiFlowSim::add_flow`]
+//! exactly as the real client adds connections.
 
 use crate::control::{CcAlgorithm, CongestionControl, RoundInput};
 use crate::flow::ThroughputSample;
@@ -35,6 +36,9 @@ struct FlowState {
     cc: Box<dyn CongestionControl>,
     started_at: Duration,
     slow_start_exit: Option<Duration>,
+    /// Segments offered in the round being stepped (`step_round`'s
+    /// scratch, kept here so a round allocates nothing).
+    offered: f64,
 }
 
 /// Several congestion-controlled flows over one shared [`PathModel`].
@@ -48,6 +52,8 @@ pub struct MultiFlowSim {
     rng: SeededRng,
     /// Delivered bytes spread into `sample_interval` bins.
     bins: Vec<f64>,
+    /// Index of the sample [`MultiFlowSim::next_sample`] hands out next.
+    cursor: usize,
     bytes_sent: f64,
     bytes_delivered: f64,
     loss_rounds: u32,
@@ -65,6 +71,7 @@ impl MultiFlowSim {
             now: Duration::ZERO,
             rng: SeededRng::new(config.seed),
             bins: Vec::new(),
+            cursor: 0,
             bytes_sent: 0.0,
             bytes_delivered: 0.0,
             loss_rounds: 0,
@@ -92,6 +99,7 @@ impl MultiFlowSim {
             cc,
             started_at: self.now,
             slow_start_exit: None,
+            offered: 0.0,
         });
     }
 
@@ -123,16 +131,15 @@ impl MultiFlowSim {
         let loss_prob = self.path.loss_prob();
 
         // Offered load per flow.
-        let mut sent = Vec::with_capacity(self.flows.len());
-        for f in &self.flows {
+        for f in &mut self.flows {
             let window = f.cc.window_pkts();
             let s = match f.cc.pacing_rate_pps() {
                 Some(p) => window.min(p * rtt_secs),
                 None => window,
             };
-            sent.push(s.max(0.0));
+            f.offered = s.max(0.0);
         }
-        let total_sent: f64 = sent.iter().sum();
+        let total_sent: f64 = self.flows.iter().map(|f| f.offered).sum();
 
         // Bottleneck service and queue dynamics: the link can deliver at
         // most `serviced` segments this round; anything beyond that sits
@@ -147,9 +154,9 @@ impl MultiFlowSim {
         // Per-flow outcome, attributed proportionally to offered load.
         let mut round_delivered = 0.0;
         let mut any_loss = false;
-        for (i, f) in self.flows.iter_mut().enumerate() {
+        for f in &mut self.flows {
             let share = if total_sent > 0.0 {
-                sent[i] / total_sent
+                f.offered / total_sent
             } else {
                 0.0
             };
@@ -226,26 +233,56 @@ impl MultiFlowSim {
         }
     }
 
-    /// All complete 50 ms samples accumulated so far (the final, partially
-    /// filled bin is excluded — the real client also only reports full
-    /// intervals).
-    pub fn samples(&self) -> Vec<ThroughputSample> {
+    /// How many samples are finished: bins that end at or before `now`.
+    ///
+    /// A finished bin is immutable. `spread_bytes` writes bins from
+    /// `floor(now / w)` up with `now` taken before the round, and this
+    /// counts bins below `floor(now / w)` with `now` taken after it —
+    /// the same expression over the same `Duration` — so no later round
+    /// reaches back into a finished bin.
+    fn finished(&self) -> usize {
         let w = self.config.sample_interval.as_secs_f64();
         let complete = (self.now.as_secs_f64() / w).floor() as usize;
-        self.bins
-            .iter()
-            .take(complete.min(self.bins.len()))
-            .enumerate()
-            .map(|(i, &bytes)| ThroughputSample {
-                at: Duration::from_secs_f64((i + 1) as f64 * w),
-                bps: bytes * 8.0 / w,
-            })
-            .collect()
+        complete.min(self.bins.len())
+    }
+
+    /// Sample `i`: the one definition every view below is written over.
+    fn sample(&self, i: usize) -> ThroughputSample {
+        let w = self.config.sample_interval.as_secs_f64();
+        ThroughputSample {
+            at: Duration::from_secs_f64((i + 1) as f64 * w),
+            bps: self.bins[i] * 8.0 / w,
+        }
+    }
+
+    /// The next finished sample not yet handed out, oldest first; `None`
+    /// once the caller has caught up with the rounds stepped so far.
+    /// Draining this after every [`MultiFlowSim::step_round`] yields each
+    /// sample exactly once, in the order and with the bits
+    /// [`MultiFlowSim::samples`] would list them.
+    pub fn next_sample(&mut self) -> Option<ThroughputSample> {
+        if self.cursor < self.finished() {
+            let s = self.sample(self.cursor);
+            self.cursor += 1;
+            Some(s)
+        } else {
+            None
+        }
+    }
+
+    /// The whole sample history, rebuilt on every call: the end-of-run
+    /// view for [`crate::FlowSim::run`] and tests. A consumer that reads
+    /// samples while stepping rounds drains
+    /// [`MultiFlowSim::next_sample`] instead. The final, partially
+    /// filled bin is excluded — the real client also only reports full
+    /// intervals. Independent of the `next_sample` cursor.
+    pub fn samples(&self) -> Vec<ThroughputSample> {
+        (0..self.finished()).map(|i| self.sample(i)).collect()
     }
 
     /// The most recent complete sample, if any.
     pub fn latest_sample(&self) -> Option<ThroughputSample> {
-        self.samples().pop()
+        self.finished().checked_sub(1).map(|i| self.sample(i))
     }
 }
 

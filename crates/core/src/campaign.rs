@@ -32,7 +32,7 @@ use crate::harness::TestHarness;
 use crate::model::TechClass;
 use crate::probe::{self, BtsKind, SwiftestConfig};
 use crate::scenario::AccessScenario;
-use mbw_congestion::{CcAlgorithm, FlowConfig, FlowSim};
+use mbw_congestion::{CcAlgorithm, MultiFlowConfig, MultiFlowSim};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_netsim::{ConstantCapacity, PathConfig, PathModel, RampUpCapacity};
 use mbw_stats::{Gmm, SeededRng};
@@ -107,7 +107,7 @@ impl ScenarioId {
 /// The ecosystem-profile dimension of a campaign plan.
 ///
 /// The measurement half swaps whole
-/// [`mbw_dataset::profile::EcosystemProfile`]s; the evaluation half
+/// `mbw_dataset::profile::EcosystemProfile`s; the evaluation half
 /// needs only what reaches a drawn path — the per-technology capacity
 /// populations and the RTT regime — so a profile appears here as a set
 /// of scale factors applied to the calibrated default scenarios.
@@ -1079,9 +1079,9 @@ pub const BANDWIDTH_BINS: [f64; 6] = [100.0, 300.0, 500.0, 700.0, 900.0, 1100.0]
 /// Cap on one ramp measurement, seconds of simulated flow time.
 pub const RAMP_CAP_SECS: f64 = 12.0;
 
-/// Time for one flow to first reach 90% of nominal on a drawn path;
-/// `cap_secs` when it never does within the run (Fig 17's metric).
-pub fn ramp_time(alg: CcAlgorithm, mbps: f64, seed: u64, cap_secs: f64) -> f64 {
+/// The path one ramp trial draws from `seed`: a cellular test link at
+/// `mbps` nominal.
+fn ramp_path(mbps: f64, seed: u64) -> PathModel {
     let mut rng = SeededRng::new(seed);
     // Cellular-test path: tens-of-ms RTT, spurious loss, radio ramp.
     let rtt = rng.uniform_range(0.025, 0.075);
@@ -1093,26 +1093,39 @@ pub fn ramp_time(alg: CcAlgorithm, mbps: f64, seed: u64, cap_secs: f64) -> f64 {
     // ramp), so the ramp duration scales sub-linearly with rate.
     let ramp = rng.uniform_range(0.5, 1.1) * (mbps / 300.0).powf(0.4);
     let capacity = RampUpCapacity::new(ConstantCapacity(mbps * 1e6), ramp, 0.15);
-    let path = PathModel::new(PathConfig {
+    PathModel::new(PathConfig {
         capacity: Box::new(capacity),
         base_rtt: Duration::from_secs_f64(rtt),
         loss_prob: loss,
         buffer_bdp: 1.0,
         seed,
-    });
-    let trace = FlowSim::run(
-        path,
-        alg.build(),
-        FlowConfig {
-            max_duration: Duration::from_secs_f64(cap_secs),
+    })
+}
+
+/// Time for one flow to first reach 90% of nominal on a drawn path;
+/// `cap_secs` when it never does within the run (Fig 17's metric). The
+/// flow is stepped no further than the round that finishes the crossing
+/// sample.
+pub fn ramp_time(alg: CcAlgorithm, mbps: f64, seed: u64, cap_secs: f64) -> f64 {
+    let mut sim = MultiFlowSim::new(
+        ramp_path(mbps, seed),
+        MultiFlowConfig {
             seed: seed ^ 0xF16,
             ..Default::default()
         },
     );
-    trace
-        .time_to_fraction(mbps * 1e6, 0.90)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(cap_secs)
+    sim.add_flow(alg);
+    let cap = Duration::from_secs_f64(cap_secs);
+    let target = mbps * 1e6 * 0.90;
+    while sim.now() < cap {
+        sim.step_round();
+        while let Some(s) = sim.next_sample() {
+            if s.bps >= target {
+                return s.at.as_secs_f64();
+            }
+        }
+    }
+    cap_secs
 }
 
 /// Shared execution context: one immutable harness per scenario, used
@@ -1593,6 +1606,33 @@ mod tests {
             assert_eq!(o.truth_mbps, BANDWIDTH_BINS[3]);
             assert!(o.duration_s > 0.0 && o.duration_s <= RAMP_CAP_SECS);
         }
+    }
+
+    #[test]
+    fn ramp_time_stops_where_the_full_run_first_crosses() {
+        use mbw_congestion::{FlowConfig, FlowSim};
+        let mut capped = 0;
+        for alg in CcAlgorithm::ALL {
+            for mbps in BANDWIDTH_BINS {
+                for seed in 0..20u64 {
+                    let full = FlowSim::run(
+                        ramp_path(mbps, seed),
+                        alg.build(),
+                        FlowConfig {
+                            max_duration: Duration::from_secs_f64(RAMP_CAP_SECS),
+                            seed: seed ^ 0xF16,
+                            ..Default::default()
+                        },
+                    )
+                    .time_to_fraction(mbps * 1e6, 0.90)
+                    .map_or(RAMP_CAP_SECS, |d| d.as_secs_f64());
+                    let early = ramp_time(alg, mbps, seed, RAMP_CAP_SECS);
+                    assert_eq!(early.to_bits(), full.to_bits(), "{alg} {mbps} seed {seed}");
+                    capped += usize::from(early == RAMP_CAP_SECS);
+                }
+            }
+        }
+        assert!(capped > 0, "no cell reached the cap");
     }
 
     #[test]

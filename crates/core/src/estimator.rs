@@ -13,6 +13,7 @@
 //! | Swiftest | last 10 samples within 3% | mean of those samples |
 
 use mbw_stats::descriptive;
+use std::cmp::Ordering;
 
 /// Whether a test should keep probing after a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -274,6 +275,9 @@ impl BandwidthEstimator for ConvergenceEstimator {
 #[derive(Debug, Clone)]
 pub struct CrucialIntervalEstimator {
     samples: Vec<f64>,
+    /// `samples` in ascending order, kept by insertion on every push:
+    /// element for element what a stable sort of `samples` gives.
+    sorted: Vec<f64>,
     /// Require at least this many samples before evaluating.
     min_samples: usize,
     /// Stability: consecutive crucial-interval means within this ratio.
@@ -291,6 +295,7 @@ impl CrucialIntervalEstimator {
     pub fn fastbts() -> Self {
         Self {
             samples: Vec::new(),
+            sorted: Vec::new(),
             min_samples: 24,
             stability: 0.05,
             stable_needed: 5,
@@ -302,36 +307,45 @@ impl CrucialIntervalEstimator {
     /// The crucial interval over the current samples:
     /// `(low, high, mean)`. Exposed for tests and diagnostics.
     pub fn crucial_interval(&self) -> Option<(f64, f64, f64)> {
-        if self.samples.len() < 4 {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let n = sorted.len();
-        // Evaluate every window containing at least a quarter of the
-        // samples; score = count² / (width + ε) = density × quantity.
-        let min_count = (n / 4).max(2);
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..n {
-            for j in (i + min_count - 1)..n {
-                let count = j - i + 1;
-                let width = sorted[j] - sorted[i];
-                let score = (count * count) as f64 / (width + 1.0);
-                if best.map_or(true, |(_, _, s)| score > s) {
-                    best = Some((i, j, score));
-                }
+        crucial_interval_of(&self.sorted)
+    }
+}
+
+/// The crucial interval `(low, high, mean)` of ascending `sorted`.
+fn crucial_interval_of(sorted: &[f64]) -> Option<(f64, f64, f64)> {
+    if sorted.len() < 4 {
+        return None;
+    }
+    let n = sorted.len();
+    // Evaluate every window containing at least a quarter of the
+    // samples; score = count² / (width + ε) = density × quantity.
+    let min_count = (n / 4).max(2);
+    let mut best: Option<(usize, usize, f64)> = None;
+    for i in 0..n {
+        for j in (i + min_count - 1)..n {
+            let count = j - i + 1;
+            let width = sorted[j] - sorted[i];
+            let score = (count * count) as f64 / (width + 1.0);
+            if best.is_none_or(|(_, _, s)| score > s) {
+                best = Some((i, j, score));
             }
         }
-        best.map(|(i, j, _)| {
-            let slice = &sorted[i..=j];
-            (sorted[i], sorted[j], descriptive::mean(slice))
-        })
     }
+    best.map(|(i, j, _)| {
+        let slice = &sorted[i..=j];
+        (sorted[i], sorted[j], descriptive::mean(slice))
+    })
 }
 
 impl BandwidthEstimator for CrucialIntervalEstimator {
     fn push(&mut self, sample_mbps: f64) -> EstimatorDecision {
         self.samples.push(sample_mbps);
+        // After every element that does not compare greater: where a
+        // stable sort leaves the newest of equal samples.
+        let at = self.sorted.partition_point(|x| {
+            x.partial_cmp(&sample_mbps).expect("finite samples") != Ordering::Greater
+        });
+        self.sorted.insert(at, sample_mbps);
         if self.samples.len() < self.min_samples {
             return EstimatorDecision::Continue;
         }
@@ -374,6 +388,7 @@ impl BandwidthEstimator for CrucialIntervalEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn feed(est: &mut dyn BandwidthEstimator, samples: &[f64]) -> Option<f64> {
         for &s in samples {
@@ -531,6 +546,30 @@ mod tests {
         let v = feed(&mut est, &samples).expect("stops early");
         assert!(v < 80.0, "underestimates: {v}");
         assert!(est.len() <= 40, "stopped before the 200s took over");
+    }
+
+    proptest! {
+        /// Insertion keeps the array a clone-and-sort of the samples
+        /// would produce, so the interval agrees after every push.
+        #[test]
+        fn crucial_interval_matches_clone_and_sort_after_every_push(
+            // A coarse grid makes duplicates the common case.
+            stream in prop::collection::vec((0u32..40).prop_map(|g| g as f64 * 12.5), 1..80),
+        ) {
+            let mut est = CrucialIntervalEstimator::fastbts();
+            for (n, &s) in stream.iter().enumerate() {
+                est.push(s);
+                let mut sorted = stream[..=n].to_vec();
+                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+                let bits = |t: (f64, f64, f64)| (t.0.to_bits(), t.1.to_bits(), t.2.to_bits());
+                prop_assert_eq!(
+                    est.crucial_interval().map(bits),
+                    crucial_interval_of(&sorted).map(bits),
+                    "after {} samples",
+                    n + 1
+                );
+            }
+        }
     }
 
     #[test]

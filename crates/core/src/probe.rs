@@ -8,10 +8,11 @@
 
 use crate::estimator::{BandwidthEstimator, EstimatorDecision};
 use crate::outcome::{DegradeReason, FailReason, TestStatus};
-use mbw_congestion::{CcAlgorithm, MultiFlowConfig, MultiFlowSim};
+use mbw_congestion::{CcAlgorithm, CongestionControl, MultiFlowConfig, MultiFlowSim};
 use mbw_netsim::{PathModel, SimTime};
 use mbw_stats::Gmm;
 use mbw_telemetry::{ProbeTimeline, TimelineEvent};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Which bandwidth testing service a run emulates.
@@ -79,7 +80,7 @@ pub struct FloodingConfig {
     pub max_duration: Duration,
     /// Bandwidth thresholds (Mbps) at which another connection is added
     /// (§2: "25 Mbps, 35 Mbps, and so on, following Speedtest's design").
-    pub thresholds: Vec<f64>,
+    pub thresholds: &'static [f64],
     /// Congestion control of the server-side TCP stacks.
     pub cc: CcAlgorithm,
     /// Upper bound on parallel connections.
@@ -114,14 +115,18 @@ impl FloodingConfig {
     }
 }
 
-/// Speedtest's connection-addition ladder: 25, 35, then ~1.35× growth.
-pub fn speedtest_thresholds() -> Vec<f64> {
-    let mut t = vec![25.0, 35.0];
-    while *t.last().expect("non-empty") < 1200.0 {
-        let next = t.last().unwrap() * 1.35;
-        t.push(next);
-    }
-    t
+/// Speedtest's connection-addition ladder: 25, 35, then ~1.35× growth
+/// up to 1.2 Gbps. Built on first use and shared by every test.
+pub fn speedtest_thresholds() -> &'static [f64] {
+    static LADDER: OnceLock<Vec<f64>> = OnceLock::new();
+    LADDER.get_or_init(|| {
+        let mut t = vec![25.0, 35.0];
+        while *t.last().expect("non-empty") < 1200.0 {
+            let next = t.last().unwrap() * 1.35;
+            t.push(next);
+        }
+        t
+    })
 }
 
 /// Run a TCP flooding test: flood through `MultiFlowSim`, push each
@@ -134,36 +139,15 @@ pub fn run_flooding(
     config: &FloodingConfig,
     seed: u64,
 ) -> ProbeResult {
-    let mut sim = MultiFlowSim::new(
-        path,
-        MultiFlowConfig {
-            sample_interval: Duration::from_millis(50),
-            seed,
-        },
-    );
-    sim.add_flow(config.cc);
-
-    let mut timeline = ProbeTimeline::new();
-    timeline.annotate("prober", "flooding");
-    timeline.annotate("estimator", estimator.name());
-    timeline.record_phase(0, "probe");
-
-    let mut pushed = 0usize;
     let mut next_threshold = 0usize;
-    let mut samples = Vec::new();
-    let mut final_estimate = None;
-    let mut end = config.max_duration;
-
-    'outer: while sim.now() < config.max_duration {
-        sim.step_round();
-        let all = sim.samples();
-        while pushed < all.len() {
-            let s = all[pushed];
-            pushed += 1;
-            let mbps = s.bps / 1e6;
-            samples.push(mbps);
-            let at_ns = s.at.as_nanos() as u64;
-            timeline.record_sample(at_ns, mbps);
+    drive_tcp_test(
+        path,
+        config.cc.build(),
+        "flooding",
+        estimator,
+        config.max_duration,
+        seed,
+        |sim, timeline, at_ns, mbps| {
             // Progressive connection addition (§2).
             while next_threshold < config.thresholds.len()
                 && mbps >= config.thresholds[next_threshold]
@@ -174,14 +158,56 @@ pub fn run_flooding(
                     timeline.record_phase(at_ns, &format!("flows={}", sim.flow_count()));
                 }
             }
-            match estimator.push(mbps) {
-                EstimatorDecision::Continue => {}
-                EstimatorDecision::Done(v) => {
-                    final_estimate = Some(v);
-                    end = s.at;
-                    timeline.record(at_ns, TimelineEvent::Converged { estimate_mbps: v });
-                    break 'outer;
-                }
+        },
+    )
+}
+
+/// The one loop behind every TCP-based test: step `first_flow` over
+/// `path` round by round, drain the 50 ms samples each round finishes
+/// (each is handed out once — see `MultiFlowSim::next_sample`), record
+/// them, and stop when `estimator` converges or `max_duration` passes.
+/// `after_sample` runs between recording a sample and pushing it into
+/// the estimator; the flooding prober adds connections there.
+pub(crate) fn drive_tcp_test(
+    path: PathModel,
+    first_flow: Box<dyn CongestionControl>,
+    prober: &str,
+    estimator: &mut dyn BandwidthEstimator,
+    max_duration: Duration,
+    seed: u64,
+    mut after_sample: impl FnMut(&mut MultiFlowSim, &mut ProbeTimeline, u64, f64),
+) -> ProbeResult {
+    let mut sim = MultiFlowSim::new(
+        path,
+        MultiFlowConfig {
+            sample_interval: Duration::from_millis(50),
+            seed,
+        },
+    );
+    sim.add_flow_boxed(first_flow);
+
+    let mut timeline = ProbeTimeline::new();
+    timeline.annotate("prober", prober);
+    timeline.annotate("estimator", estimator.name());
+    timeline.record_phase(0, "probe");
+
+    let mut samples = Vec::new();
+    let mut final_estimate = None;
+    let mut end = max_duration;
+
+    'outer: while sim.now() < max_duration {
+        sim.step_round();
+        while let Some(s) = sim.next_sample() {
+            let mbps = s.bps / 1e6;
+            samples.push(mbps);
+            let at_ns = s.at.as_nanos() as u64;
+            timeline.record_sample(at_ns, mbps);
+            after_sample(&mut sim, &mut timeline, at_ns, mbps);
+            if let EstimatorDecision::Done(v) = estimator.push(mbps) {
+                final_estimate = Some(v);
+                end = s.at;
+                timeline.record(at_ns, TimelineEvent::Converged { estimate_mbps: v });
+                break 'outer;
             }
         }
     }
@@ -265,9 +291,8 @@ pub fn run_swiftest(
 
     while t < deadline {
         let window_start = t;
-        let fs = path.integrate_paced(t, step, step, rate_mbps * 1e6);
+        let delivered = path.paced_step(t, step, rate_mbps * 1e6).delivered_bytes;
         t += step;
-        let delivered: f64 = fs.iter().map(|s| s.delivered_bytes).sum();
         // Data usage: bytes that reach the client. Overshoot beyond the
         // bottleneck is dropped upstream of the metered access link, so
         // it does not bill the user (which is how the paper's 32 MB per

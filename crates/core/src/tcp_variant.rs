@@ -20,13 +20,11 @@
 //! modifications to the congestion control of TCP"; here the kernel is
 //! ours, so the modification is a module.
 
-use crate::estimator::{BandwidthEstimator, ConvergenceEstimator, EstimatorDecision};
-use crate::outcome::{DegradeReason, FailReason, TestStatus};
-use crate::probe::{ProbeResult, SwiftestConfig};
-use mbw_congestion::{CongestionControl, MultiFlowConfig, MultiFlowSim, RoundInput, MSS};
+use crate::estimator::{BandwidthEstimator, ConvergenceEstimator};
+use crate::probe::{drive_tcp_test, ProbeResult, SwiftestConfig};
+use mbw_congestion::{CongestionControl, RoundInput, MSS};
 use mbw_netsim::PathModel;
 use mbw_stats::{Gmm, SeededRng};
-use std::time::Duration;
 
 /// Model-guided TCP congestion control.
 #[derive(Debug, Clone)]
@@ -135,68 +133,15 @@ pub fn run_swiftest_tcp(
     config: &SwiftestConfig,
     seed: u64,
 ) -> ProbeResult {
-    let mut sim = MultiFlowSim::new(
+    drive_tcp_test(
         path,
-        MultiFlowConfig {
-            sample_interval: Duration::from_millis(50),
-            seed,
-        },
-    );
-    sim.add_flow_boxed(Box::new(ModelGuidedCc::new(model.clone(), config)));
-
-    let mut timeline = mbw_telemetry::ProbeTimeline::new();
-    timeline.annotate("prober", "swiftest-tcp");
-    timeline.annotate("estimator", estimator.name());
-    timeline.record_phase(0, "probe");
-
-    let mut pushed = 0usize;
-    let mut samples = Vec::new();
-    let mut estimate = None;
-    let mut end = config.max_duration;
-
-    'outer: while sim.now() < config.max_duration {
-        sim.step_round();
-        let all = sim.samples();
-        while pushed < all.len() {
-            let s = all[pushed];
-            pushed += 1;
-            let mbps = s.bps / 1e6;
-            samples.push(mbps);
-            timeline.record_sample(s.at.as_nanos() as u64, mbps);
-            if let EstimatorDecision::Done(v) = estimator.push(mbps) {
-                estimate = Some(v);
-                end = s.at;
-                timeline.record(
-                    s.at.as_nanos() as u64,
-                    mbw_telemetry::TimelineEvent::Converged { estimate_mbps: v },
-                );
-                break 'outer;
-            }
-        }
-    }
-    let (_, delivered, _) = sim.totals();
-    let estimate_mbps = estimate.or_else(|| estimator.finalize()).unwrap_or(0.0);
-    let status = if estimate_mbps <= 0.0 || samples.is_empty() {
-        TestStatus::Failed(FailReason::NoData)
-    } else if estimate.is_some() {
-        TestStatus::Complete
-    } else {
-        TestStatus::Degraded(DegradeReason::Convergence)
-    };
-    let duration = end.min(sim.now());
-    timeline.finish(
-        duration.as_nanos() as u64,
-        estimate_mbps,
-        &status.to_string(),
-    );
-    ProbeResult {
-        duration,
-        data_bytes: delivered,
-        estimate_mbps,
-        samples,
-        status,
-        timeline,
-    }
+        Box::new(ModelGuidedCc::new(model.clone(), config)),
+        "swiftest-tcp",
+        estimator,
+        config.max_duration,
+        seed,
+        |_, _, _, _| {},
+    )
 }
 
 /// Convenience: run with the standard Swiftest estimator.
@@ -212,6 +157,7 @@ mod tests {
     use crate::model::TechClass;
     use crate::probe::{run_flooding, FloodingConfig};
     use mbw_netsim::PathConfig;
+    use std::time::Duration;
 
     fn flat_path(mbps: f64, rtt_ms: u64) -> PathModel {
         PathModel::new(PathConfig::constant(

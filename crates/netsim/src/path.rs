@@ -219,27 +219,36 @@ impl PathModel {
         let end = start + duration;
         while t < end {
             let dt = step.min(end - t);
-            let cap = self.capacity.capacity_at(t) * self.faults.capacity_multiplier_at(t);
-            let loss = 1.0 - (1.0 - self.loss_prob) * (1.0 - self.faults.extra_loss_at(t));
-            let delivered_rate = send_rate_bps.min(cap) * (1.0 - loss);
-            let sent = send_rate_bps * dt.as_secs_f64() / 8.0;
-            let delivered = delivered_rate * dt.as_secs_f64() / 8.0;
-            let lost = (sent - delivered).max(0.0);
-            self.totals.delivered_bytes += delivered;
-            self.totals.lost_bytes += lost;
-            self.totals.steps += 1;
-            if cap <= 0.0 {
-                self.totals.blackout_steps += 1;
-            }
-            out.push(FluidSample {
-                at: t,
-                delivered_bytes: delivered,
-                lost_bytes: lost,
-                capacity_bps: cap,
-            });
+            out.push(self.paced_step(t, dt, send_rate_bps));
             t += dt;
         }
         out
+    }
+
+    /// One step of [`PathModel::integrate_paced`]: the goodput of a
+    /// stream paced at `send_rate_bps` over `[t, t + dt)`, at the
+    /// capacity, loss and faults prevailing at `t`. Counts into
+    /// [`PathModel::totals`] like any other step and allocates nothing —
+    /// the call for a prober that reads one window at a time.
+    pub fn paced_step(&mut self, t: SimTime, dt: Duration, send_rate_bps: f64) -> FluidSample {
+        let cap = self.capacity.capacity_at(t) * self.faults.capacity_multiplier_at(t);
+        let loss = 1.0 - (1.0 - self.loss_prob) * (1.0 - self.faults.extra_loss_at(t));
+        let delivered_rate = send_rate_bps.min(cap) * (1.0 - loss);
+        let sent = send_rate_bps * dt.as_secs_f64() / 8.0;
+        let delivered = delivered_rate * dt.as_secs_f64() / 8.0;
+        let lost = (sent - delivered).max(0.0);
+        self.totals.delivered_bytes += delivered;
+        self.totals.lost_bytes += lost;
+        self.totals.steps += 1;
+        if cap <= 0.0 {
+            self.totals.blackout_steps += 1;
+        }
+        FluidSample {
+            at: t,
+            delivered_bytes: delivered,
+            lost_bytes: lost,
+            capacity_bps: cap,
+        }
     }
 }
 

@@ -556,17 +556,12 @@ impl Gmm {
             // Pool subtasks may outlive this stack frame's borrows, so each
             // candidate owns a clone of the (at most bins+1 entry) weighted
             // point list and of the tracer handle.
-            let tasks: Vec<Box<dyn FnOnce() -> Result<(f64, Gmm), GmmError> + Send + 'env>> = (1
-                ..=max_components)
-                .map(
-                    |k| -> Box<dyn FnOnce() -> Result<(f64, Gmm), GmmError> + Send + 'env> {
-                        let points = points.clone();
-                        let tracer = tracer.clone();
-                        Box::new(move || {
-                            binned_candidate(k, &points, total, log_bins, seed, &tracer)
-                        })
-                    },
-                )
+            let tasks: Vec<CandidateTask<'env>> = (1..=max_components)
+                .map(|k| -> CandidateTask<'env> {
+                    let points = points.clone();
+                    let tracer = tracer.clone();
+                    Box::new(move || binned_candidate(k, &points, total, log_bins, seed, &tracer))
+                })
                 .collect();
             ctx.fork_join(tasks)
         } else {
@@ -717,6 +712,9 @@ fn initial_mixture_from_centers(data: &[f64], centers: &[f64], min_std: f64) -> 
         .collect();
     Gmm::new(components).expect("initial mixture is valid by construction")
 }
+
+/// One BIC candidate fit, boxed for [`PoolCtx::fork_join`].
+type CandidateTask<'env> = Box<dyn FnOnce() -> Result<(f64, Gmm), GmmError> + Send + 'env>;
 
 /// One BIC candidate of [`Gmm::fit_auto_binned`]: fit `k` components on
 /// the weighted bins and score them. Re-`scope`s the tracer so candidate

@@ -317,12 +317,13 @@ impl LogBins {
     /// Record one observation.
     pub fn add(&mut self, value: f64) {
         let bins = self.counts.len() - 1;
-        let idx = if !(value > self.lo) {
-            0
-        } else {
+        // NaN compares false and lands in the underflow bin with `<= lo`.
+        let idx = if value > self.lo {
             let frac = (value / self.lo).ln() / (self.hi / self.lo).ln();
             let i = (frac * bins as f64).floor().max(0.0) as usize;
             1 + i.min(bins - 1)
+        } else {
+            0
         };
         self.counts[idx] += 1;
         self.total += 1;

@@ -11,7 +11,7 @@
 //! - [`self_profile`]: a text report — per-name aggregation, the top-k
 //!   individual spans, and a slow-span log against [`SpanBudgets`];
 //! - [`publish_spans`]: span-duration histograms and slow-span counters
-//!   in the crate's [`Registry`](crate::Registry).
+//!   in the crate's [`Registry`].
 //!
 //! # Recording model
 //!
