@@ -16,9 +16,10 @@
 //! snapshots use the wide (u32-length) [`Framing::SNAPSHOT`] variant,
 //! whose single frame can hold a whole partial-state body.
 //!
-//! [`Framing::scan`] recovers the longest valid prefix of frames and
+//! [`Framing::frames`] walks the longest valid prefix of frames and
 //! reports why it stopped, which is what both `LogRecovery` and the
-//! snapshot reader build their truncate-to-recover behaviour on.
+//! snapshot reader build their truncate-to-recover behaviour on;
+//! [`Framing::scan`] is the same walk collected into a [`FrameScan`].
 
 use crate::crc::Crc32;
 
@@ -101,66 +102,114 @@ impl Framing {
         out
     }
 
-    /// Scan `bytes` for the longest valid prefix of frames.
+    /// Walk the frames of `bytes` from the start, validating each as it
+    /// is reached.
     ///
     /// `expected_len` pins every frame to one payload length (the
     /// results log's fixed-width records); `None` accepts any declared
     /// length that fits in the remaining bytes.
-    pub fn scan<'a>(self, bytes: &'a [u8], expected_len: Option<usize>) -> FrameScan<'a> {
-        let header = self.header_len();
-        let mut payloads = Vec::new();
-        let mut at = 0usize;
-        let mut torn = None;
-        while at < bytes.len() {
-            let rest = &bytes[at..];
-            if rest.len() < header {
-                torn = Some(TornReason::ShortFrame);
-                break;
-            }
-            let magic = u32::from_be_bytes(rest[0..4].try_into().unwrap());
-            if magic != self.magic {
-                torn = Some(TornReason::BadMagic);
-                break;
-            }
-            let (len, len_field): (usize, &[u8]) = if self.wide {
-                (
-                    u32::from_be_bytes(rest[4..8].try_into().unwrap()) as usize,
-                    &rest[4..8],
-                )
-            } else {
-                (
-                    u16::from_be_bytes(rest[4..6].try_into().unwrap()) as usize,
-                    &rest[4..6],
-                )
-            };
-            if let Some(expected) = expected_len {
-                if len != expected {
-                    torn = Some(TornReason::BadLength);
-                    break;
-                }
-            }
-            if rest.len() < header + len {
-                torn = Some(TornReason::ShortFrame);
-                break;
-            }
-            let crc_at = 4 + len_field.len();
-            let stored_crc = u32::from_be_bytes(rest[crc_at..crc_at + 4].try_into().unwrap());
-            let payload = &rest[header..header + len];
-            let mut crc = Crc32::new();
-            crc.update(len_field);
-            crc.update(payload);
-            if crc.finish() != stored_crc {
-                torn = Some(TornReason::BadChecksum);
-                break;
-            }
-            payloads.push(payload);
-            at += header + len;
+    pub fn frames(self, bytes: &[u8], expected_len: Option<usize>) -> Frames<'_> {
+        Frames {
+            framing: self,
+            bytes,
+            expected_len,
+            at: 0,
+            torn: None,
         }
+    }
+
+    /// Scan `bytes` for the longest valid prefix of frames, collected.
+    /// See [`Self::frames`] for `expected_len`.
+    pub fn scan<'a>(self, bytes: &'a [u8], expected_len: Option<usize>) -> FrameScan<'a> {
+        let mut frames = self.frames(bytes, expected_len);
+        let payloads = frames.by_ref().collect();
         FrameScan {
             payloads,
-            valid_bytes: at as u64,
-            truncated_bytes: (bytes.len() - at) as u64,
-            torn,
+            valid_bytes: frames.valid_bytes(),
+            truncated_bytes: bytes.len() as u64 - frames.valid_bytes(),
+            torn: frames.torn(),
+        }
+    }
+}
+
+/// The payloads of the longest valid prefix of frames, in file order.
+///
+/// Yields one payload per frame that passes the magic, length and
+/// checksum checks and ends at the first that does not (or at a clean
+/// end of input); after that [`Frames::torn`] says why it stopped and
+/// [`Frames::valid_bytes`] where.
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    framing: Framing,
+    bytes: &'a [u8],
+    expected_len: Option<usize>,
+    at: usize,
+    torn: Option<TornReason>,
+}
+
+impl Frames<'_> {
+    /// Bytes covered by the frames yielded so far.
+    pub fn valid_bytes(&self) -> u64 {
+        self.at as u64
+    }
+
+    /// Why the walk stopped, when it stopped before a clean end of
+    /// input.
+    pub fn torn(&self) -> Option<TornReason> {
+        self.torn
+    }
+
+    /// Validate the frame `rest` starts with and return its length,
+    /// header included.
+    fn check(&self, rest: &[u8]) -> Result<usize, TornReason> {
+        let header = self.framing.header_len();
+        if rest.len() < header {
+            return Err(TornReason::ShortFrame);
+        }
+        let be32 =
+            |at: usize| u32::from_be_bytes([rest[at], rest[at + 1], rest[at + 2], rest[at + 3]]);
+        if be32(0) != self.framing.magic {
+            return Err(TornReason::BadMagic);
+        }
+        let crc_at = header - 4;
+        let len = if self.framing.wide {
+            be32(4) as usize
+        } else {
+            usize::from(u16::from_be_bytes([rest[4], rest[5]]))
+        };
+        if self.expected_len.is_some_and(|expected| len != expected) {
+            return Err(TornReason::BadLength);
+        }
+        if rest.len() - header < len {
+            return Err(TornReason::ShortFrame);
+        }
+        let mut crc = Crc32::new();
+        crc.update(&rest[4..crc_at]);
+        crc.update(&rest[header..header + len]);
+        if crc.finish() != be32(crc_at) {
+            return Err(TornReason::BadChecksum);
+        }
+        Ok(header + len)
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.torn.is_some() || self.at == self.bytes.len() {
+            return None;
+        }
+        let rest = &self.bytes[self.at..];
+        match self.check(rest) {
+            Ok(frame_len) => {
+                self.at += frame_len;
+                Some(&rest[self.framing.header_len()..frame_len])
+            }
+            Err(reason) => {
+                self.torn = Some(reason);
+                None
+            }
         }
     }
 }

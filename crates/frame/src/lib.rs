@@ -28,10 +28,10 @@ pub mod snapshot;
 
 pub use codec::{Codec, CodecError, Dec, Enc};
 pub use crc::Crc32;
-pub use framing::{FrameScan, Framing, TornReason, LOG_MAGIC, SNAP_MAGIC};
+pub use framing::{FrameScan, Frames, Framing, TornReason, LOG_MAGIC, SNAP_MAGIC};
 pub use snapshot::{
-    read_snapshot, write_snapshot, SnapshotDecodeError, SnapshotError, SnapshotHeader,
-    SNAPSHOT_VERSION,
+    decode_snapshot, read_snapshot, write_snapshot, SnapshotDecodeError, SnapshotError,
+    SnapshotHeader, SNAPSHOT_VERSION,
 };
 
 /// FNV-1a 64-bit hash — the plan-hash function snapshot provenance

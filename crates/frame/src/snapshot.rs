@@ -20,6 +20,7 @@
 //! per file.
 
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{Codec, CodecError, Dec, Enc};
@@ -159,23 +160,29 @@ pub fn encode_snapshot(header: &SnapshotHeader, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode snapshot bytes into their header and body payload.
+/// Validate snapshot bytes and say where the body payload lies.
 ///
 /// Strict: the input must be exactly two clean frames of the current
 /// version. Anything else — torn tail, missing body, extra frames,
 /// unknown version, malformed header — is a typed error, never a panic.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, Vec<u8>), SnapshotDecodeError> {
-    let scan = Framing::SNAPSHOT.scan(bytes, None);
-    if let Some(reason) = scan.torn {
+fn locate(bytes: &[u8]) -> Result<(SnapshotHeader, Range<usize>), SnapshotDecodeError> {
+    if bytes.is_empty() {
+        return Err(SnapshotDecodeError::Torn(TornReason::ShortFrame));
+    }
+    let mut frames = Framing::SNAPSHOT.frames(bytes, None);
+    let head = frames.next();
+    let body = frames.next();
+    let body_end = frames.valid_bytes() as usize;
+    // Frames past the body are still checked: a tear anywhere in the
+    // file outranks a count of its frames.
+    let extra = frames.by_ref().count();
+    if let Some(reason) = frames.torn() {
         return Err(SnapshotDecodeError::Torn(reason));
     }
-    let mut frames = scan.payloads.into_iter();
-    let head = frames.next().ok_or(SnapshotDecodeError::Torn(
-        // Zero clean bytes and no torn reason means an empty input.
-        TornReason::ShortFrame,
-    ))?;
-    let body = frames.next().ok_or(SnapshotDecodeError::MissingBody)?;
-    if frames.next().is_some() {
+    let (Some(head), Some(body)) = (head, body) else {
+        return Err(SnapshotDecodeError::MissingBody);
+    };
+    if extra > 0 {
         return Err(SnapshotDecodeError::TrailingFrames);
     }
     let mut dec = Dec::new(head);
@@ -185,7 +192,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, Vec<u8>), Snapsh
     }
     let header = SnapshotHeader::decode(&mut dec).map_err(SnapshotDecodeError::Header)?;
     dec.finish().map_err(SnapshotDecodeError::Header)?;
-    Ok((header, body.to_vec()))
+    Ok((header, body_end - body.len()..body_end))
+}
+
+/// Decode snapshot bytes into their header and a copy of the body
+/// payload, after the checks of [`read_snapshot`].
+pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, Vec<u8>), SnapshotDecodeError> {
+    let (header, body) = locate(bytes)?;
+    Ok((header, bytes[body].to_vec()))
 }
 
 /// Atomically write a snapshot to `path`.
@@ -238,15 +252,24 @@ pub fn write_snapshot(
 }
 
 /// Read and decode a snapshot file.
+///
+/// Strict: the file must be exactly two clean frames of the current
+/// version; anything else is a typed error naming the path. The
+/// returned body is the buffer the file was read into, cut down to the
+/// body payload — one allocation of the file's size and one checksum
+/// pass over it, no second copy.
 pub fn read_snapshot(path: &Path) -> Result<(SnapshotHeader, Vec<u8>), SnapshotError> {
-    let bytes = std::fs::read(path).map_err(|source| SnapshotError::Io {
+    let mut bytes = std::fs::read(path).map_err(|source| SnapshotError::Io {
         path: path.to_path_buf(),
         source,
     })?;
-    decode_snapshot(&bytes).map_err(|error| SnapshotError::Decode {
+    let (header, body) = locate(&bytes).map_err(|error| SnapshotError::Decode {
         path: path.to_path_buf(),
         error,
-    })
+    })?;
+    bytes.truncate(body.end);
+    bytes.drain(..body.start);
+    Ok((header, bytes))
 }
 
 #[cfg(test)]
@@ -269,6 +292,35 @@ mod tests {
         let body = vec![7u8; 513];
         let bytes = encode_snapshot(&header(), &body);
         let (h, b) = decode_snapshot(&bytes).unwrap();
+        assert_eq!(h, header());
+        assert_eq!(b, body);
+    }
+
+    /// The container's bytes on disk are frozen: parts written before
+    /// the table-driven CRC and the in-place read must reduce after
+    /// them, and the reverse. The hex is `encode_snapshot` of this
+    /// header and body at 97f617d (the bitwise CRC).
+    #[test]
+    fn snapshot_bytes_are_frozen() {
+        const FROZEN_HEX: &str = "\
+            4d42575300000040a240c55a0001000000136d62772e666967757265732d7061\
+            727469616c000000000000da7a0000000b70617065722d6368696e6112345678\
+            9abcdef000000002000000044d42575300000029b5469e180b30557a9fc4e90e\
+            33587da2c7ec11365b80a5caef14395e83a8cdf2173c6186abd0f51a3f6489ae\
+            d3";
+        let frozen: Vec<u8> = (0..FROZEN_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&FROZEN_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        let body: Vec<u8> = (0..41u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        assert_eq!(
+            encode_snapshot(&header(), &body),
+            frozen,
+            "snapshot bytes changed on disk"
+        );
+        let (h, b) = decode_snapshot(&frozen).unwrap();
         assert_eq!(h, header());
         assert_eq!(b, body);
     }

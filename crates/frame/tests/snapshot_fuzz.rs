@@ -4,8 +4,8 @@
 //! log's `LogRecovery` does: longest valid prefix kept, tail reported.
 
 use mbw_frame::{
-    decode_snapshot, Codec, Dec, Framing, SnapshotDecodeError, SnapshotHeader, TornReason,
-    SNAPSHOT_VERSION,
+    decode_snapshot, read_snapshot, write_snapshot, Codec, Dec, Framing, SnapshotDecodeError,
+    SnapshotError, SnapshotHeader, TornReason, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -100,6 +100,40 @@ proptest! {
                 prop_assert!(false, "bit flip at byte {} decoded successfully", at);
             }
         }
+    }
+
+    /// Through the file system: `read_snapshot` hands back what
+    /// `write_snapshot` was given — bodies shorter than, equal to and
+    /// just past the checksum's eight-byte stride included — and the
+    /// same file with any one bit flipped is a typed decode error,
+    /// never `Ok`.
+    #[test]
+    fn files_roundtrip_and_any_bit_flip_is_typed(
+        header in any_header(),
+        body in prop_oneof![
+            Just(0usize), Just(1usize), Just(7usize), Just(8usize), Just(9usize), 0usize..768,
+        ]
+        .prop_flat_map(|len| proptest::collection::vec(any::<u8>(), len)),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let path = std::env::temp_dir()
+            .join(format!("mbw-snapshot-fuzz-{}.snap", std::process::id()));
+        write_snapshot(&path, &header, &body).unwrap();
+        let read = read_snapshot(&path);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = pos.index(bytes.len());
+        bytes[at] ^= 1 << bit;
+        std::fs::write(&path, &bytes).unwrap();
+        let flipped = read_snapshot(&path);
+        std::fs::remove_file(&path).unwrap();
+        let (h, b) = read.unwrap();
+        prop_assert_eq!(h, header);
+        prop_assert_eq!(b, body);
+        prop_assert!(
+            matches!(flipped, Err(SnapshotError::Decode { .. })),
+            "bit {} of byte {} flipped and the file read as {:?}", bit, at, flipped
+        );
     }
 
     /// Unknown versions are a typed `WrongVersion`, carrying the

@@ -163,6 +163,8 @@ pub struct ResultsLog {
     file: File,
     path: PathBuf,
     appended: u64,
+    /// The frame being appended; reused so an append allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl ResultsLog {
@@ -190,15 +192,19 @@ impl ResultsLog {
                 file,
                 path,
                 appended: 0,
+                frame: Vec::with_capacity(RECORD_FRAME_LEN),
             },
             recovery,
         ))
     }
 
-    /// Append one record and flush it to the OS.
+    /// Append one record and hand it to the OS: the whole frame goes
+    /// out in one `write_all` on the unbuffered file, so a crash leaves
+    /// at most one torn frame at the tail.
     pub fn append(&mut self, record: &ResultRecord) -> io::Result<()> {
-        self.file.write_all(&record.encode_frame())?;
-        self.file.flush()?;
+        self.frame.clear();
+        Framing::RESULTS_LOG.append_frame(&mut self.frame, &record.encode_payload());
+        self.file.write_all(&self.frame)?;
         self.appended += 1;
         Ok(())
     }
@@ -231,31 +237,30 @@ impl ResultsLog {
 /// Scan `bytes` for the longest valid prefix of frames.
 ///
 /// Frame validation (magic/length/checksum, longest-valid-prefix)
-/// delegates to the shared [`Framing::RESULTS_LOG`] scanner; payload
-/// decoding stays here. A frame whose checksum passes but whose payload
-/// is not a valid record (impossible flag byte) marks the torn tail
-/// with [`TornReason::BadLength`], exactly as the pre-extraction
+/// delegates to the shared [`Framing::RESULTS_LOG`] frame walk; records
+/// are decoded straight off it. A frame whose checksum passes but whose
+/// payload is not a valid record (impossible flag byte) marks the torn
+/// tail with [`TornReason::BadLength`], exactly as the pre-extraction
 /// scanner did.
 fn scan(bytes: &[u8]) -> LogRecovery {
-    let frames = Framing::RESULTS_LOG.scan(bytes, Some(RECORD_PAYLOAD_LEN));
-    let mut records = Vec::with_capacity(frames.payloads.len());
-    let mut valid_bytes = frames.valid_bytes;
-    let mut torn = frames.torn;
-    for payload in &frames.payloads {
-        match ResultRecord::decode_payload(payload) {
-            Some(record) => records.push(record),
-            None => {
-                valid_bytes = (records.len() * RECORD_FRAME_LEN) as u64;
-                torn = Some(TornReason::BadLength);
-                break;
-            }
-        }
+    let mut frames = Framing::RESULTS_LOG.frames(bytes, Some(RECORD_PAYLOAD_LEN));
+    let mut records = Vec::with_capacity(bytes.len() / RECORD_FRAME_LEN);
+    let mut bad_record = None;
+    for payload in frames.by_ref() {
+        let Some(record) = ResultRecord::decode_payload(payload) else {
+            bad_record = Some(TornReason::BadLength);
+            break;
+        };
+        records.push(record);
     }
+    // Every frame walked is RECORD_FRAME_LEN wide, so the records kept
+    // say where the valid prefix ends.
+    let valid_bytes = (records.len() * RECORD_FRAME_LEN) as u64;
     LogRecovery {
         records,
         valid_bytes,
         truncated_bytes: bytes.len() as u64 - valid_bytes,
-        torn,
+        torn: bad_record.or(frames.torn()),
     }
 }
 
@@ -282,13 +287,6 @@ mod tests {
         p.push(format!("mbw-resultslog-{name}-{}", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The canonical IEEE check value.
-        assert_eq!(Crc32::checksum(b"123456789"), 0xCBF4_3926);
-        assert_eq!(Crc32::checksum(b""), 0);
     }
 
     /// The on-disk byte layout is frozen: extracting the framing into
@@ -401,6 +399,20 @@ mod tests {
             "everything from the corrupt frame on is dropped"
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn impossible_flag_byte_marks_the_torn_tail() {
+        let mut bytes = sample_record(0).encode_frame();
+        let mut payload = sample_record(1).encode_payload();
+        payload[RECORD_PAYLOAD_LEN - 1] = 2;
+        Framing::RESULTS_LOG.append_frame(&mut bytes, &payload);
+        bytes.extend(sample_record(2).encode_frame());
+        let recovery = scan(&bytes);
+        assert_eq!(recovery.records, vec![sample_record(0)]);
+        assert_eq!(recovery.torn, Some(TornReason::BadLength));
+        assert_eq!(recovery.valid_bytes, RECORD_FRAME_LEN as u64);
+        assert_eq!(recovery.truncated_bytes, (2 * RECORD_FRAME_LEN) as u64);
     }
 
     #[test]
