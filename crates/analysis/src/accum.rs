@@ -11,12 +11,15 @@
 //!
 //! ## Determinism contract
 //!
-//! `merge` must behave as if `other`'s records had been observed after
-//! `self`'s, in order. Accumulators therefore collect per-stratum
-//! sample vectors (concatenated on merge) and defer every
-//! floating-point reduction to `finish`, which sees the same samples in
-//! the same order however the population was split. Counters and hash
-//! sets are order-independent and may fold eagerly.
+//! `merge` must be commutative and associative, and merging the
+//! accumulators of any split of a population must give the state one
+//! accumulator reaches observing all of it. Accumulators therefore keep
+//! no sample and no floating-point partial result: their state is built
+//! from the integer-exact summaries of [`crate::summary`] (counts,
+//! fixed-point sums, min/max, bin counts, id bitmaps), whose merges are
+//! integer addition, `min`, `max` and OR. Floating point enters only in
+//! `finish`, which reads the same integers however the population was
+//! split, in whatever order the parts were merged.
 
 use mbw_dataset::{AccessTech, Isp, RecordView, TestRecord};
 
@@ -33,8 +36,10 @@ pub trait FigureAccumulator<R: ?Sized>: Sized + Send {
     /// Fold one record into the accumulator.
     fn observe(&mut self, r: &R);
 
-    /// Fold in a sibling accumulator whose records come *after* this
-    /// accumulator's records in population order.
+    /// Fold in a sibling accumulator that observed another part of the
+    /// population. The measurement accumulators of this crate merge in
+    /// any order; the evaluation accumulators in `mbw-bench` still
+    /// require `other`'s records to come *after* this accumulator's.
     fn merge(&mut self, other: Self);
 
     /// Produce the finished figure.
@@ -50,25 +55,6 @@ where
         acc.observe(&RecordView::from(r));
     }
     acc.finish()
-}
-
-/// Decode a `Vec<Vec<f64>>` whose outer length is an accumulator
-/// invariant (one inner vector per band/stratum/variant), rejecting any
-/// other outer length — a merge that zips slots would silently drop
-/// samples otherwise.
-pub fn decode_fixed_outer(
-    dec: &mut mbw_frame::Dec<'_>,
-    expected: usize,
-    what: &'static str,
-) -> Result<Vec<Vec<f64>>, mbw_frame::CodecError> {
-    let outer: Vec<Vec<f64>> = mbw_frame::Codec::decode(dec)?;
-    if outer.len() != expected {
-        return Err(mbw_frame::CodecError::BadLen {
-            what,
-            len: outer.len() as u64,
-        });
-    }
-    Ok(outer)
 }
 
 /// Stable index of a technology among the figure triplet 4G/5G/WiFi,

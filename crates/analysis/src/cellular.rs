@@ -5,13 +5,12 @@
 //! counts (Fig 9), the diurnal pattern (Fig 10), and the RSS analyses
 //! (Figs 11–12) including the counter-intuitive level-5 dip.
 
-use crate::accum::{self, FigureAccumulator};
+use crate::accum::FigureAccumulator;
+use crate::summary::{decode_count, BinnedCdf, Mean, Sample};
 use crate::Render;
 use mbw_dataset::bands;
 use mbw_dataset::{AccessTech, LteBandId, NrBandId, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
-use mbw_stats::descriptive::{fraction_above, fraction_below, mean, median};
-use mbw_stats::Ecdf;
 use std::fmt::Write as _;
 
 /// A CDF figure with the paper's annotations (Figs 4 and 7).
@@ -19,8 +18,8 @@ use std::fmt::Write as _;
 pub struct CdfFigure {
     /// Which figure this is, for rendering.
     pub title: &'static str,
-    /// The empirical CDF.
-    pub ecdf: Ecdf,
+    /// The binned CDF (exact count, mean, min and max).
+    pub ecdf: BinnedCdf,
     /// Annotated mean.
     pub mean: f64,
     /// Annotated median.
@@ -30,8 +29,7 @@ pub struct CdfFigure {
 }
 
 impl CdfFigure {
-    fn new(title: &'static str, bw: &[f64]) -> Self {
-        let ecdf = Ecdf::new(bw);
+    fn new(title: &'static str, ecdf: BinnedCdf) -> Self {
         Self {
             title,
             mean: ecdf.mean(),
@@ -73,10 +71,16 @@ pub struct Fig04 {
     pub mean_above_300: f64,
 }
 
-/// Accumulator behind [`Fig04`].
+/// Accumulator behind [`Fig04`]. The two tail thresholds are known at
+/// compile time, so their fractions and the fast tail's mean are exact
+/// counters beside the binned CDF.
 #[derive(Debug, Clone, Default)]
 pub struct Fig04Acc {
-    bw: Vec<f64>,
+    bw: BinnedCdf,
+    /// Tests strictly below 10 Mbps.
+    below_10: u64,
+    /// Tests strictly above 300 Mbps.
+    above_300: Mean,
 }
 
 impl Fig04Acc {
@@ -91,22 +95,34 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig04Acc {
 
     fn observe(&mut self, r: &RecordView<'a>) {
         if r.tech == AccessTech::Cellular4g {
-            self.bw.push(r.bandwidth_mbps);
+            let bw = Sample::new(r.bandwidth_mbps);
+            self.bw.push(bw);
+            self.below_10 += u64::from(r.bandwidth_mbps < 10.0);
+            if r.bandwidth_mbps > 300.0 {
+                self.above_300.push(bw);
+            }
         }
     }
 
     fn merge(&mut self, other: Self) {
-        self.bw.extend(other.bw);
+        self.bw.merge(&other.bw);
+        self.below_10 += other.below_10;
+        self.above_300.merge(&other.above_300);
     }
 
     fn finish(self) -> Fig04 {
-        let bw = self.bw;
-        let fast: Vec<f64> = bw.iter().copied().filter(|&b| b > 300.0).collect();
+        let share = |count: usize| {
+            if self.bw.is_empty() {
+                0.0
+            } else {
+                count as f64 / self.bw.len() as f64
+            }
+        };
         Fig04 {
-            below_10: fraction_below(&bw, 10.0),
-            above_300: fraction_above(&bw, 300.0),
-            mean_above_300: mean(&fast),
-            cdf: CdfFigure::new("Fig 4: bandwidth distribution for 4G access", &bw),
+            below_10: share(self.below_10 as usize),
+            above_300: share(self.above_300.len()),
+            mean_above_300: self.above_300.mean(),
+            cdf: CdfFigure::new("Fig 4: bandwidth distribution for 4G access", self.bw),
         }
     }
 }
@@ -114,11 +130,15 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig04Acc {
 impl Codec for Fig04Acc {
     fn encode(&self, enc: &mut Enc) {
         self.bw.encode(enc);
+        enc.put_u64(self.below_10);
+        self.above_300.encode(enc);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Self {
             bw: Codec::decode(dec)?,
+            below_10: decode_count(dec, "fig04 tests below 10 Mbps")?,
+            above_300: Codec::decode(dec)?,
         })
     }
 }
@@ -146,24 +166,16 @@ pub struct LteBandFigure {
     pub band3_share: f64,
 }
 
-/// Accumulator behind [`LteBandFigure`] — one sample vector per Table 1 band.
-#[derive(Debug, Clone)]
+/// Accumulator behind [`LteBandFigure`] — one stratum per Table 1 band.
+#[derive(Debug, Clone, Default)]
 pub struct LteBandAcc {
-    per_band: Vec<Vec<f64>>,
+    per_band: [Mean; bands::LTE_BANDS.len()],
 }
 
 impl LteBandAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
-        Self {
-            per_band: vec![Vec::new(); bands::LTE_BANDS.len()],
-        }
-    }
-}
-
-impl Default for LteBandAcc {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -173,13 +185,13 @@ impl<'a> FigureAccumulator<RecordView<'a>> for LteBandAcc {
     fn observe(&mut self, r: &RecordView<'a>) {
         let Some(id) = r.lte_band() else { return };
         if let Some(i) = bands::LTE_BANDS.iter().position(|b| b.id == id) {
-            self.per_band[i].push(r.bandwidth_mbps);
+            self.per_band[i].push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.per_band.iter_mut().zip(other.per_band) {
-            a.extend(b);
+        for (a, b) in self.per_band.iter_mut().zip(&other.per_band) {
+            a.merge(b);
         }
     }
 
@@ -196,7 +208,7 @@ impl<'a> FigureAccumulator<RecordView<'a>> for LteBandAcc {
             if info.id == LteBandId::B3 {
                 b3_count = bw.len();
             }
-            rows.push((info.id, info.is_h_band(), mean(bw), bw.len()));
+            rows.push((info.id, info.is_h_band(), bw.mean(), bw.len()));
         }
         LteBandFigure {
             rows,
@@ -221,7 +233,7 @@ impl Codec for LteBandAcc {
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            per_band: accum::decode_fixed_outer(dec, bands::LTE_BANDS.len(), "LTE band slots")?,
+            per_band: Codec::decode(dec)?,
         })
     }
 }
@@ -257,7 +269,7 @@ impl Render for LteBandFigure {
 /// Accumulator behind [`CdfFigure`] — the 5G bandwidth CDF.
 #[derive(Debug, Clone, Default)]
 pub struct Fig07Acc {
-    bw: Vec<f64>,
+    bw: BinnedCdf,
 }
 
 impl Fig07Acc {
@@ -272,16 +284,16 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig07Acc {
 
     fn observe(&mut self, r: &RecordView<'a>) {
         if r.tech == AccessTech::Cellular5g {
-            self.bw.push(r.bandwidth_mbps);
+            self.bw.push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        self.bw.extend(other.bw);
+        self.bw.merge(&other.bw);
     }
 
     fn finish(self) -> CdfFigure {
-        CdfFigure::new("Fig 7: bandwidth distribution for 5G access", &self.bw)
+        CdfFigure::new("Fig 7: bandwidth distribution for 5G access", self.bw)
     }
 }
 
@@ -304,26 +316,18 @@ pub struct NrBandFigure {
     pub rows: Vec<(NrBandId, bool, f64, usize)>,
 }
 
-/// Accumulator behind [`NrBandFigure`] — one sample vector per Table 2
-/// band. N79 rows remain (the paper keeps the bar but excludes it from
+/// Accumulator behind [`NrBandFigure`] — one stratum per Table 2 band.
+/// N79 rows remain (the paper keeps the bar but excludes it from
 /// analysis — three tests total).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NrBandAcc {
-    per_band: Vec<Vec<f64>>,
+    per_band: [Mean; bands::NR_BANDS.len()],
 }
 
 impl NrBandAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
-        Self {
-            per_band: vec![Vec::new(); bands::NR_BANDS.len()],
-        }
-    }
-}
-
-impl Default for NrBandAcc {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -333,13 +337,13 @@ impl<'a> FigureAccumulator<RecordView<'a>> for NrBandAcc {
     fn observe(&mut self, r: &RecordView<'a>) {
         let Some(id) = r.nr_band() else { return };
         if let Some(i) = bands::NR_BANDS.iter().position(|b| b.id == id) {
-            self.per_band[i].push(r.bandwidth_mbps);
+            self.per_band[i].push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.per_band.iter_mut().zip(other.per_band) {
-            a.extend(b);
+        for (a, b) in self.per_band.iter_mut().zip(&other.per_band) {
+            a.merge(b);
         }
     }
 
@@ -347,7 +351,7 @@ impl<'a> FigureAccumulator<RecordView<'a>> for NrBandAcc {
         let rows = bands::NR_BANDS
             .iter()
             .zip(&self.per_band)
-            .map(|(info, bw)| (info.id, info.refarmed_from.is_some(), mean(bw), bw.len()))
+            .map(|(info, bw)| (info.id, info.refarmed_from.is_some(), bw.mean(), bw.len()))
             .collect();
         NrBandFigure { rows }
     }
@@ -360,7 +364,7 @@ impl Codec for NrBandAcc {
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            per_band: accum::decode_fixed_outer(dec, bands::NR_BANDS.len(), "NR band slots")?,
+            per_band: Codec::decode(dec)?,
         })
     }
 }
@@ -394,24 +398,16 @@ pub struct Fig10 {
     pub rows: Vec<(u8, usize, f64)>,
 }
 
-/// Accumulator behind [`Fig10`] — one 5G sample vector per hour of day.
-#[derive(Debug, Clone)]
+/// Accumulator behind [`Fig10`] — one 5G stratum per hour of day.
+#[derive(Debug, Clone, Default)]
 pub struct Fig10Acc {
-    hours: [Vec<f64>; 24],
+    hours: [Mean; 24],
 }
 
 impl Fig10Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
-        Self {
-            hours: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-impl Default for Fig10Acc {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -420,13 +416,13 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig10Acc {
 
     fn observe(&mut self, r: &RecordView<'a>) {
         if r.tech == AccessTech::Cellular5g && (r.hour as usize) < 24 {
-            self.hours[r.hour as usize].push(r.bandwidth_mbps);
+            self.hours[r.hour as usize].push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.hours.iter_mut().zip(other.hours) {
-            a.extend(b);
+        for (a, b) in self.hours.iter_mut().zip(&other.hours) {
+            a.merge(b);
         }
     }
 
@@ -435,7 +431,7 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig10Acc {
             .hours
             .iter()
             .enumerate()
-            .map(|(h, bw)| (h as u8, bw.len(), mean(bw)))
+            .map(|(h, bw)| (h as u8, bw.len(), bw.mean()))
             .collect();
         Fig10 { rows }
     }
@@ -496,12 +492,12 @@ pub struct RssFigure {
     pub rows: Vec<(u8, f64, f64, f64)>,
 }
 
-/// Accumulator behind [`RssFigure`] — per-RSS-level SNR and bandwidth
-/// sample vectors over the 5G population.
+/// Accumulator behind [`RssFigure`] — per-RSS-level SNR means and
+/// bandwidth distributions over the 5G population.
 #[derive(Debug, Clone, Default)]
 pub struct RssAcc {
-    snr: [Vec<f64>; 5],
-    bw: [Vec<f64>; 5],
+    snr: [Mean; 5],
+    bw: [BinnedCdf; 5],
 }
 
 impl RssAcc {
@@ -521,17 +517,17 @@ impl<'a> FigureAccumulator<RecordView<'a>> for RssAcc {
         let Some(cell) = r.cell() else { return };
         if (1..=5).contains(&cell.rss_level) {
             let i = (cell.rss_level - 1) as usize;
-            self.snr[i].push(cell.snr_db);
-            self.bw[i].push(r.bandwidth_mbps);
+            self.snr[i].push(Sample::new(cell.snr_db));
+            self.bw[i].push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.snr.iter_mut().zip(other.snr) {
-            a.extend(b);
+        for (a, b) in self.snr.iter_mut().zip(&other.snr) {
+            a.merge(b);
         }
-        for (a, b) in self.bw.iter_mut().zip(other.bw) {
-            a.extend(b);
+        for (a, b) in self.bw.iter_mut().zip(&other.bw) {
+            a.merge(b);
         }
     }
 
@@ -540,9 +536,9 @@ impl<'a> FigureAccumulator<RecordView<'a>> for RssAcc {
             .map(|i| {
                 (
                     i as u8 + 1,
-                    mean(&self.snr[i]),
-                    mean(&self.bw[i]),
-                    median(&self.bw[i]),
+                    self.snr[i].mean(),
+                    self.bw[i].mean(),
+                    self.bw[i].median(),
                 )
             })
             .collect();
@@ -584,7 +580,7 @@ impl Render for RssFigure {
 /// over plain (non-LTE-A) 4G tests.
 #[derive(Debug, Clone, Default)]
 pub struct LteRssAcc {
-    bw: [Vec<f64>; 5],
+    bw: [Mean; 5],
 }
 
 impl LteRssAcc {
@@ -606,18 +602,18 @@ impl<'a> FigureAccumulator<RecordView<'a>> for LteRssAcc {
             return;
         }
         if (1..=5).contains(&cell.rss_level) {
-            self.bw[(cell.rss_level - 1) as usize].push(r.bandwidth_mbps);
+            self.bw[(cell.rss_level - 1) as usize].push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.bw.iter_mut().zip(other.bw) {
-            a.extend(b);
+        for (a, b) in self.bw.iter_mut().zip(&other.bw) {
+            a.merge(b);
         }
     }
 
     fn finish(self) -> Vec<(u8, f64)> {
-        (0..5).map(|i| (i as u8 + 1, mean(&self.bw[i]))).collect()
+        (0..5).map(|i| (i as u8 + 1, self.bw[i].mean())).collect()
     }
 }
 
@@ -636,6 +632,7 @@ impl Codec for LteRssAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 
     fn y2021(tests: usize, seed: u64) -> Vec<TestRecord> {

@@ -5,10 +5,11 @@
 //! faster only because they run newer OSes.
 
 use crate::accum::FigureAccumulator;
+use crate::summary::{Mean, Sample};
 use crate::Render;
 use mbw_dataset::{AccessTech, DeviceTier, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
-use mbw_stats::descriptive::{mean, std_dev};
+use mbw_stats::descriptive::std_dev;
 use std::fmt::Write as _;
 
 /// The hardware-vs-software decomposition for one technology.
@@ -33,11 +34,13 @@ const MIN_VERSION: u8 = 5;
 /// Number of Android versions (5–12) covered.
 const VERSIONS: usize = 8;
 
+/// Stable index of a tier in [`DeviceTier::ALL`] order.
 fn tier_index(tier: DeviceTier) -> usize {
-    DeviceTier::ALL
-        .iter()
-        .position(|&t| t == tier)
-        .expect("tier in ALL")
+    match tier {
+        DeviceTier::Low => 0,
+        DeviceTier::Mid => 1,
+        DeviceTier::High => 2,
+    }
 }
 
 /// Accumulator behind [`HardwareIllusion`]: decomposes the hardware
@@ -45,10 +48,10 @@ fn tier_index(tier: DeviceTier) -> usize {
 #[derive(Debug, Clone)]
 pub struct HardwareIllusionAcc {
     tech: AccessTech,
-    /// Per-tier samples, [`DeviceTier::ALL`] order.
-    tiers: [Vec<f64>; 3],
-    /// `[version - 5][tier]` samples.
-    strata: Vec<[Vec<f64>; 3]>,
+    /// Per-tier strata, [`DeviceTier::ALL`] order.
+    tiers: [Mean; 3],
+    /// `[version - 5][tier]` strata.
+    strata: [[Mean; 3]; VERSIONS],
 }
 
 impl HardwareIllusionAcc {
@@ -57,7 +60,7 @@ impl HardwareIllusionAcc {
         Self {
             tech,
             tiers: Default::default(),
-            strata: (0..VERSIONS).map(|_| Default::default()).collect(),
+            strata: Default::default(),
         }
     }
 }
@@ -70,25 +73,26 @@ impl<'a> FigureAccumulator<RecordView<'a>> for HardwareIllusionAcc {
             return;
         }
         let tier = tier_index(r.device_tier);
-        self.tiers[tier].push(r.bandwidth_mbps);
+        let bw = Sample::new(r.bandwidth_mbps);
+        self.tiers[tier].push(bw);
         if (MIN_VERSION..MIN_VERSION + VERSIONS as u8).contains(&r.android_version) {
-            self.strata[(r.android_version - MIN_VERSION) as usize][tier].push(r.bandwidth_mbps);
+            self.strata[(r.android_version - MIN_VERSION) as usize][tier].push(bw);
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.tiers.iter_mut().zip(other.tiers) {
-            a.extend(b);
+        for (a, b) in self.tiers.iter_mut().zip(&other.tiers) {
+            a.merge(b);
         }
-        for (mine, theirs) in self.strata.iter_mut().zip(other.strata) {
+        for (mine, theirs) in self.strata.iter_mut().zip(&other.strata) {
             for (a, b) in mine.iter_mut().zip(theirs) {
-                a.extend(b);
+                a.merge(b);
             }
         }
     }
 
     fn finish(self) -> HardwareIllusion {
-        let of_tier = |tier: DeviceTier| mean(&self.tiers[tier_index(tier)]);
+        let of_tier = |tier: DeviceTier| self.tiers[tier_index(tier)].mean();
         let unconditional = (
             of_tier(DeviceTier::Low),
             of_tier(DeviceTier::Mid),
@@ -101,7 +105,7 @@ impl<'a> FigureAccumulator<RecordView<'a>> for HardwareIllusionAcc {
                 .iter()
                 .filter_map(|&tier| {
                     let bw = &stratum[tier_index(tier)];
-                    (bw.len() >= MIN_STRATUM).then(|| mean(bw))
+                    (bw.len() >= MIN_STRATUM).then(|| bw.mean())
                 })
                 .collect();
             if tier_means.len() == 3 {
@@ -126,22 +130,10 @@ impl Codec for HardwareIllusionAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let tech = Codec::decode(dec)?;
-        let tiers = Codec::decode(dec)?;
-        let strata: Vec<[Vec<f64>; 3]> = Codec::decode(dec)?;
-        // The stratum count is an accumulator invariant (one slot per
-        // Android version); merge zips slots, so a wrong length would
-        // silently drop samples.
-        if strata.len() != VERSIONS {
-            return Err(CodecError::BadLen {
-                what: "android version strata",
-                len: strata.len() as u64,
-            });
-        }
         Ok(Self {
-            tech,
-            tiers,
-            strata,
+            tech: Codec::decode(dec)?,
+            tiers: Codec::decode(dec)?,
+            strata: Codec::decode(dec)?,
         })
     }
 }
@@ -217,6 +209,13 @@ mod tests {
                 "{tech:?}: within-version std {}",
                 h.max_within_std
             );
+        }
+    }
+
+    #[test]
+    fn tier_index_matches_all_order() {
+        for (i, &tier) in DeviceTier::ALL.iter().enumerate() {
+            assert_eq!(tier_index(tier), i);
         }
     }
 

@@ -2,12 +2,12 @@
 //! same-user-group declines that do not get their own figure but anchor
 //! the paper's narrative.
 
-use crate::accum::{self, FigureAccumulator};
+use crate::accum::{self, FigureAccumulator, TECH3};
+use crate::summary::{decode_count_usize, Dense, IdBitmap, Mean, Pearson, Sample};
 use crate::Render;
 use mbw_dataset::{AccessTech, CityTier, Isp, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
-use mbw_stats::descriptive::mean;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use mbw_stats::descriptive::{mean, pearson};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -25,13 +25,17 @@ pub struct SpatialDisparity {
 /// Minimum per-city sample size for a city to count in the ranges.
 const MIN_CITY_TESTS: usize = 50;
 
-/// Accumulator behind [`SpatialDisparity`] — per-(city, tech) sample
-/// vectors plus the national 4G/5G vectors for the balance baseline.
+/// Rows a decoded per-city table may claim: the whole `u16` id range.
+const CITY_ROWS_CAP: usize = 1 << 16;
+
+/// Accumulator behind [`SpatialDisparity`] — a 4G/5G/WiFi stratum per
+/// city, indexed by city id, plus the national 4G/5G strata for the
+/// balance baseline.
 #[derive(Debug, Clone, Default)]
 pub struct SpatialAcc {
-    per_city: HashMap<(u16, AccessTech), Vec<f64>>,
-    nat4: Vec<f64>,
-    nat5: Vec<f64>,
+    per_city: Dense<[Mean; 3]>,
+    nat4: Mean,
+    nat5: Mean,
 }
 
 impl SpatialAcc {
@@ -45,43 +49,38 @@ impl<'a> FigureAccumulator<RecordView<'a>> for SpatialAcc {
     type Output = SpatialDisparity;
 
     fn observe(&mut self, r: &RecordView<'a>) {
-        self.per_city
-            .entry((r.city_id, r.tech))
-            .or_default()
-            .push(r.bandwidth_mbps);
+        let Some(t) = accum::tech3_index(r.tech) else {
+            return;
+        };
+        let bw = Sample::new(r.bandwidth_mbps);
+        self.per_city.slot(usize::from(r.city_id))[t].push(bw);
         match r.tech {
-            AccessTech::Cellular4g => self.nat4.push(r.bandwidth_mbps),
-            AccessTech::Cellular5g => self.nat5.push(r.bandwidth_mbps),
+            AccessTech::Cellular4g => self.nat4.push(bw),
+            AccessTech::Cellular5g => self.nat5.push(bw),
             _ => {}
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (key, bw) in other.per_city {
-            self.per_city.entry(key).or_default().extend(bw);
-        }
-        self.nat4.extend(other.nat4);
-        self.nat5.extend(other.nat5);
+        self.per_city.merge_with(&other.per_city, |mine, theirs| {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                a.merge(b);
+            }
+        });
+        self.nat4.merge(&other.nat4);
+        self.nat5.merge(&other.nat5);
     }
 
     fn finish(self) -> SpatialDisparity {
-        let techs = [
-            AccessTech::Cellular4g,
-            AccessTech::Cellular5g,
-            AccessTech::Wifi,
-        ];
+        // A city's mean for one technology, if it has enough tests.
+        let city_mean =
+            |city: &[Mean; 3], t: usize| (city[t].len() >= MIN_CITY_TESTS).then(|| city[t].mean());
         let mut ranges = Vec::new();
-        let mut city_means: HashMap<AccessTech, HashMap<u16, f64>> = HashMap::new();
-        for &tech in &techs {
+        for (t, &tech) in TECH3.iter().enumerate() {
             let mut lo = f64::INFINITY;
             let mut hi = 0.0f64;
             let mut count = 0usize;
-            for ((city, t), bw) in &self.per_city {
-                if *t != tech || bw.len() < MIN_CITY_TESTS {
-                    continue;
-                }
-                let m = mean(bw);
-                city_means.entry(tech).or_default().insert(*city, m);
+            for m in self.per_city.rows().iter().filter_map(|c| city_mean(c, t)) {
                 lo = lo.min(m);
                 hi = hi.max(m);
                 count += 1;
@@ -94,15 +93,12 @@ impl<'a> FigureAccumulator<RecordView<'a>> for SpatialAcc {
 
         // Unbalanced development: city above national 4G mean but below
         // national 5G mean, or vice versa.
-        let nat4 = mean(&self.nat4);
-        let nat5 = mean(&self.nat5);
-        let empty = HashMap::new();
-        let m4 = city_means.get(&AccessTech::Cellular4g).unwrap_or(&empty);
-        let m5 = city_means.get(&AccessTech::Cellular5g).unwrap_or(&empty);
+        let nat4 = self.nat4.mean();
+        let nat5 = self.nat5.mean();
         let mut both = 0usize;
         let mut unbalanced = 0usize;
-        for (city, &c4) in m4 {
-            if let Some(&c5) = m5.get(city) {
+        for city in self.per_city.rows() {
+            if let (Some(c4), Some(c5)) = (city_mean(city, 0), city_mean(city, 1)) {
                 both += 1;
                 if (c4 > nat4) != (c5 > nat5) {
                     unbalanced += 1;
@@ -129,7 +125,7 @@ impl Codec for SpatialAcc {
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            per_city: Codec::decode(dec)?,
+            per_city: Dense::decode_capped(dec, CITY_ROWS_CAP, "spatial city rows")?,
             nat4: Codec::decode(dec)?,
             nat5: Codec::decode(dec)?,
         })
@@ -168,11 +164,11 @@ pub struct UrbanRuralGap {
 }
 
 /// Accumulator behind [`UrbanRuralGap`] — the four (tech, locale)
-/// sample vectors.
+/// strata.
 #[derive(Debug, Clone, Default)]
 pub struct UrbanRuralAcc {
     /// `[4G urban, 4G rural, 5G urban, 5G rural]`.
-    cells: [Vec<f64>; 4],
+    cells: [Mean; 4],
 }
 
 impl UrbanRuralAcc {
@@ -191,19 +187,19 @@ impl<'a> FigureAccumulator<RecordView<'a>> for UrbanRuralAcc {
             AccessTech::Cellular5g => 2,
             _ => return,
         };
-        self.cells[base + usize::from(!r.urban)].push(r.bandwidth_mbps);
+        self.cells[base + usize::from(!r.urban)].push(Sample::new(r.bandwidth_mbps));
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.cells.iter_mut().zip(other.cells) {
-            a.extend(b);
+        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
+            a.merge(b);
         }
     }
 
     fn finish(self) -> UrbanRuralGap {
         UrbanRuralGap {
-            lte_ratio: mean(&self.cells[0]) / mean(&self.cells[1]),
-            nr_ratio: mean(&self.cells[2]) / mean(&self.cells[3]),
+            lte_ratio: self.cells[0].mean() / self.cells[1].mean(),
+            nr_ratio: self.cells[2].mean() / self.cells[3].mean(),
         }
     }
 }
@@ -248,16 +244,21 @@ const MIN_GROUP_TESTS: usize = 30;
 /// mega-tier — the paper fixes the city list from the current year).
 #[derive(Debug, Clone, Default)]
 pub struct SameGroupAcc {
-    /// Mega-tier cities seen in the current-year population.
-    mega: BTreeSet<u16>,
-    /// `(isp index < 3, city, tech index 0=4G/1=5G)` → `(2020, 2021)`
-    /// bandwidth samples. Collected for every city; restricted to mega
-    /// cities in `finish`.
-    groups: HashMap<(usize, u16, usize), (Vec<f64>, Vec<f64>)>,
+    /// Mega-tier cities seen among the current year's group records
+    /// (a city with none cannot reach the output).
+    mega: IdBitmap,
+    /// Indexed by city id: `[isp index < 3][tech index 0=4G/1=5G]` →
+    /// `[2020, 2021]` bandwidth strata. Collected for every city;
+    /// restricted to mega cities in `finish`.
+    groups: Dense<CityGroups>,
 }
 
+/// One city's `[big ISP][4G/5G][2020/2021]` strata.
+type CityGroups = [[[Mean; 2]; 2]; 3];
+
 fn big_isp_index(isp: Isp) -> Option<usize> {
-    Isp::ALL[..3].iter().position(|&x| x == isp)
+    let i = accum::isp_index(isp);
+    (i < 3).then_some(i)
 }
 
 fn group_tech_index(tech: AccessTech) -> Option<usize> {
@@ -274,15 +275,25 @@ impl SameGroupAcc {
         Self::default()
     }
 
-    fn group_key(r: &RecordView<'_>) -> Option<(usize, u16, usize)> {
-        Some((big_isp_index(r.isp)?, r.city_id, group_tech_index(r.tech)?))
+    /// Fold one record into its group's stratum for `year` (0 = 2020,
+    /// 1 = 2021) and report whether it belongs to a big-ISP cellular
+    /// group at all.
+    fn observe_year(&mut self, r: &RecordView<'_>, year: usize) -> bool {
+        // Technology first: nine records in ten are WiFi and stop here.
+        let Some(tech) = group_tech_index(r.tech) else {
+            return false;
+        };
+        let Some(isp) = big_isp_index(r.isp) else {
+            return false;
+        };
+        self.groups.slot(usize::from(r.city_id))[isp][tech][year]
+            .push(Sample::new(r.bandwidth_mbps));
+        true
     }
 
     /// Fold one 2020 (baseline) record in.
     pub fn observe_baseline(&mut self, r: &RecordView<'_>) {
-        if let Some(key) = Self::group_key(r) {
-            self.groups.entry(key).or_default().0.push(r.bandwidth_mbps);
-        }
+        self.observe_year(r, 0);
     }
 }
 
@@ -290,41 +301,39 @@ impl<'a> FigureAccumulator<RecordView<'a>> for SameGroupAcc {
     type Output = SameGroupDecline;
 
     fn observe(&mut self, r: &RecordView<'a>) {
-        if r.city_tier == CityTier::Mega {
-            self.mega.insert(r.city_id);
-        }
-        if let Some(key) = Self::group_key(r) {
-            self.groups.entry(key).or_default().1.push(r.bandwidth_mbps);
+        if self.observe_year(r, 1) && r.city_tier == CityTier::Mega {
+            self.mega.insert(u32::from(r.city_id));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        self.mega.extend(other.mega);
-        for (key, (y20, y21)) in other.groups {
-            let entry = self.groups.entry(key).or_default();
-            entry.0.extend(y20);
-            entry.1.extend(y21);
-        }
+        self.mega.merge(&other.mega);
+        self.groups.merge_with(&other.groups, |mine, theirs| {
+            let strata = mine.iter_mut().flatten().flatten();
+            for (a, b) in strata.zip(theirs.iter().flatten().flatten()) {
+                a.merge(b);
+            }
+        });
     }
 
     fn finish(self) -> SameGroupDecline {
-        let decline = |i: usize, city: u16, tech: usize| -> Option<f64> {
-            let (y20, y21) = self.groups.get(&(i, city, tech))?;
+        let decline = |i: usize, city: u32, tech: usize| -> Option<f64> {
+            let [y20, y21] = &self.groups.get(city as usize)?[i][tech];
             if y20.len() < MIN_GROUP_TESTS || y21.len() < MIN_GROUP_TESTS {
                 return None;
             }
-            Some(1.0 - mean(y21) / mean(y20))
+            Some(1.0 - y21.mean() / y20.mean())
         };
         let mut groups = Vec::new();
         for i in 0..3 {
-            for &city in &self.mega {
+            for city in self.mega.iter() {
                 let Some(d4) = decline(i, city, 0) else {
                     continue;
                 };
                 let Some(d5) = decline(i, city, 1) else {
                     continue;
                 };
-                groups.push((i + 1, city, d4, d5));
+                groups.push((i + 1, city as u16, d4, d5));
             }
         }
         SameGroupDecline { groups }
@@ -340,7 +349,7 @@ impl Codec for SameGroupAcc {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Self {
             mega: Codec::decode(dec)?,
-            groups: Codec::decode(dec)?,
+            groups: Dense::decode_capped(dec, CITY_ROWS_CAP, "same-group city rows")?,
         })
     }
 }
@@ -399,16 +408,18 @@ const SUMMARY_TECHS: [AccessTech; 4] = [
     AccessTech::Wifi,
 ];
 
-/// Accumulator behind [`DatasetSummary`] — pure counters and identity
-/// sets, all order-independent.
+/// Accumulator behind [`DatasetSummary`] — pure counters and id
+/// bitmaps, all order-independent. The bitmaps make its memory
+/// O(largest id): base-station, AP and city ids are drawn densely below
+/// the profile's population sizes (559 KB + 255 KB under paper-china).
 #[derive(Debug, Clone, Default)]
 pub struct DatasetSummaryAcc {
     total: usize,
     tech_counts: [usize; 4],
     isp_counts: [usize; 4],
-    bs: HashSet<u32>,
-    aps: HashSet<u32>,
-    cities: HashSet<u16>,
+    bs: IdBitmap,
+    aps: IdBitmap,
+    cities: IdBitmap,
 }
 
 impl DatasetSummaryAcc {
@@ -433,7 +444,7 @@ impl<'a> FigureAccumulator<RecordView<'a>> for DatasetSummaryAcc {
         if let Some(w) = r.wifi() {
             self.aps.insert(w.ap_id);
         }
-        self.cities.insert(r.city_id);
+        self.cities.insert(u32::from(r.city_id));
     }
 
     fn merge(&mut self, other: Self) {
@@ -444,9 +455,9 @@ impl<'a> FigureAccumulator<RecordView<'a>> for DatasetSummaryAcc {
         for (a, b) in self.isp_counts.iter_mut().zip(other.isp_counts) {
             *a += b;
         }
-        self.bs.extend(other.bs);
-        self.aps.extend(other.aps);
-        self.cities.extend(other.cities);
+        self.bs.merge(&other.bs);
+        self.aps.merge(&other.aps);
+        self.cities.merge(&other.cities);
     }
 
     fn finish(self) -> Result<DatasetSummary, EmptyPopulation> {
@@ -484,10 +495,11 @@ impl Codec for DatasetSummaryAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let mut counts = || decode_count_usize(dec, "dataset summary count");
         Ok(Self {
-            total: Codec::decode(dec)?,
-            tech_counts: Codec::decode(dec)?,
-            isp_counts: Codec::decode(dec)?,
+            total: counts()?,
+            tech_counts: [counts()?, counts()?, counts()?, counts()?],
+            isp_counts: [counts()?, counts()?, counts()?, counts()?],
             bs: Codec::decode(dec)?,
             aps: Codec::decode(dec)?,
             cities: Codec::decode(dec)?,
@@ -539,36 +551,22 @@ pub struct Correlations {
 }
 
 /// Accumulator behind [`Correlations`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CorrelationsAcc {
-    /// RSS level and SNR for 5G tests with cell context.
-    x5: Vec<f64>,
-    snr5: Vec<f64>,
-    /// RSS level and bandwidth for non-LTE-A 4G tests with cell context.
-    x4: Vec<f64>,
-    y4: Vec<f64>,
-    /// Per-hour bandwidth samples, all 5G / 4G tests.
-    hours5: [Vec<f64>; 24],
-    hours4: [Vec<f64>; 24],
+    /// RSS level against SNR for 5G tests with cell context.
+    rss_snr5: Pearson,
+    /// RSS level against bandwidth for non-LTE-A 4G tests with cell
+    /// context.
+    rss_bw4: Pearson,
+    /// Per-hour bandwidth strata, all 5G / 4G tests.
+    hours5: [Mean; 24],
+    hours4: [Mean; 24],
 }
 
 impl CorrelationsAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
-        Self {
-            x5: Vec::new(),
-            snr5: Vec::new(),
-            x4: Vec::new(),
-            y4: Vec::new(),
-            hours5: std::array::from_fn(|_| Vec::new()),
-            hours4: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-impl Default for CorrelationsAcc {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -579,22 +577,20 @@ impl<'a> FigureAccumulator<RecordView<'a>> for CorrelationsAcc {
         match r.tech {
             AccessTech::Cellular5g => {
                 if let Some(c) = r.cell() {
-                    self.x5.push(c.rss_level as f64);
-                    self.snr5.push(c.snr_db);
+                    self.rss_snr5.push(c.rss_level, c.snr_db);
                 }
                 if (r.hour as usize) < 24 {
-                    self.hours5[r.hour as usize].push(r.bandwidth_mbps);
+                    self.hours5[r.hour as usize].push(Sample::new(r.bandwidth_mbps));
                 }
             }
             AccessTech::Cellular4g => {
                 if let Some(c) = r.cell() {
                     if !c.lte_advanced {
-                        self.x4.push(c.rss_level as f64);
-                        self.y4.push(r.bandwidth_mbps);
+                        self.rss_bw4.push(c.rss_level, r.bandwidth_mbps);
                     }
                 }
                 if (r.hour as usize) < 24 {
-                    self.hours4[r.hour as usize].push(r.bandwidth_mbps);
+                    self.hours4[r.hour as usize].push(Sample::new(r.bandwidth_mbps));
                 }
             }
             _ => {}
@@ -602,34 +598,27 @@ impl<'a> FigureAccumulator<RecordView<'a>> for CorrelationsAcc {
     }
 
     fn merge(&mut self, other: Self) {
-        self.x5.extend(other.x5);
-        self.snr5.extend(other.snr5);
-        self.x4.extend(other.x4);
-        self.y4.extend(other.y4);
-        for (a, b) in self.hours5.iter_mut().zip(other.hours5) {
-            a.extend(b);
+        self.rss_snr5.merge(&other.rss_snr5);
+        self.rss_bw4.merge(&other.rss_bw4);
+        for (a, b) in self.hours5.iter_mut().zip(&other.hours5) {
+            a.merge(b);
         }
-        for (a, b) in self.hours4.iter_mut().zip(other.hours4) {
-            a.extend(b);
+        for (a, b) in self.hours4.iter_mut().zip(&other.hours4) {
+            a.merge(b);
         }
     }
 
     fn finish(self) -> Correlations {
-        use mbw_stats::descriptive::pearson;
-        let hourly = |hours: &[Vec<f64>; 24]| {
-            let mut volume = Vec::new();
-            let mut bw = Vec::new();
-            for v in hours {
-                if !v.is_empty() {
-                    volume.push(v.len() as f64);
-                    bw.push(mean(v));
-                }
-            }
+        // Over at most 24 hourly points, so plain `f64` vectors.
+        let hourly = |hours: &[Mean; 24]| {
+            let busy = || hours.iter().filter(|h| !h.is_empty());
+            let volume: Vec<f64> = busy().map(|h| h.len() as f64).collect();
+            let bw: Vec<f64> = busy().map(Mean::mean).collect();
             pearson(&volume, &bw).unwrap_or(0.0)
         };
         Correlations {
-            rss_snr_5g: mean_pearson(&self.x5, &self.snr5),
-            rss_bw_4g: mean_pearson(&self.x4, &self.y4),
+            rss_snr_5g: self.rss_snr5.r().unwrap_or(0.0),
+            rss_bw_4g: self.rss_bw4.r().unwrap_or(0.0),
             hourly_volume_bw_5g: hourly(&self.hours5),
             hourly_volume_bw_4g: hourly(&self.hours4),
         }
@@ -638,28 +627,20 @@ impl<'a> FigureAccumulator<RecordView<'a>> for CorrelationsAcc {
 
 impl Codec for CorrelationsAcc {
     fn encode(&self, enc: &mut Enc) {
-        self.x5.encode(enc);
-        self.snr5.encode(enc);
-        self.x4.encode(enc);
-        self.y4.encode(enc);
+        self.rss_snr5.encode(enc);
+        self.rss_bw4.encode(enc);
         self.hours5.encode(enc);
         self.hours4.encode(enc);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            x5: Codec::decode(dec)?,
-            snr5: Codec::decode(dec)?,
-            x4: Codec::decode(dec)?,
-            y4: Codec::decode(dec)?,
+            rss_snr5: Codec::decode(dec)?,
+            rss_bw4: Codec::decode(dec)?,
             hours5: Codec::decode(dec)?,
             hours4: Codec::decode(dec)?,
         })
     }
-}
-
-fn mean_pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    mbw_stats::descriptive::pearson(xs, ys).unwrap_or(0.0)
 }
 
 impl Render for Correlations {
@@ -800,6 +781,41 @@ mod tests {
             accum::run(DatasetSummaryAcc::new(), &[]).expect_err("empty population must error");
         assert_eq!(err, EmptyPopulation);
         assert!(err.to_string().contains("empty"));
+    }
+
+    #[test]
+    fn dataset_summary_decode_rejects_counts_above_the_bound() {
+        // total, four tech counts, four ISP counts: `merge` adds them all.
+        let valid = DatasetSummaryAcc::new().to_bytes();
+        assert!(DatasetSummaryAcc::from_bytes(&valid).is_ok());
+        for field in 0..9 {
+            let mut bytes = valid.clone();
+            bytes[8 * field..8 * field + 8].copy_from_slice(&u64::MAX.to_be_bytes());
+            assert!(
+                matches!(
+                    DatasetSummaryAcc::from_bytes(&bytes),
+                    Err(CodecError::BadLen { .. })
+                ),
+                "summary count {field}"
+            );
+        }
+    }
+
+    #[test]
+    fn city_tables_decode_only_within_the_city_id_range() {
+        let mut enc = Enc::new();
+        enc.put_u32(CITY_ROWS_CAP as u32 + 1);
+        assert!(matches!(
+            SpatialAcc::from_bytes(&enc.into_bytes()),
+            Err(CodecError::BadLen { .. })
+        ));
+        let mut enc = Enc::new();
+        IdBitmap::new().encode(&mut enc);
+        enc.put_u32(CITY_ROWS_CAP as u32 + 1);
+        assert!(matches!(
+            SameGroupAcc::from_bytes(&enc.into_bytes()),
+            Err(CodecError::BadLen { .. })
+        ));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! struct that implements [`Render`]. [`sweep::FigureSet`] holds one
 //! accumulator per figure, and [`stream::stream_figures_cached`] is the
 //! one measurement pipeline: per-shard generation feeds per-worker
-//! figure sets, merged in work-list order — deterministic,
-//! thread-count-independent results with no materialised population.
+//! figure sets, merged by integer addition — deterministic results,
+//! independent of thread count, split and merge order, with no
+//! materialised population and no stored sample: a set's state is about
+//! 1 MB whatever the record count.
 //! The module names follow the paper's figure numbers:
 //!
 //! | module | contents |
@@ -21,6 +23,7 @@
 //! | [`tables`] | Tables 1–2 rendering |
 //! | [`robustness`] | test-outcome (complete/degraded/failed) rates per technology |
 //! | [`accum`] | the [`accum::FigureAccumulator`] trait behind every figure |
+//! | [`summary`] | the bounded, integer-exact summaries every accumulator's state is built from |
 //! | [`mod@sweep`] | [`sweep::FigureSet`]: every figure's accumulator, folded, merged and finished together |
 //! | [`mod@stream`] | the streaming generate→analyze engine: no materialised population |
 //! | [`compare`] | cross-ecosystem comparison reports over multiple profiles |
@@ -36,6 +39,7 @@ pub mod overview;
 pub mod pdfs;
 pub mod robustness;
 pub mod stream;
+pub mod summary;
 pub mod sweep;
 pub mod tables;
 pub mod wifi;

@@ -9,10 +9,10 @@
 //!   range and wired investment).
 
 use crate::accum::{self, FigureAccumulator, TECH3};
+use crate::summary::{Mean, Sample};
 use crate::Render;
 use mbw_dataset::{AccessTech, Isp, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
-use mbw_stats::descriptive::mean;
 use std::fmt::Write as _;
 
 /// Fig 1: year-over-year technology means.
@@ -31,10 +31,21 @@ pub struct Fig01 {
 /// `observe`.
 #[derive(Debug, Clone, Default)]
 pub struct Fig01Acc {
-    tech_y20: [Vec<f64>; 3],
-    tech_y21: [Vec<f64>; 3],
-    cell_y20: Vec<f64>,
-    cell_y21: Vec<f64>,
+    tech_y20: [Mean; 3],
+    tech_y21: [Mean; 3],
+    cell_y20: Mean,
+    cell_y21: Mean,
+}
+
+/// Fold one record into one year's strata.
+fn observe_year(tech: &mut [Mean; 3], cell: &mut Mean, r: &RecordView<'_>) {
+    let bw = Sample::new(r.bandwidth_mbps);
+    if let Some(i) = accum::tech3_index(r.tech) {
+        tech[i].push(bw);
+    }
+    if r.tech != AccessTech::Wifi {
+        cell.push(bw);
+    }
 }
 
 impl Fig01Acc {
@@ -45,12 +56,7 @@ impl Fig01Acc {
 
     /// Fold one 2020 (baseline) record in.
     pub fn observe_baseline(&mut self, r: &RecordView<'_>) {
-        if let Some(i) = accum::tech3_index(r.tech) {
-            self.tech_y20[i].push(r.bandwidth_mbps);
-        }
-        if r.tech != AccessTech::Wifi {
-            self.cell_y20.push(r.bandwidth_mbps);
-        }
+        observe_year(&mut self.tech_y20, &mut self.cell_y20, r);
     }
 }
 
@@ -58,34 +64,29 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig01Acc {
     type Output = Fig01;
 
     fn observe(&mut self, r: &RecordView<'a>) {
-        if let Some(i) = accum::tech3_index(r.tech) {
-            self.tech_y21[i].push(r.bandwidth_mbps);
-        }
-        if r.tech != AccessTech::Wifi {
-            self.cell_y21.push(r.bandwidth_mbps);
-        }
+        observe_year(&mut self.tech_y21, &mut self.cell_y21, r);
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.tech_y20.iter_mut().zip(other.tech_y20) {
-            a.extend(b);
+        for (a, b) in self.tech_y20.iter_mut().zip(&other.tech_y20) {
+            a.merge(b);
         }
-        for (a, b) in self.tech_y21.iter_mut().zip(other.tech_y21) {
-            a.extend(b);
+        for (a, b) in self.tech_y21.iter_mut().zip(&other.tech_y21) {
+            a.merge(b);
         }
-        self.cell_y20.extend(other.cell_y20);
-        self.cell_y21.extend(other.cell_y21);
+        self.cell_y20.merge(&other.cell_y20);
+        self.cell_y21.merge(&other.cell_y21);
     }
 
     fn finish(self) -> Fig01 {
         let rows = TECH3
             .iter()
             .enumerate()
-            .map(|(i, &t)| (t, mean(&self.tech_y20[i]), mean(&self.tech_y21[i])))
+            .map(|(i, &t)| (t, self.tech_y20[i].mean(), self.tech_y21[i].mean()))
             .collect();
         Fig01 {
             rows,
-            overall_cellular: (mean(&self.cell_y20), mean(&self.cell_y21)),
+            overall_cellular: (self.cell_y20.mean(), self.cell_y21.mean()),
         }
     }
 }
@@ -139,16 +140,14 @@ const VERSIONS: usize = 8;
 /// Accumulator behind [`Fig02`].
 #[derive(Debug, Clone, Default)]
 pub struct Fig02Acc {
-    /// `[version - 5][tech3]` sample vectors.
-    cells: Vec<[Vec<f64>; 3]>,
+    /// `[version - 5][tech3]` strata.
+    cells: [[Mean; 3]; VERSIONS],
 }
 
 impl Fig02Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
-        Self {
-            cells: (0..VERSIONS).map(|_| Default::default()).collect(),
-        }
+        Self::default()
     }
 }
 
@@ -160,14 +159,15 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig02Acc {
             return;
         };
         if (MIN_VERSION..MIN_VERSION + VERSIONS as u8).contains(&r.android_version) {
-            self.cells[(r.android_version - MIN_VERSION) as usize][t].push(r.bandwidth_mbps);
+            self.cells[(r.android_version - MIN_VERSION) as usize][t]
+                .push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.cells.iter_mut().zip(other.cells) {
+        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
             for (a, b) in mine.iter_mut().zip(theirs) {
-                a.extend(b);
+                a.merge(b);
             }
         }
     }
@@ -180,9 +180,9 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig02Acc {
             .map(|(i, cell)| {
                 (
                     MIN_VERSION + i as u8,
-                    mean(&cell[0]),
-                    mean(&cell[1]),
-                    mean(&cell[2]),
+                    cell[0].mean(),
+                    cell[1].mean(),
+                    cell[2].mean(),
                 )
             })
             .collect();
@@ -196,14 +196,9 @@ impl Codec for Fig02Acc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let cells: Vec<[Vec<f64>; 3]> = Codec::decode(dec)?;
-        if cells.len() != VERSIONS {
-            return Err(CodecError::BadLen {
-                what: "fig02 version cells",
-                len: cells.len() as u64,
-            });
-        }
-        Ok(Self { cells })
+        Ok(Self {
+            cells: Codec::decode(dec)?,
+        })
     }
 }
 
@@ -232,8 +227,8 @@ pub struct Fig03 {
 /// Accumulator behind [`Fig03`].
 #[derive(Debug, Clone, Default)]
 pub struct Fig03Acc {
-    /// `[isp][tech3]` sample vectors.
-    cells: [[Vec<f64>; 3]; 4],
+    /// `[isp][tech3]` strata.
+    cells: [[Mean; 3]; 4],
 }
 
 impl Fig03Acc {
@@ -248,14 +243,14 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig03Acc {
 
     fn observe(&mut self, r: &RecordView<'a>) {
         if let Some(t) = accum::tech3_index(r.tech) {
-            self.cells[accum::isp_index(r.isp)][t].push(r.bandwidth_mbps);
+            self.cells[accum::isp_index(r.isp)][t].push(Sample::new(r.bandwidth_mbps));
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.cells.iter_mut().zip(other.cells) {
+        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
             for (a, b) in mine.iter_mut().zip(theirs) {
-                a.extend(b);
+                a.merge(b);
             }
         }
     }
@@ -266,7 +261,7 @@ impl<'a> FigureAccumulator<RecordView<'a>> for Fig03Acc {
             .enumerate()
             .map(|(i, &isp)| {
                 let cell = &self.cells[i];
-                (isp, mean(&cell[0]), mean(&cell[1]), mean(&cell[2]))
+                (isp, cell[0].mean(), cell[1].mean(), cell[2].mean())
             })
             .collect();
         Fig03 { rows }
@@ -307,6 +302,7 @@ impl Render for Fig03 {
 mod tests {
     use super::*;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
+    use mbw_stats::descriptive::mean;
 
     fn fig01(y20: &[TestRecord], y21: &[TestRecord]) -> Fig01 {
         let mut acc = Fig01Acc::new();

@@ -15,6 +15,7 @@
 
 use crate::accum::FigureAccumulator;
 use crate::fitcache::FitCache;
+use crate::summary::bounded_total;
 use crate::Render;
 use mbw_dataset::{AccessTech, RecordView, WifiStandard};
 use mbw_frame::{fnv1a64, Codec, CodecError, Dec, Enc};
@@ -206,6 +207,10 @@ impl Codec for PdfAcc {
                 len: logbins.len() as u64,
             });
         }
+        // Both constructors total their counts, and merge adds totals:
+        // bound them here, where the bytes come in.
+        bounded_total(&hist, "pdf histogram total")?;
+        bounded_total(&logbins, "pdf log-bin total")?;
         acc.hist = Histogram::from_counts(0.0, acc.hi, hist);
         acc.logbins = LogBins::from_counts(acc.hi / 1e4, acc.hi, logbins);
         Ok(acc)
@@ -311,6 +316,54 @@ mod tests {
         let single = accum::run(PdfAcc::fig19(), &records);
         assert_eq!(merged.n, single.n);
         assert_eq!(merged.histogram.pdf(), single.histogram.pdf());
+    }
+
+    #[test]
+    fn decode_rejects_bin_counts_that_would_overflow_a_total() {
+        // `from_counts` totals its bins and `merge` adds totals: two
+        // bins of u64::MAX must stop at decode, as a typed error.
+        let acc = PdfAcc::fig19();
+        let forge = |hist_bins: [u64; 2], log_bins: [u64; 2]| {
+            let mut hist = acc.hist.counts().to_vec();
+            hist[..2].copy_from_slice(&hist_bins);
+            let mut logbins = acc.logbins.counts().to_vec();
+            logbins[..2].copy_from_slice(&log_bins);
+            let mut enc = Enc::new();
+            enc.put_u8(2);
+            hist.encode(&mut enc);
+            logbins.encode(&mut enc);
+            PdfAcc::from_bytes(&enc.into_bytes())
+        };
+        assert!(forge([3, 4], [5, 2]).is_ok());
+        for (hist, logbins) in [
+            ([u64::MAX, u64::MAX], [0, 0]),
+            ([0, 0], [u64::MAX, u64::MAX]),
+            ([crate::summary::COUNT_MAX, 1], [0, 0]),
+        ] {
+            assert!(
+                matches!(forge(hist, logbins), Err(CodecError::BadLen { .. })),
+                "{hist:?} {logbins:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fit_keys_are_frozen_so_a_parent_fit_cache_still_hits() {
+        // `PdfAcc` bytes did not change when the other accumulators went
+        // to bounded summaries, so a `--fit-cache` file needs no layout
+        // guard: these keys were generated at the commit before.
+        let records = y2021(30_000, 0xF17);
+        for (acc, key) in [
+            (PdfAcc::fig16(), 0x5e3e_72cd_a1e3_e172_u64),
+            (PdfAcc::fig18(), 0x9aad_ff92_2eda_8317),
+            (PdfAcc::fig19(), 0x8ad7_6585_bf5e_c448),
+        ] {
+            let mut acc = acc;
+            for r in &records {
+                acc.observe(&r.into());
+            }
+            assert_eq!(acc.fit_key(), key, "{}", acc.title);
+        }
     }
 
     #[test]

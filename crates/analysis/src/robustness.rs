@@ -7,6 +7,7 @@
 //! per technology and the modelling side can decide what to exclude.
 
 use crate::accum::FigureAccumulator;
+use crate::summary::bounded_total;
 use crate::Render;
 use mbw_dataset::{AccessTech, OutcomeClass, RecordView};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
@@ -129,9 +130,9 @@ impl Codec for OutcomeRatesAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            counts: Codec::decode(dec)?,
-        })
+        let counts: [[u64; 3]; 4] = Codec::decode(dec)?;
+        bounded_total(counts.as_flattened(), "outcome tallies")?;
+        Ok(Self { counts })
     }
 }
 
@@ -225,6 +226,26 @@ mod tests {
         }
         left.merge(right);
         assert_eq!(left.finish(), rates);
+    }
+
+    #[test]
+    fn decode_rejects_tallies_that_would_overflow_a_total() {
+        let forge = |first: u64, second: u64| {
+            let mut counts = [[0u64; 3]; 4];
+            (counts[0][0], counts[3][2]) = (first, second);
+            OutcomeRatesAcc::from_bytes(&counts.to_bytes())
+        };
+        let mut ok = forge(7, 9).unwrap();
+        ok.merge(forge(1, 1).unwrap());
+        assert_eq!(ok.finish().overall.total, 18);
+        assert!(matches!(
+            forge(u64::MAX, u64::MAX),
+            Err(CodecError::BadLen { .. })
+        ));
+        assert!(matches!(
+            forge(crate::summary::COUNT_MAX, 1),
+            Err(CodecError::BadLen { .. })
+        ));
     }
 
     #[test]

@@ -3,23 +3,24 @@
 //! [`stream_figures_cached`] fuses the two pipeline halves: per-shard record
 //! generation (`mbw_dataset::parallel`) feeds straight into per-worker
 //! [`FigureSet`] accumulators, so the populations are **never
-//! materialised** — peak memory is one [`BATCH`]-record buffer per
-//! worker instead of two full `Vec<TestRecord>`s, and generation
-//! overlaps analysis on every core.
+//! materialised** and no sample is stored: a worker holds one
+//! [`BATCH`]-record buffer and one [`FigureSet`], whose bounded
+//! summaries ([`crate::summary`]) come to about 1 MB whatever the
+//! record count (1.6 MB of live heap for the paper's 2 × 11.8 M
+//! records), and generation overlaps analysis on every core.
 //!
 //! # Determinism contract
 //!
 //! The work list is the baseline population's shards followed by the
 //! current population's shards, in shard order. Workers take
-//! *contiguous* chunks of that list, fold each shard's records into
-//! their private [`FigureSet`] in generation order, and the per-worker
-//! sets are merged back in work-list order. Because
-//! [`FigureSet::merge`] is exactly observe-concatenation (see
-//! [`crate::accum`]) and shard content is a pure function of
+//! *contiguous* chunks of that list and fold each shard's records into
+//! their private [`FigureSet`]. Because [`FigureSet::merge`] is integer
+//! addition, `min`, `max` and OR (see [`crate::accum`]) — commutative
+//! and associative — and shard content is a pure function of
 //! `(config, shard_size)` (see `mbw_dataset::parallel`), the finished
 //! [`MeasurementFigures`] are byte-identical to folding both whole
-//! populations into one [`FigureSet`] in order, for **any** thread
-//! count.
+//! populations into one [`FigureSet`], for **any** thread count, any
+//! split of the work list and any merge order.
 
 use crate::fitcache::FitCache;
 use crate::sweep::{FigureSet, FinishOptions, MeasurementFigures};
@@ -204,8 +205,8 @@ pub fn stream_unit_count(
 /// distributed plan→execute→reduce pipeline.
 ///
 /// The work list is deterministic and [`FigureSet::merge`] is
-/// observe-concatenation, so merging the partial sets of a contiguous
-/// partition of `0 .. stream_unit_count(..)` in slice order rebuilds
+/// commutative and associative, so merging the partial sets of any
+/// partition of `0 .. stream_unit_count(..)`, in any order, rebuilds
 /// exactly the set one [`stream_figures_cached`] run would have built —
 /// and therefore byte-identical finished figures. `timings.finish` is
 /// zero: finishing belongs to the reduce side.

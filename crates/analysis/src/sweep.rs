@@ -3,13 +3,17 @@
 //! [`FigureSet`] bundles one accumulator per paper figure, so one pass
 //! over a population feeds every figure at once. The streaming engine
 //! ([`mod@crate::stream`]) gives each worker its own set, folds that
-//! worker's shards into it in generation order and merges the sets back
-//! in work-list order; [`FigureSet::merge`] is exactly
-//! observe-concatenation (see the determinism contract in
-//! [`crate::accum`]), so the finished [`MeasurementFigures`] do not
-//! depend on the thread count. A set is also the unit of distributed
-//! state: it encodes with [`mbw_frame::Codec`], and merging decoded
-//! parts in slice order rebuilds the single-process set.
+//! worker's shards into it and merges the sets back;
+//! [`FigureSet::merge`] is integer addition, `min`, `max` and OR over
+//! the summaries of [`crate::summary`] (see the determinism contract in
+//! [`crate::accum`]), so the finished [`MeasurementFigures`] depend on
+//! neither the thread count, nor the split, nor the merge order. A set
+//! holds no sample: its state is a function of the figures — about
+//! 1 MB, most of it the two id bitmaps of the dataset summary — and not
+//! of the record count. It is also the unit of distributed state: it
+//! encodes with [`mbw_frame::Codec`], and merging the decoded parts of
+//! any partition, in any order, rebuilds the single-process set bit for
+//! bit.
 
 use crate::accum::FigureAccumulator;
 use crate::cellular::{
@@ -33,6 +37,14 @@ use mbw_stats::pool;
 use mbw_telemetry::trace::{self, ArgValue};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// Version of the accumulator layout inside an encoded [`FigureSet`].
+/// The snapshot container does not change when the meaning of a body
+/// does, so whatever names a run on disk (the distributed plan hash)
+/// mixes this in: state written under another layout is then refused
+/// by name and never decoded. Bump it with any change to what an
+/// accumulator encodes.
+pub const STATE_LAYOUT: u32 = 2;
 
 /// One accumulator per measurement figure — the state of a fused sweep.
 #[derive(Debug)]
@@ -152,7 +164,8 @@ impl FigureSet {
         }
     }
 
-    /// Fold in a sibling set whose records come after this set's.
+    /// Fold in a sibling set that observed another part of the
+    /// populations. Commutative and associative.
     pub fn merge(&mut self, other: Self) {
         self.fig01.merge(other.fig01);
         self.fig02.merge(other.fig02);

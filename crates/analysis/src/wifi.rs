@@ -6,11 +6,11 @@
 //! comes from WiFi 4 users sitting on 2.4 GHz, and the remaining gap to
 //! advertised speeds comes from the wired plans behind the APs.
 
-use crate::accum::{self, FigureAccumulator};
+use crate::accum::FigureAccumulator;
+use crate::summary::{decode_count_usize, BinnedCdf, Sample};
 use crate::Render;
 use mbw_dataset::{RecordView, WifiStandard};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
-use mbw_stats::Ecdf;
 use std::fmt::Write as _;
 
 /// One CDF per WiFi standard (Figs 13, 14, 15 are this over different
@@ -26,8 +26,8 @@ pub struct WifiCdfFigure {
 /// CDF + annotations for one standard.
 #[derive(Debug, Clone)]
 pub struct CdfSummary {
-    /// The empirical CDF.
-    pub ecdf: Ecdf,
+    /// The binned CDF (exact count, mean, min and max).
+    pub ecdf: BinnedCdf,
     /// Mean, Mbps.
     pub mean: f64,
     /// Median, Mbps.
@@ -38,8 +38,17 @@ pub struct CdfSummary {
     pub share: f64,
 }
 
-/// Accumulator behind Figs 13–15 — per-standard bandwidth vectors over
-/// one radio-band filter.
+/// Stable index of a standard in [`WifiStandard::ALL`] order.
+fn standard_index(standard: WifiStandard) -> usize {
+    match standard {
+        WifiStandard::Wifi4 => 0,
+        WifiStandard::Wifi5 => 1,
+        WifiStandard::Wifi6 => 2,
+    }
+}
+
+/// Accumulator behind Figs 13–15 — per-standard bandwidth
+/// distributions over one radio-band filter.
 #[derive(Debug, Clone)]
 pub struct WifiAcc {
     title: &'static str,
@@ -47,7 +56,7 @@ pub struct WifiAcc {
     band_filter: Option<bool>,
     /// WiFi tests matching the band filter, any standard.
     total: usize,
-    per_std: Vec<Vec<f64>>,
+    per_std: [BinnedCdf; WifiStandard::ALL.len()],
 }
 
 impl WifiAcc {
@@ -56,7 +65,7 @@ impl WifiAcc {
             title,
             band_filter,
             total: 0,
-            per_std: vec![Vec::new(); WifiStandard::ALL.len()],
+            per_std: Default::default(),
         }
     }
 
@@ -85,35 +94,32 @@ impl<'a> FigureAccumulator<RecordView<'a>> for WifiAcc {
             return;
         }
         self.total += 1;
-        if let Some(i) = WifiStandard::ALL.iter().position(|&s| s == w.standard) {
-            self.per_std[i].push(r.bandwidth_mbps);
-        }
+        self.per_std[standard_index(w.standard)].push(Sample::new(r.bandwidth_mbps));
     }
 
     fn merge(&mut self, other: Self) {
         self.total += other.total;
-        for (a, b) in self.per_std.iter_mut().zip(other.per_std) {
-            a.extend(b);
+        for (a, b) in self.per_std.iter_mut().zip(&other.per_std) {
+            a.merge(b);
         }
     }
 
     fn finish(self) -> WifiCdfFigure {
         let mut series = Vec::new();
-        for (std, bw) in WifiStandard::ALL.into_iter().zip(&self.per_std) {
+        for (std, ecdf) in WifiStandard::ALL.into_iter().zip(self.per_std) {
             if self.band_filter == Some(false) && !std.supports_24ghz() {
                 continue; // WiFi 5 has no 2.4 GHz presence
             }
-            if bw.is_empty() {
+            if ecdf.is_empty() {
                 continue;
             }
-            let ecdf = Ecdf::new(bw);
             series.push((
                 std,
                 CdfSummary {
                     mean: ecdf.mean(),
                     median: ecdf.median(),
                     max: ecdf.max(),
-                    share: bw.len() as f64 / self.total.max(1) as f64,
+                    share: ecdf.len() as f64 / self.total.max(1) as f64,
                     ecdf,
                 },
             ));
@@ -150,8 +156,8 @@ impl Codec for WifiAcc {
                 })
             }
         };
-        acc.total = dec.usize_()?;
-        acc.per_std = accum::decode_fixed_outer(dec, WifiStandard::ALL.len(), "wifi standards")?;
+        acc.total = decode_count_usize(dec, "wifi tests in band")?;
+        acc.per_std = Codec::decode(dec)?;
         Ok(acc)
     }
 }
@@ -243,11 +249,12 @@ impl Codec for SlowPlanAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let mut count = || decode_count_usize(dec, "slow-plan count");
         Ok(Self {
-            wifi_total: dec.usize_()?,
-            slow: dec.usize_()?,
-            w6_total: dec.usize_()?,
-            w6_slow: dec.usize_()?,
+            wifi_total: count()?,
+            slow: count()?,
+            w6_total: count()?,
+            w6_slow: count()?,
         })
     }
 }
@@ -255,6 +262,7 @@ impl Codec for SlowPlanAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 
     fn y2021(tests: usize, seed: u64) -> Vec<TestRecord> {
@@ -322,6 +330,13 @@ mod tests {
     }
 
     #[test]
+    fn standard_index_matches_all_order() {
+        for (i, &standard) in WifiStandard::ALL.iter().enumerate() {
+            assert_eq!(standard_index(standard), i);
+        }
+    }
+
+    #[test]
     fn merged_halves_match_single_pass() {
         let records = y2021(80_000, 317);
         let (a, b) = records.split_at(records.len() / 2);
@@ -344,6 +359,29 @@ mod tests {
                 assert_eq!(c1.median, c2.median);
                 assert_eq!(c1.share, c2.share);
             }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_counts_above_the_bound() {
+        // `merge` adds these totals: bounded where the bytes come in.
+        let mut bytes = WifiAcc::fig14().to_bytes();
+        assert!(WifiAcc::from_bytes(&bytes).is_ok());
+        bytes[1..9].copy_from_slice(&u64::MAX.to_be_bytes());
+        assert!(matches!(
+            WifiAcc::from_bytes(&bytes),
+            Err(CodecError::BadLen { .. })
+        ));
+        for field in 0..4 {
+            let mut bytes = SlowPlanAcc::new().to_bytes();
+            bytes[8 * field..8 * field + 8].copy_from_slice(&u64::MAX.to_be_bytes());
+            assert!(
+                matches!(
+                    SlowPlanAcc::from_bytes(&bytes),
+                    Err(CodecError::BadLen { .. })
+                ),
+                "slow-plan field {field}"
+            );
         }
     }
 

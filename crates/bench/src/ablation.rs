@@ -132,9 +132,9 @@ impl mbw_frame::Codec for AblationAcc {
     fn decode(dec: &mut mbw_frame::Dec<'_>) -> Result<Self, mbw_frame::CodecError> {
         let n = VariantId::ALL.len();
         Ok(Self {
-            time: mbw_analysis::accum::decode_fixed_outer(dec, n, "ablation time cells")?,
-            data: mbw_analysis::accum::decode_fixed_outer(dec, n, "ablation data cells")?,
-            acc: mbw_analysis::accum::decode_fixed_outer(dec, n, "ablation accuracy cells")?,
+            time: crate::eval_sweep::decode_fixed_outer(dec, n, "ablation time cells")?,
+            data: crate::eval_sweep::decode_fixed_outer(dec, n, "ablation data cells")?,
+            acc: crate::eval_sweep::decode_fixed_outer(dec, n, "ablation accuracy cells")?,
         })
     }
 }

@@ -20,10 +20,13 @@
 //!    skips the work (checkpoint/resume).
 //! 3. **Reduce** ([`reduce_parts`]): validate that the parts form an
 //!    exact partition under one plan hash, merge them in shard order,
-//!    and finish. Because every accumulator's `merge` is
-//!    observe-concatenation and both work domains are pure functions of
-//!    their seeds, the reduced figures are **byte-identical** to the
-//!    single-process run for any `k` and any split points.
+//!    and finish. Both work domains are pure functions of their seeds;
+//!    the measurement accumulators merge by integer addition (any
+//!    order would do — a part is ~1 MB of bounded summaries whatever
+//!    its record count) and the evaluation accumulators by
+//!    concatenation in shard order, so the reduced figures are
+//!    **byte-identical** to the single-process run for any `k` and any
+//!    split points.
 //!
 //! Mismatched partials — different records, counts, profile, or split —
 //! are rejected at merge time with a typed [`DistError`], never folded
@@ -90,12 +93,16 @@ fn dataset_config(profile: &'static EcosystemProfile, records: usize, year: Year
     }
 }
 
-/// FNV-1a hash over every parameter that shapes a run's output. Two
-/// partials merge only if they agree on this hash, so a part produced
-/// from different records, counts, seeds, profile, or split width can
-/// never be folded into the wrong reduction.
+/// FNV-1a hash over every parameter that shapes a run's output, and
+/// over the layout of the state a part carries. Two partials merge only
+/// if they agree on this hash, so a part produced from different
+/// records, counts, seeds, profile, or split width — or written by a
+/// binary whose accumulators encode differently
+/// ([`mbw_analysis::sweep::STATE_LAYOUT`]) — can never be folded into
+/// the wrong reduction, decoded as something it is not, or resumed.
 pub fn plan_hash(cfg: &DistConfig) -> u64 {
     let mut enc = Enc::new();
+    enc.put_u32(mbw_analysis::sweep::STATE_LAYOUT);
     enc.put_u64(MEASUREMENT_SEED);
     enc.put_u64(EVAL_SEED);
     enc.put_u64(COST_SEED);
@@ -567,9 +574,10 @@ impl std::fmt::Debug for Reduced {
 /// stage fans out on a work pool of `threads` (1 = serial; the output
 /// is identical either way).
 ///
-/// Validation happens before any merging: every part must carry the
-/// same plan hash, seed, profile, and shard count; each body must
-/// re-hash to its header's plan hash; and the slices must form an exact
+/// Validation happens before any merging: each body's parameters must
+/// re-hash to its header's plan hash (checked before the accumulators
+/// behind them are decoded); every part must carry the same plan hash,
+/// seed, profile, and shard count; and the slices must form an exact
 /// partition of both work domains. Any mismatch is a typed
 /// [`DistError`] naming the offending file.
 pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistError> {
@@ -593,10 +601,37 @@ pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistEr
                 expected: PART_KIND,
             });
         }
-        let part = ShardPart::from_bytes(&body).map_err(|error| DistError::Body {
+        // The job leads the body. Its parameters must hash to the
+        // header's plan hash before the accumulators behind it are
+        // decoded: the hash covers their layout, so state written under
+        // another layout is refused here and never mis-decoded.
+        let body_error = |error| DistError::Body {
             path: path.clone(),
             error,
-        })?;
+        };
+        let job = ShardJob::decode(&mut Dec::new(&body)).map_err(body_error)?;
+        let profile =
+            EcosystemProfile::by_name(&head.profile).map_err(|e| DistError::Provenance {
+                path: path.clone(),
+                detail: e.to_string(),
+            })?;
+        let rehash = plan_hash(&DistConfig {
+            profile,
+            records: job.records,
+            counts: job.counts,
+            shards: head.shard_count,
+        });
+        if rehash != head.plan_hash {
+            return Err(DistError::Provenance {
+                path: path.clone(),
+                detail: format!(
+                    "body parameters hash to {rehash:#018x} but the header claims {:#018x} \
+                     (other parameters, or a part written under another state layout)",
+                    head.plan_hash
+                ),
+            });
+        }
+        let part = ShardPart::from_bytes(&body).map_err(body_error)?;
         loaded.push((path.clone(), head, part, bytes));
     }
     loaded.sort_by_key(|(_, head, ..)| head.shard_index);
@@ -607,7 +642,7 @@ pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistEr
             path: loaded[0].0.clone(),
             detail: e.to_string(),
         })?;
-    for (path, head, part, _) in &loaded {
+    for (path, head, ..) in &loaded {
         if head.plan_hash != reference.plan_hash
             || head.seed != reference.seed
             || head.profile != reference.profile
@@ -625,21 +660,6 @@ pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistEr
                     reference.plan_hash,
                     reference.profile,
                     reference.shard_count,
-                ),
-            });
-        }
-        let rehash = plan_hash(&DistConfig {
-            profile,
-            records: part.job.records,
-            counts: part.job.counts,
-            shards: head.shard_count,
-        });
-        if rehash != head.plan_hash {
-            return Err(DistError::Provenance {
-                path: path.clone(),
-                detail: format!(
-                    "body parameters hash to {rehash:#018x} but the header claims {:#018x}",
-                    head.plan_hash
                 ),
             });
         }
@@ -841,6 +861,111 @@ mod tests {
         let err = reduce_parts(&[parts[0].clone(), forged], 1).unwrap_err();
         assert!(matches!(err, DistError::Provenance { .. }), "{err}");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `plan_hash` as the parent of the bounded-state change computed
+    /// it: the same parameters, no state-layout constant.
+    fn layout_1_plan_hash(cfg: &DistConfig) -> u64 {
+        let mut enc = Enc::new();
+        enc.put_u64(MEASUREMENT_SEED);
+        enc.put_u64(EVAL_SEED);
+        enc.put_u64(COST_SEED);
+        enc.put_str(cfg.profile.name);
+        enc.put_usize(cfg.records);
+        enc.put_usize(ShardPlan::threads(1).shard_size());
+        enc.put_usize(cfg.counts.tests);
+        enc.put_usize(cfg.counts.groups);
+        enc.put_usize(cfg.counts.ramp_paths);
+        enc.put_usize(cfg.counts.ablation);
+        enc.put_usize(cfg.counts.mmwave);
+        enc.put_u32(cfg.shards);
+        fnv1a64(&enc.into_bytes())
+    }
+
+    #[test]
+    fn files_written_under_another_state_layout_are_refused_by_name() {
+        let cfg = quick_cfg(2);
+        let dir = temp_dir("layout");
+        let old_hash = layout_1_plan_hash(&cfg);
+        assert_ne!(old_hash, plan_hash(&cfg), "the layout is not in the hash");
+        let job = shard_jobs(&cfg)[0];
+        let old_header = |kind: &str| SnapshotHeader {
+            plan_hash: old_hash,
+            ..header(&cfg, kind, 0)
+        };
+
+        // A plan the parent binary wrote: same parameters, old hash.
+        let old_plan = dir.join("shard-00-of-02.plan");
+        write_snapshot(&old_plan, &old_header(PLAN_KIND), &job.to_bytes()).unwrap();
+        match run_shard_file(&old_plan, &dir.join("parts"), 1).unwrap_err() {
+            DistError::Provenance { path, .. } => assert_eq!(path, old_plan),
+            other => panic!("old plan: {other}"),
+        }
+
+        // A part the parent binary wrote: the job, then accumulators in
+        // a layout this binary cannot read. Refused by its hash, naming
+        // the file, before a byte of that state is decoded.
+        let parts = dir.join("parts");
+        std::fs::create_dir_all(&parts).unwrap();
+        let old_part = parts.join("shard-00-of-02.part");
+        let mut body = job.to_bytes();
+        body.extend_from_slice(&[0xAB; 4096]);
+        write_snapshot(&old_part, &old_header(PART_KIND), &body).unwrap();
+        match reduce_parts(std::slice::from_ref(&old_part), 1).unwrap_err() {
+            DistError::Provenance { path, detail } => {
+                assert_eq!(path, old_part);
+                assert!(detail.contains("layout"), "{detail}");
+            }
+            other => panic!("old part: {other}"),
+        }
+
+        // Nor is it resumed: a runner finding it where its own part
+        // goes executes the shard and replaces it.
+        let plans = write_plans(&cfg, &dir.join("plans")).unwrap();
+        match run_shard_file(&plans[0], &parts, 1).unwrap() {
+            ShardRun::Ran(path) => {
+                assert_eq!(path, old_part);
+                let (head, _) = read_snapshot(&path).unwrap();
+                assert_eq!(head.plan_hash, plan_hash(&cfg));
+            }
+            ShardRun::Skipped(p) => panic!("resumed from an old-layout part {}", p.display()),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn measurement_parts_merge_in_reverse_shard_order_to_the_same_figures() {
+        let cfg = quick_cfg(4);
+        let dir = temp_dir("reverse");
+        let plans = write_plans(&cfg, &dir.join("plans")).unwrap();
+        let decoded = |reverse: bool| {
+            let mut sets: Vec<FigureSet> = plans
+                .iter()
+                .map(|plan| {
+                    let run = run_shard_file(plan, &dir.join("parts"), 1).unwrap();
+                    let (_, body) = read_snapshot(run.path()).unwrap();
+                    ShardPart::from_bytes(&body).unwrap().figures
+                })
+                .collect();
+            if reverse {
+                sets.reverse();
+            }
+            let mut sets = sets.into_iter();
+            let mut merged = sets.next().unwrap();
+            for set in sets {
+                merged.merge(set);
+            }
+            merged
+        };
+        let forward = decoded(false);
+        let backward = decoded(true);
+        assert_eq!(forward.to_bytes(), backward.to_bytes());
+        let (figures, _) = single_process(&cfg);
+        let backward = backward.finish();
+        for id in SWEEP_IDS {
+            assert_eq!(figures.render(id), backward.render(id), "{id}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -53,6 +53,25 @@ pub const EVAL_SWEEP_IDS: [&str; 12] = [
     "cost",
 ];
 
+/// Decode a `Vec<Vec<f64>>` whose outer length is an accumulator
+/// invariant (one inner vector per cell/variant), rejecting any other
+/// outer length — a merge that zips slots would silently drop samples
+/// otherwise.
+pub fn decode_fixed_outer(
+    dec: &mut mbw_frame::Dec<'_>,
+    expected: usize,
+    what: &'static str,
+) -> Result<Vec<Vec<f64>>, mbw_frame::CodecError> {
+    let outer: Vec<Vec<f64>> = mbw_frame::Codec::decode(dec)?;
+    if outer.len() != expected {
+        return Err(mbw_frame::CodecError::BadLen {
+            what,
+            len: outer.len() as u64,
+        });
+    }
+    Ok(outer)
+}
+
 /// Fold one accumulator over every trial of `pool`.
 pub fn reduce<A, O>(mut acc: A, pool: &TrialPool) -> O
 where

@@ -91,7 +91,7 @@ impl mbw_frame::Codec for Fig17Acc {
 
     fn decode(dec: &mut mbw_frame::Dec<'_>) -> Result<Self, mbw_frame::CodecError> {
         Ok(Self {
-            cells: mbw_analysis::accum::decode_fixed_outer(
+            cells: crate::eval_sweep::decode_fixed_outer(
                 dec,
                 BANDWIDTH_BINS.len() * CcAlgorithm::ALL.len(),
                 "fig17 cells",

@@ -10,13 +10,11 @@
 //! - sequences carry a u32 element count, rejected up front when it
 //!   exceeds the bytes remaining (fuzzed lengths cannot drive huge
 //!   allocations);
-//! - maps and sets are encoded in ascending key order, making encoded
-//!   bytes a pure function of *content* — hash-iteration order never
-//!   leaks into a snapshot;
+//! - there is no codec for hash maps or sets: keyed state travels as a
+//!   dense table or as ascending `(key, value)` pairs its owner writes,
+//!   so encoded bytes are a pure function of *content* and
+//!   hash-iteration order can never leak into a snapshot;
 //! - malformed input returns a typed [`CodecError`], never panics.
-
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
 
 /// Why a decode failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,11 +41,6 @@ pub enum CodecError {
         /// The offending length.
         len: u64,
     },
-    /// A map or set key appeared twice.
-    Duplicate {
-        /// What was being decoded.
-        what: &'static str,
-    },
     /// Bytes remained after the value was fully decoded.
     Trailing {
         /// Leftover byte count.
@@ -65,7 +58,6 @@ impl std::fmt::Display for CodecError {
             }
             CodecError::BadTag { what, tag } => write!(f, "bad {what} tag {tag}"),
             CodecError::BadLen { what, len } => write!(f, "bad {what} length {len}"),
-            CodecError::Duplicate { what } => write!(f, "duplicate {what}"),
             CodecError::Trailing { bytes } => write!(f, "{bytes} trailing bytes after value"),
             CodecError::BadUtf8 => f.write_str("invalid UTF-8 in string field"),
         }
@@ -374,74 +366,6 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     }
 }
 
-impl<K, V> Codec for HashMap<K, V>
-where
-    K: Codec + Ord + Hash + Eq,
-    V: Codec,
-{
-    fn encode(&self, enc: &mut Enc) {
-        let mut keys: Vec<&K> = self.keys().collect();
-        keys.sort();
-        enc.put_u32(keys.len() as u32);
-        for k in keys {
-            k.encode(enc);
-            self[k].encode(enc);
-        }
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let len = dec.seq_len("map")?;
-        let mut out = HashMap::with_capacity(len);
-        for _ in 0..len {
-            let k = K::decode(dec)?;
-            let v = V::decode(dec)?;
-            if out.insert(k, v).is_some() {
-                return Err(CodecError::Duplicate { what: "map key" });
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Codec + Ord + Hash + Eq> Codec for HashSet<T> {
-    fn encode(&self, enc: &mut Enc) {
-        let mut values: Vec<&T> = self.iter().collect();
-        values.sort();
-        enc.put_u32(values.len() as u32);
-        for v in values {
-            v.encode(enc);
-        }
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let len = dec.seq_len("set")?;
-        let mut out = HashSet::with_capacity(len);
-        for _ in 0..len {
-            if !out.insert(T::decode(dec)?) {
-                return Err(CodecError::Duplicate { what: "set value" });
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Codec + Ord> Codec for BTreeSet<T> {
-    fn encode(&self, enc: &mut Enc) {
-        enc.put_u32(self.len() as u32);
-        for v in self {
-            v.encode(enc);
-        }
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let len = dec.seq_len("set")?;
-        let mut out = BTreeSet::new();
-        for _ in 0..len {
-            if !out.insert(T::decode(dec)?) {
-                return Err(CodecError::Duplicate { what: "set value" });
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,20 +401,6 @@ mod tests {
         roundtrip(vec![1.5f64, -2.5, 3.25]);
         roundtrip([vec![1u64], vec![], vec![2, 3]]);
         roundtrip((7u32, String::from("x"), vec![false, true]));
-        let map: HashMap<(u16, u8), Vec<f64>> =
-            [((3, 1), vec![1.0]), ((1, 2), vec![2.0, 3.0])].into();
-        roundtrip(map);
-        let set: HashSet<u32> = [9, 1, 5].into();
-        roundtrip(set);
-        let bset: BTreeSet<u16> = [4, 2].into();
-        roundtrip(bset);
-    }
-
-    #[test]
-    fn map_bytes_are_content_deterministic() {
-        let a: HashMap<u32, u64> = (0..100).map(|i| (i, u64::from(i) * 3)).collect();
-        let b: HashMap<u32, u64> = (0..100).rev().map(|i| (i, u64::from(i) * 3)).collect();
-        assert_eq!(a.to_bytes(), b.to_bytes());
     }
 
     #[test]
@@ -528,18 +438,6 @@ mod tests {
         assert!(matches!(
             bool::from_bytes(&[2]),
             Err(CodecError::BadTag { what: "bool", .. })
-        ));
-    }
-
-    #[test]
-    fn duplicate_set_values_are_rejected() {
-        let mut enc = Enc::new();
-        enc.put_u32(2);
-        enc.put_u8(7);
-        enc.put_u8(7);
-        assert!(matches!(
-            HashSet::<u8>::from_bytes(&enc.into_bytes()),
-            Err(CodecError::Duplicate { .. })
         ));
     }
 

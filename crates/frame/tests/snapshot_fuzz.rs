@@ -42,7 +42,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_codecs(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = SnapshotHeader::from_bytes(&bytes);
         let _ = Vec::<f64>::from_bytes(&bytes);
-        let _ = <std::collections::HashMap<u32, Vec<f64>>>::from_bytes(&bytes);
+        let _ = <Vec<(u32, Vec<f64>)>>::from_bytes(&bytes);
         let mut dec = Dec::new(&bytes);
         let _ = dec.str_();
     }

@@ -7,6 +7,15 @@
 
 use crate::descriptive;
 
+/// The total of a captured count vector; an overflow is a caller's bug
+/// and stops loudly in every build instead of wrapping in release.
+fn checked_total(counts: &[u64]) -> u64 {
+    counts
+        .iter()
+        .try_fold(0u64, |total, &c| total.checked_add(c))
+        .expect("bin counts sum past u64::MAX")
+}
+
 /// A fixed-width-bin histogram over `[lo, hi)`.
 ///
 /// Out-of-range observations are clamped into the first/last bin so that a
@@ -115,11 +124,12 @@ impl Histogram {
     /// when decoding accumulator state from a snapshot.
     ///
     /// # Panics
-    /// Panics if `counts` is empty or `lo >= hi`.
+    /// Panics if `counts` is empty, `lo >= hi`, or the counts sum past
+    /// `u64::MAX` (a decoder bounds them before calling this).
     pub fn from_counts(lo: f64, hi: f64, counts: Vec<u64>) -> Self {
         assert!(!counts.is_empty(), "histogram needs at least one bin");
         assert!(lo < hi, "histogram range must be non-empty");
-        let total = counts.iter().sum();
+        let total = checked_total(&counts);
         Self {
             lo,
             hi,
@@ -371,13 +381,14 @@ impl LogBins {
     /// first). Inverse of [`Self::counts`] given the same `lo`/`hi`.
     ///
     /// # Panics
-    /// Panics if `counts` has fewer than two entries, `lo <= 0`, or
-    /// `lo >= hi`.
+    /// Panics if `counts` has fewer than two entries, `lo <= 0`,
+    /// `lo >= hi`, or the counts sum past `u64::MAX` (a decoder bounds
+    /// them before calling this).
     pub fn from_counts(lo: f64, hi: f64, counts: Vec<u64>) -> Self {
         assert!(counts.len() >= 2, "log histogram needs at least one bin");
         assert!(lo > 0.0, "log histogram needs a positive lower bound");
         assert!(lo < hi, "log histogram range must be non-empty");
-        let total = counts.iter().sum();
+        let total = checked_total(&counts);
         Self {
             lo,
             hi,
@@ -513,6 +524,12 @@ mod tests {
         assert_eq!(back.counts(), h.counts());
         assert_eq!(back.total(), h.total());
         assert_eq!(back.bin_center(2), h.bin_center(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "sum past u64::MAX")]
+    fn from_counts_refuses_to_wrap_its_total() {
+        let _ = LogBins::from_counts(0.1, 10.0, vec![u64::MAX, u64::MAX]);
     }
 
     #[test]
