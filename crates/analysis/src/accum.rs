@@ -31,6 +31,7 @@
 //! sorted samples) however the input was split.
 
 use mbw_dataset::{AccessTech, Isp, TestRecord};
+use mbw_frame::{Codec, CodecError, Dec};
 
 /// A mergeable single-pass figure computation over records of type `R`.
 ///
@@ -49,6 +50,22 @@ pub trait FigureAccumulator<R: ?Sized>: Sized + Send {
     /// input. Commutative and associative: any split, merged in any
     /// order, finishes to the same bits.
     fn merge(&mut self, other: Self);
+
+    /// Fold in a sibling from its encoding, as [`Self::merge`] of its
+    /// `decode` would, with that decode's checks and typed errors. The
+    /// default does just that, which is all a small accumulator needs;
+    /// one that holds a summary of [`crate::summary`]'s size merges it
+    /// in place instead ([`crate::summary::MergeDecode`]), so no decoded
+    /// copy of it is ever built. On an error `self` may be partly
+    /// merged, and the caller drops it.
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError>
+    where
+        Self: Codec,
+    {
+        let other = Self::decode(dec)?;
+        self.merge(other);
+        Ok(())
+    }
 
     /// Produce the finished figure.
     fn finish(self) -> Self::Output;

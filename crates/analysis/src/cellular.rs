@@ -6,7 +6,7 @@
 //! (Figs 11–12) including the counter-intuitive level-5 dip.
 
 use crate::accum::FigureAccumulator;
-use crate::summary::{decode_count, BinnedCdf, Mean, Sample};
+use crate::summary::{decode_count, BinnedCdf, Mean, MergeDecode, Sample};
 use crate::Render;
 use mbw_dataset::bands;
 use mbw_dataset::{AccessTech, LteBandId, NrBandId, TestRecord};
@@ -110,6 +110,12 @@ impl FigureAccumulator<TestRecord> for Fig04Acc {
         self.above_300.merge(&other.above_300);
     }
 
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.bw.merge_decoded(dec)?;
+        self.below_10 += decode_count(dec, "fig04 tests below 10 Mbps")?;
+        self.above_300.merge_decoded(dec)
+    }
+
     fn finish(self) -> Fig04 {
         let share = |count: usize| {
             if self.bw.is_empty() {
@@ -135,11 +141,9 @@ impl Codec for Fig04Acc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            bw: Codec::decode(dec)?,
-            below_10: decode_count(dec, "fig04 tests below 10 Mbps")?,
-            above_300: Codec::decode(dec)?,
-        })
+        let mut acc = Self::new();
+        acc.merge_decoded(dec)?;
+        Ok(acc)
     }
 }
 
@@ -292,6 +296,10 @@ impl FigureAccumulator<TestRecord> for Fig07Acc {
         self.bw.merge(&other.bw);
     }
 
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.bw.merge_decoded(dec)
+    }
+
     fn finish(self) -> CdfFigure {
         CdfFigure::new("Fig 7: bandwidth distribution for 5G access", self.bw)
     }
@@ -303,9 +311,9 @@ impl Codec for Fig07Acc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            bw: Codec::decode(dec)?,
-        })
+        let mut acc = Self::new();
+        acc.merge_decoded(dec)?;
+        Ok(acc)
     }
 }
 
@@ -531,6 +539,11 @@ impl FigureAccumulator<TestRecord> for RssAcc {
         }
     }
 
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.snr.merge_decoded(dec)?;
+        self.bw.merge_decoded(dec)
+    }
+
     fn finish(self) -> RssFigure {
         let rows = (0..5)
             .map(|i| {
@@ -553,10 +566,9 @@ impl Codec for RssAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            snr: Codec::decode(dec)?,
-            bw: Codec::decode(dec)?,
-        })
+        let mut acc = Self::new();
+        acc.merge_decoded(dec)?;
+        Ok(acc)
     }
 }
 

@@ -3,7 +3,7 @@
 //! the paper's narrative.
 
 use crate::accum::{self, FigureAccumulator, TECH3};
-use crate::summary::{decode_count_usize, Dense, IdBitmap, Mean, Pearson, Sample};
+use crate::summary::{decode_count_usize, Dense, IdBitmap, Mean, MergeDecode, Pearson, Sample};
 use crate::Render;
 use mbw_dataset::{AccessTech, CityTier, EcosystemProfile, Isp, TestRecord};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
@@ -80,6 +80,13 @@ impl FigureAccumulator<TestRecord> for SpatialAcc {
         self.nat5.merge(&other.nat5);
     }
 
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.per_city
+            .merge_decoded_capped(dec, CITY_ROWS_CAP, "spatial city rows")?;
+        self.nat4.merge_decoded(dec)?;
+        self.nat5.merge_decoded(dec)
+    }
+
     fn finish(self) -> SpatialDisparity {
         // A city's mean for one technology, if it has enough tests.
         let city_mean =
@@ -133,11 +140,9 @@ impl Codec for SpatialAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            per_city: Dense::decode_capped(dec, CITY_ROWS_CAP, "spatial city rows")?,
-            nat4: Codec::decode(dec)?,
-            nat5: Codec::decode(dec)?,
-        })
+        let mut acc = Self::new();
+        acc.merge_decoded(dec)?;
+        Ok(acc)
     }
 }
 
@@ -334,6 +339,12 @@ impl FigureAccumulator<TestRecord> for SameGroupAcc {
         });
     }
 
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.mega.merge_decoded(dec)?;
+        self.groups
+            .merge_decoded_capped(dec, CITY_ROWS_CAP, "same-group city rows")
+    }
+
     fn finish(self) -> SameGroupDecline {
         let decline = |i: usize, city: u32, tech: usize| -> Option<f64> {
             let [y20, y21] = &self.groups.get(city as usize)?[i][tech];
@@ -365,10 +376,9 @@ impl Codec for SameGroupAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            mega: Codec::decode(dec)?,
-            groups: Dense::decode_capped(dec, CITY_ROWS_CAP, "same-group city rows")?,
-        })
+        let mut acc = Self::new();
+        acc.merge_decoded(dec)?;
+        Ok(acc)
     }
 }
 
@@ -488,6 +498,18 @@ impl FigureAccumulator<TestRecord> for DatasetSummaryAcc {
         self.cities.merge(other.cities);
     }
 
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let counts = std::iter::once(&mut self.total)
+            .chain(&mut self.tech_counts)
+            .chain(&mut self.isp_counts);
+        for count in counts {
+            *count += decode_count_usize(dec, "dataset summary count")?;
+        }
+        self.bs.merge_decoded(dec)?;
+        self.aps.merge_decoded(dec)?;
+        self.cities.merge_decoded(dec)
+    }
+
     fn finish(self) -> Result<DatasetSummary, EmptyPopulation> {
         if self.total == 0 {
             return Err(EmptyPopulation);
@@ -523,15 +545,9 @@ impl Codec for DatasetSummaryAcc {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut counts = || decode_count_usize(dec, "dataset summary count");
-        Ok(Self {
-            total: counts()?,
-            tech_counts: [counts()?, counts()?, counts()?, counts()?],
-            isp_counts: [counts()?, counts()?, counts()?, counts()?],
-            bs: Codec::decode(dec)?,
-            aps: Codec::decode(dec)?,
-            cities: Codec::decode(dec)?,
-        })
+        let mut acc = Self::new();
+        acc.merge_decoded(dec)?;
+        Ok(acc)
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::accum::FigureAccumulator;
 use crate::fitcache::FitCache;
-use crate::summary::bounded_total;
+use crate::summary::{decode_counts, MergeDecode};
 use crate::Render;
 use mbw_dataset::{AccessTech, TestRecord, WifiStandard};
 use mbw_frame::{fnv1a64, Codec, CodecError, Dec, Enc};
@@ -126,6 +126,32 @@ impl PdfAcc {
         )
     }
 
+    /// Which of Figs 16/18/19 this is, as the encoding tags it.
+    fn tag(&self) -> u8 {
+        match self.filter {
+            PdfFilter::Wifi5 => 0,
+            PdfFilter::Tech(AccessTech::Cellular4g) => 1,
+            PdfFilter::Tech(AccessTech::Cellular5g) => 2,
+            PdfFilter::Tech(_) => unreachable!("no PDF figure for this tech"),
+        }
+    }
+
+    /// Fold in the two encoded count vectors after the tag. `finish`
+    /// totals the histogram and `LogBins` its counts, and merge adds
+    /// them: both are bounded here, where the bytes come in.
+    fn merge_fields(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let counts = decode_counts(
+            dec,
+            RENDER_BINS,
+            "pdf histogram counts",
+            "pdf histogram total",
+        )?;
+        for (c, o) in self.counts.iter_mut().zip(counts) {
+            *c += o;
+        }
+        self.logbins.merge_decoded(dec)
+    }
+
     /// The cache key for this accumulator's converged fit: `fnv1a64` over
     /// the `Codec` bytes, which cover the figure tag and every bin count
     /// — any observation that could change the fit changes the key.
@@ -185,6 +211,18 @@ impl FigureAccumulator<TestRecord> for PdfAcc {
         self.logbins.merge(&other.logbins);
     }
 
+    /// A sibling of another of Figs 16/18/19 is refused by its tag.
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let tag = dec.u8()?;
+        if tag != self.tag() {
+            return Err(CodecError::BadTag {
+                what: "pdf figure",
+                tag: u64::from(tag),
+            });
+        }
+        self.merge_fields(dec)
+    }
+
     fn finish(self) -> PdfFigure {
         self.finish_on(None)
     }
@@ -195,12 +233,7 @@ impl Codec for PdfAcc {
         // Title/filter/range/seed are structural — which of Figs
         // 16/18/19 this is — so they travel as one tag. The two count
         // vectors are the complete mergeable state.
-        enc.put_u8(match self.filter {
-            PdfFilter::Wifi5 => 0,
-            PdfFilter::Tech(AccessTech::Cellular4g) => 1,
-            PdfFilter::Tech(AccessTech::Cellular5g) => 2,
-            PdfFilter::Tech(_) => unreachable!("no PDF figure for this tech"),
-        });
+        enc.put_u8(self.tag());
         self.counts.encode(enc);
         self.logbins.counts().to_vec().encode(enc);
     }
@@ -217,26 +250,7 @@ impl Codec for PdfAcc {
                 })
             }
         };
-        let counts: Vec<u64> = Codec::decode(dec)?;
-        let logbins: Vec<u64> = Codec::decode(dec)?;
-        if counts.len() != RENDER_BINS {
-            return Err(CodecError::BadLen {
-                what: "pdf histogram counts",
-                len: counts.len() as u64,
-            });
-        }
-        if logbins.len() != acc.logbins.counts().len() {
-            return Err(CodecError::BadLen {
-                what: "pdf log-bin counts",
-                len: logbins.len() as u64,
-            });
-        }
-        // `finish` totals the histogram and `LogBins` its counts, and
-        // merge adds them: bound both here, where the bytes come in.
-        bounded_total(&counts, "pdf histogram total")?;
-        bounded_total(&logbins, "pdf log-bin total")?;
-        acc.counts = counts;
-        acc.logbins = LogBins::from_counts(acc.hi / 1e4, acc.hi, logbins);
+        acc.merge_fields(dec)?;
         Ok(acc)
     }
 }

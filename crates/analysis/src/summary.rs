@@ -39,9 +39,50 @@
 //! commutative group, and a forged sum is then a wrong mean in a forged
 //! figure, never a panic.
 //!
+//! A reducer folds many parts into one running set, so each summary
+//! also merges a sibling straight from its bytes ([`MergeDecode`]):
+//! the same checks as its `decode`, then the same integer operations as
+//! its `merge`, with no decoded copy of the sibling in between. Every
+//! `decode` here is that merge into an empty summary, so the two cannot
+//! drift apart.
+//!
+//! Outside tests this module denies `unwrap`, `expect` and `panic!`: it
+//! decodes bytes read back from disk, and a malformed part must come
+//! back as a typed error.
+//!
 //! [`LogBins`]: mbw_stats::LogBins
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use mbw_frame::{Codec, CodecError, Dec, Enc};
+use mbw_stats::LogBins;
+
+/// A summary that folds a sibling's encoding into itself, straight from
+/// the bytes, without building the sibling.
+///
+/// `merge_decoded` runs the checks the type's `decode` runs, on the
+/// incoming stratum alone and with the same typed errors, then adds it
+/// in with the operations of `merge`: `a.merge_decoded(bytes of b)`
+/// leaves `a` bit for bit as `a.merge(decode(bytes of b))` does. The
+/// summaries here check a stratum whole before they touch `self`; an
+/// array or a [`Dense`] table of them may fail after merging some of its
+/// rows, so on an error the caller drops `self`.
+pub trait MergeDecode {
+    /// Check the encoded sibling at the cursor and fold it in.
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError>;
+}
+
+impl<T: MergeDecode, const N: usize> MergeDecode for [T; N] {
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        for row in self {
+            row.merge_decoded(dec)?;
+        }
+        Ok(())
+    }
+}
 
 /// Largest value a count decoded from a snapshot may claim: far above
 /// the paper's 23.6 M records times any shard count, and small enough
@@ -66,8 +107,13 @@ pub fn decode_count_usize(dec: &mut Dec<'_>, what: &'static str) -> Result<usize
 /// The sum of decoded bin counts, rejected once it passes [`COUNT_MAX`]
 /// (so no single bin can exceed it either).
 pub fn bounded_total(counts: &[u64], what: &'static str) -> Result<u64, CodecError> {
+    bounded_sum(counts.iter().copied(), what)
+}
+
+/// [`bounded_total`] over counts as they are read.
+fn bounded_sum(counts: impl Iterator<Item = u64>, what: &'static str) -> Result<u64, CodecError> {
     let mut total = 0u64;
-    for &c in counts {
+    for c in counts {
         total = total.saturating_add(c);
         if total > COUNT_MAX {
             return Err(CodecError::BadLen { what, len: total });
@@ -82,9 +128,43 @@ fn put_i128(enc: &mut Enc, v: i128) {
 
 fn take_i128(dec: &mut Dec<'_>) -> Result<i128, CodecError> {
     let bytes = dec.take(16)?;
-    Ok(i128::from_be_bytes(
-        bytes.try_into().expect("took 16 bytes"),
-    ))
+    let (&head, _) = bytes.split_first_chunk::<16>().ok_or(CodecError::Eof {
+        wanted: 16,
+        have: bytes.len(),
+    })?;
+    Ok(i128::from_be_bytes(head))
+}
+
+/// `len` big-endian `u64`s at the cursor, still as bytes: a decoder
+/// checks them all before it adds any.
+fn take_words<'a>(dec: &mut Dec<'a>, len: usize) -> Result<&'a [[u8; 8]], CodecError> {
+    Ok(dec.take(len.saturating_mul(8))?.as_chunks::<8>().0)
+}
+
+/// One word of [`take_words`].
+fn word(bytes: &[u8; 8]) -> u64 {
+    u64::from_be_bytes(*bytes)
+}
+
+/// The counts of a `Vec<u64>` encoding that must hold exactly `len` of
+/// them, their sum bounded by [`COUNT_MAX`]: `what` names the length in
+/// an error, `total_what` the sum.
+pub(crate) fn decode_counts<'a>(
+    dec: &mut Dec<'a>,
+    len: usize,
+    what: &'static str,
+    total_what: &'static str,
+) -> Result<impl ExactSizeIterator<Item = u64> + 'a, CodecError> {
+    let claimed = dec.seq_len("sequence")?;
+    let words = take_words(dec, claimed)?;
+    if claimed != len {
+        return Err(CodecError::BadLen {
+            what,
+            len: claimed as u64,
+        });
+    }
+    bounded_sum(words.iter().map(word), total_what)?;
+    Ok(words.iter().map(word))
 }
 
 /// `2^64`, the fixed-point scale of every sum.
@@ -189,6 +269,13 @@ impl Codec for Mean {
             });
         }
         Ok(Self { n, sum })
+    }
+}
+
+impl MergeDecode for Mean {
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.merge(&Self::decode(dec)?);
+        Ok(())
     }
 }
 
@@ -431,10 +518,17 @@ impl Codec for BinnedCdf {
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         let mut out = Self::new();
-        out.mean = Codec::decode(dec)?;
-        out.min = dec.f64()?;
-        out.max = dec.f64()?;
-        out.bins[0] = dec.u64()?;
+        out.merge_decoded(dec)?;
+        Ok(out)
+    }
+}
+
+impl MergeDecode for BinnedCdf {
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let mean = Mean::decode(dec)?;
+        let min = dec.f64()?;
+        let max = dec.f64()?;
+        let zeros = dec.u64()?;
         let first = dec.u16()? as usize;
         let len = dec.u16()? as usize;
         // `encode` writes an empty run at 0 and never a run with an
@@ -445,18 +539,16 @@ impl Codec for BinnedCdf {
                 len: (first + len) as u64,
             });
         }
-        let run = &mut out.bins[1 + first..1 + first + len];
-        for count in run.iter_mut() {
-            *count = dec.u64()?;
-        }
-        if run.first() == Some(&0) || run.last() == Some(&0) {
+        let run = take_words(dec, len)?;
+        if run.first().map(word) == Some(0) || run.last().map(word) == Some(0) {
             return Err(CodecError::BadLen {
                 what: "cdf bin run with an empty end",
                 len: len as u64,
             });
         }
-        let total = bounded_total(&out.bins, "cdf bin total")?;
-        if total != out.mean.n {
+        let counts = || std::iter::once(zeros).chain(run.iter().map(word));
+        let total = bounded_sum(counts(), "cdf bin total")?;
+        if total != mean.n {
             return Err(CodecError::BadLen {
                 what: "cdf bin counts do not sum to the sample count",
                 len: total,
@@ -464,22 +556,29 @@ impl Codec for BinnedCdf {
         }
         // An empty stratum is the one `new` builds; an occupied one has
         // min <= max (so neither is NaN), each in the outermost occupied
-        // bin on its side.
-        let first = out.bins.iter().position(|&c| c > 0);
-        let last = out.bins.iter().rposition(|&c| c > 0);
-        let consistent = match (first, last) {
-            (Some(first), Some(last)) => {
-                out.min <= out.max && bin_of(out.min) == first && bin_of(out.max) == last
+        // bin on its side (the run's ends are occupied).
+        let consistent = match (zeros > 0, len > 0) {
+            (false, false) => min == f64::INFINITY && max == f64::NEG_INFINITY,
+            (any_zeros, any_run) => {
+                let lowest = if any_zeros { 0 } else { 1 + first };
+                let highest = if any_run { first + len } else { 0 };
+                min <= max && bin_of(min) == lowest && bin_of(max) == highest
             }
-            _ => out.min == f64::INFINITY && out.max == f64::NEG_INFINITY,
         };
         if !consistent {
             return Err(CodecError::BadLen {
                 what: "cdf min/max outside the occupied bins",
-                len: out.mean.n,
+                len: mean.n,
             });
         }
-        Ok(out)
+        self.mean.merge(&mean);
+        self.min = self.min.min(min);
+        self.max = self.max.max(max);
+        self.bins[0] += zeros;
+        for (bin, count) in self.bins[1 + first..].iter_mut().zip(run) {
+            *bin += word(count);
+        }
+        Ok(())
     }
 }
 
@@ -585,6 +684,13 @@ impl Codec for Pearson {
     }
 }
 
+impl MergeDecode for Pearson {
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.merge(&Self::decode(dec)?);
+        Ok(())
+    }
+}
+
 /// Bytes a [`Dense`] table grows by at a time.
 const STEP_BYTES: usize = 8 << 10;
 
@@ -662,7 +768,7 @@ impl<T: Default + Clone + PartialEq> Dense<T> {
     }
 }
 
-impl<T: Default + Clone + PartialEq + Codec> Dense<T> {
+impl<T: Default + Clone + PartialEq + Codec + MergeDecode> Dense<T> {
     /// Append the rows up to the last non-empty one.
     pub fn encode(&self, enc: &mut Enc) {
         let empty = T::default();
@@ -677,34 +783,50 @@ impl<T: Default + Clone + PartialEq + Codec> Dense<T> {
         }
     }
 
-    /// Decode a table of at most `cap` rows. A longer claim, a claim the
-    /// remaining bytes cannot hold, or a trailing empty row (which
-    /// `encode` never writes) is rejected before anything is allocated
-    /// for it.
+    /// Decode a table of at most `cap` rows: [`Self::merge_decoded_capped`]
+    /// into an empty table.
     pub fn decode_capped(
         dec: &mut Dec<'_>,
         cap: usize,
         what: &'static str,
     ) -> Result<Self, CodecError> {
-        let len = dec.u32()? as usize;
-        if len > cap || len > dec.remaining() {
-            return Err(CodecError::BadLen {
-                what,
-                len: len as u64,
-            });
-        }
         let mut out = Self::new();
-        out.grow(len);
-        for row in &mut out.rows[..len] {
-            *row = T::decode(dec)?;
-        }
-        if len > 0 && out.rows[len - 1] == T::default() {
-            return Err(CodecError::BadLen {
-                what,
-                len: len as u64,
-            });
-        }
+        out.merge_decoded_capped(dec, cap, what)?;
         Ok(out)
+    }
+
+    /// Fold in the encoding of a table of at most `cap` rows, row by row
+    /// (see [`MergeDecode`]). A longer claim, or a claim the remaining
+    /// bytes cannot hold, is rejected before anything is allocated for
+    /// it; a trailing empty row (which `encode` never writes) after its
+    /// rows are merged, so on an error the table is dropped.
+    pub fn merge_decoded_capped(
+        &mut self,
+        dec: &mut Dec<'_>,
+        cap: usize,
+        what: &'static str,
+    ) -> Result<(), CodecError> {
+        let len = dec.u32()? as usize;
+        let bad = CodecError::BadLen {
+            what,
+            len: len as u64,
+        };
+        if len > cap || len > dec.remaining() {
+            return Err(bad);
+        }
+        self.grow(len);
+        let mut last = dec.clone();
+        for row in &mut self.rows[..len] {
+            last = dec.clone();
+            row.merge_decoded(dec)?;
+        }
+        // Encodings are canonical: a row decodes to the empty one
+        // exactly when its bytes are the empty row's.
+        let last_row = last.take(last.remaining() - dec.remaining())?;
+        if len > 0 && last_row == T::default().to_bytes() {
+            return Err(bad);
+        }
+        Ok(())
     }
 }
 
@@ -826,10 +948,19 @@ impl Codec for IdBitmap {
         }
     }
 
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let mut out = Self::new();
+        out.merge_decoded(dec)?;
+        Ok(out)
+    }
+}
+
+impl MergeDecode for IdBitmap {
     /// A claim past the id range, a claim the remaining bytes cannot
     /// hold, or a trailing zero word (which `encode` never writes) is
-    /// rejected; pages are allocated only for words that hold a bit.
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+    /// rejected; pages are allocated only for words that hold a bit and
+    /// land on a page this set does not have yet.
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         let len = dec.u32()? as usize;
         let bad = CodecError::BadLen {
             what: "id bitmap words",
@@ -838,18 +969,37 @@ impl Codec for IdBitmap {
         if len > BITMAP_WORDS_CAP || len > dec.remaining() / 8 {
             return Err(bad);
         }
-        let mut out = Self::new();
-        let mut last = 1;
-        for i in 0..len {
-            last = dec.u64()?;
-            if last != 0 {
-                out.page(i / PAGE_WORDS)[i % PAGE_WORDS] = last;
-            }
-        }
-        if last == 0 {
+        let words = take_words(dec, len)?;
+        if words.last().map(word) == Some(0) {
             return Err(bad);
         }
-        Ok(out)
+        let pages = len.div_ceil(PAGE_WORDS);
+        if pages > self.pages.len() {
+            self.pages.reserve_exact(pages - self.pages.len());
+            self.pages.resize(pages, None);
+        }
+        for (page, theirs) in self.pages.iter_mut().zip(words.chunks(PAGE_WORDS)) {
+            if theirs.iter().all(|w| word(w) == 0) {
+                continue;
+            }
+            let page = page.get_or_insert_with(|| Box::new(EMPTY_PAGE));
+            for (mine, theirs) in page.iter_mut().zip(theirs) {
+                *mine |= word(theirs);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl MergeDecode for LogBins {
+    /// The counts as a `Vec<u64>` encodes them, underflow bin first:
+    /// exactly as many as this histogram has, their sum bounded by
+    /// [`COUNT_MAX`].
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let len = self.counts().len();
+        let counts = decode_counts(dec, len, "log-bin counts", "log-bin total")?;
+        self.merge_counts(counts);
+        Ok(())
     }
 }
 

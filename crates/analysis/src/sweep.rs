@@ -211,6 +211,44 @@ impl FigureSet {
         self.outcomes.merge(other.outcomes);
     }
 
+    /// Fold in a sibling set from its encoding, accumulator by
+    /// accumulator, as [`Self::merge`] of its `decode` would: every
+    /// summary the sibling holds is checked and added in place, so no
+    /// decoded copy of it is ever built (see
+    /// [`crate::summary::MergeDecode`]). On an error `self` may be partly
+    /// merged, and the caller drops it.
+    pub fn merge_decoded(
+        &mut self,
+        dec: &mut mbw_frame::Dec<'_>,
+    ) -> Result<(), mbw_frame::CodecError> {
+        self.fig01.merge_decoded(dec)?;
+        self.fig02.merge_decoded(dec)?;
+        self.fig03.merge_decoded(dec)?;
+        self.fig04.merge_decoded(dec)?;
+        self.fig05_06.merge_decoded(dec)?;
+        self.fig07.merge_decoded(dec)?;
+        self.fig08_09.merge_decoded(dec)?;
+        self.fig10.merge_decoded(dec)?;
+        self.fig11_12.merge_decoded(dec)?;
+        self.lte_rss.merge_decoded(dec)?;
+        self.fig13.merge_decoded(dec)?;
+        self.fig14.merge_decoded(dec)?;
+        self.fig15.merge_decoded(dec)?;
+        self.slow_plan.merge_decoded(dec)?;
+        self.fig16.merge_decoded(dec)?;
+        self.fig18.merge_decoded(dec)?;
+        self.fig19.merge_decoded(dec)?;
+        self.spatial.merge_decoded(dec)?;
+        self.urban_rural.merge_decoded(dec)?;
+        self.same_group.merge_decoded(dec)?;
+        self.correlations.merge_decoded(dec)?;
+        self.summary.merge_decoded(dec)?;
+        for device in &mut self.devices {
+            device.merge_decoded(dec)?;
+        }
+        self.outcomes.merge_decoded(dec)
+    }
+
     /// Produce every finished figure, serially and uncached — shorthand
     /// for [`Self::finish_with`] at one thread.
     pub fn finish(self) -> MeasurementFigures {
@@ -468,33 +506,9 @@ impl mbw_frame::Codec for FigureSet {
     }
 
     fn decode(dec: &mut mbw_frame::Dec<'_>) -> Result<Self, mbw_frame::CodecError> {
-        use mbw_frame::Codec;
-        Ok(Self {
-            fig01: Codec::decode(dec)?,
-            fig02: Codec::decode(dec)?,
-            fig03: Codec::decode(dec)?,
-            fig04: Codec::decode(dec)?,
-            fig05_06: Codec::decode(dec)?,
-            fig07: Codec::decode(dec)?,
-            fig08_09: Codec::decode(dec)?,
-            fig10: Codec::decode(dec)?,
-            fig11_12: Codec::decode(dec)?,
-            lte_rss: Codec::decode(dec)?,
-            fig13: Codec::decode(dec)?,
-            fig14: Codec::decode(dec)?,
-            fig15: Codec::decode(dec)?,
-            slow_plan: Codec::decode(dec)?,
-            fig16: Codec::decode(dec)?,
-            fig18: Codec::decode(dec)?,
-            fig19: Codec::decode(dec)?,
-            spatial: Codec::decode(dec)?,
-            urban_rural: Codec::decode(dec)?,
-            same_group: Codec::decode(dec)?,
-            correlations: Codec::decode(dec)?,
-            summary: Codec::decode(dec)?,
-            devices: Codec::decode(dec)?,
-            outcomes: Codec::decode(dec)?,
-        })
+        let mut set = Self::new();
+        set.merge_decoded(dec)?;
+        Ok(set)
     }
 }
 

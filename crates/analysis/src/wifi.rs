@@ -7,7 +7,7 @@
 //! advertised speeds comes from the wired plans behind the APs.
 
 use crate::accum::FigureAccumulator;
-use crate::summary::{decode_count_usize, BinnedCdf, Sample};
+use crate::summary::{decode_count_usize, BinnedCdf, MergeDecode, Sample};
 use crate::Render;
 use mbw_dataset::{TestRecord, WifiStandard};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
@@ -83,6 +83,21 @@ impl WifiAcc {
     pub fn fig15() -> Self {
         Self::new("Fig 15: WiFi bandwidth distribution (5 GHz)", Some(true))
     }
+
+    /// Which of Figs 13–15 this is, as the encoding tags it.
+    fn tag(&self) -> u8 {
+        match self.band_filter {
+            None => 0,
+            Some(false) => 1,
+            Some(true) => 2,
+        }
+    }
+
+    /// Fold in the encoded fields after the tag.
+    fn merge_fields(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.total += decode_count_usize(dec, "wifi tests in band")?;
+        self.per_std.merge_decoded(dec)
+    }
 }
 
 impl FigureAccumulator<TestRecord> for WifiAcc {
@@ -102,6 +117,18 @@ impl FigureAccumulator<TestRecord> for WifiAcc {
         for (a, b) in self.per_std.iter_mut().zip(&other.per_std) {
             a.merge(b);
         }
+    }
+
+    /// A sibling of another of Figs 13–15 is refused by its tag.
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let tag = dec.u8()?;
+        if tag != self.tag() {
+            return Err(CodecError::BadTag {
+                what: "wifi figure",
+                tag: u64::from(tag),
+            });
+        }
+        self.merge_fields(dec)
     }
 
     fn finish(self) -> WifiCdfFigure {
@@ -135,11 +162,7 @@ impl Codec for WifiAcc {
     fn encode(&self, enc: &mut Enc) {
         // The title/filter pair is structural — which of Figs 13–15 the
         // accumulator is — so it travels as a tag, not as data.
-        enc.put_u8(match self.band_filter {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
+        enc.put_u8(self.tag());
         enc.put_usize(self.total);
         self.per_std.encode(enc);
     }
@@ -156,8 +179,7 @@ impl Codec for WifiAcc {
                 })
             }
         };
-        acc.total = decode_count_usize(dec, "wifi tests in band")?;
-        acc.per_std = Codec::decode(dec)?;
+        acc.merge_fields(dec)?;
         Ok(acc)
     }
 }

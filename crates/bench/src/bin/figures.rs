@@ -1,7 +1,7 @@
 //! Regenerate every table and figure of the paper.
 //!
 //! ```text
-//! figures                          # everything, full-size populations
+//! figures                          # every figure and report (not service)
 //! figures fig04 fig17              # selected experiments
 //! figures --quick                  # everything, small populations (CI-sized)
 //! figures --records 2000000 \
@@ -94,8 +94,11 @@ const ALL_IDS: [&str; 28] = [
     "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25", "fig26",
 ];
 
-/// Extra (non-figure) reports.
-const EXTRA_IDS: [&str; 12] = [
+/// Extra (non-figure) reports. `service`, the load harness, is not one:
+/// it writes a wall-clock `BENCH_service.json`, its results logs and
+/// its own report, none of which `results/` holds, so it runs only when
+/// named.
+const EXTRA_IDS: [&str; 11] = [
     "general",
     "summary",
     "devices",
@@ -106,9 +109,22 @@ const EXTRA_IDS: [&str; 12] = [
     "ablation_escalate",
     "tcp_variant",
     "mmwave",
-    "service",
     "export_csv",
 ];
+
+/// What a bare `figures` run produces: every figure, then every extra
+/// report — exactly the files `results/` commits.
+fn default_ids() -> impl Iterator<Item = &'static str> {
+    ALL_IDS.into_iter().chain(EXTRA_IDS)
+}
+
+/// The file an id's report is written to in the output directory.
+fn report_file(id: &str) -> String {
+    match id {
+        "export_csv" => "export_csv.csv".to_string(),
+        _ => format!("{id}.txt"),
+    }
+}
 
 /// How many rows `export_csv` writes (streamed, never materialised).
 const EXPORT_ROWS: usize = 10_000;
@@ -382,11 +398,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
     let sizes = if opts.quick { QUICK } else { FULL };
     let dataset = opts.records.unwrap_or(sizes.dataset);
     let ids: Vec<String> = if opts.selected.is_empty() {
-        ALL_IDS
-            .iter()
-            .chain(EXTRA_IDS.iter())
-            .map(|s| s.to_string())
-            .collect()
+        default_ids().map(str::to_string).collect()
     } else {
         opts.selected.clone()
     };
@@ -514,7 +526,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
                 },
                 ShardPlan::threads(opts.threads),
             );
-            let path = opts.out_dir.join("export_csv.csv");
+            let path = opts.out_dir.join(report_file(id));
             let csv_err = |source| OutputError {
                 op: "write CSV to",
                 path: path.clone(),
@@ -547,8 +559,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
             };
             cfg.threads = opts.threads.max(cfg.threads.min(2));
             if let Some(clients) = opts.clients {
-                cfg.clients = clients;
-                cfg.target_inflight = (clients / 3).max(4);
+                cfg = cfg.with_clients(clients);
             }
             if let Some(sockets) = opts.sockets {
                 cfg.sockets = sockets;
@@ -600,7 +611,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
                 std::process::exit(2);
             }
         };
-        write_file(&opts.out_dir.join(format!("{id}.txt")), text.as_bytes())?;
+        write_file(&opts.out_dir.join(report_file(id)), text.as_bytes())?;
         println!("──── {id} ─────────────────────────────────────────");
         println!("{text}");
     }
@@ -810,4 +821,25 @@ fn run_all_profiles(
     println!("──── profile_comparison ───────────────────────────");
     println!("{report}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Regenerating `results/` with a bare run must leave no file that
+    /// `results/` does not commit, so every default id's report is one
+    /// of its files.
+    #[test]
+    fn a_bare_run_writes_only_files_results_commits() {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for id in default_ids() {
+            let file = results.join(report_file(id));
+            assert!(
+                file.is_file(),
+                "{id} writes {}, which results/ does not hold",
+                file.display()
+            );
+        }
+    }
 }

@@ -28,7 +28,14 @@
 //!
 //! Mismatched partials — different records, counts, profile, or split —
 //! are rejected at merge time with a typed [`DistError`], never folded
-//! into silently corrupt figures.
+//! into silently corrupt figures. Outside tests this module denies
+//! `unwrap`, `expect` and `panic!`: it decodes plan and part bytes read
+//! back from disk, and a malformed file must come back as a typed error.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::eval_sweep::{self, EvalFigureSet, EvalFigures, EVAL_SWEEP_IDS};
 use mbw_analysis::accum::FigureAccumulator;
@@ -40,8 +47,8 @@ use mbw_dataset::{
     SliceAssignment, Year,
 };
 use mbw_frame::{
-    fnv1a64, read_snapshot, write_snapshot, Codec, CodecError, Dec, Enc, SnapshotError,
-    SnapshotHeader,
+    fnv1a64, read_snapshot, read_snapshot_into, write_snapshot, Codec, CodecError, Dec, Enc,
+    SnapshotError, SnapshotHeader,
 };
 use mbw_telemetry::trace::{self, ArgValue};
 use std::path::{Path, PathBuf};
@@ -578,23 +585,40 @@ impl std::fmt::Debug for Reduced {
 /// stage fans out on a work pool of `threads` (1 = serial; the output
 /// is identical either way).
 ///
-/// Each part is folded in as it is read, so the reducer holds the
-/// running sets plus one part, whatever `k` is; every merge is
-/// order-free, so the read order does not reach the output. Each file
-/// is validated before its state is merged: its body's parameters must
-/// re-hash to its header's plan hash (checked before the accumulators
-/// behind them are decoded), and it must carry the plan hash, seed,
-/// profile and shard count of the first part read. Both partitions of
-/// the work domains are checked, in shard order, before anything is
-/// finished. Any mismatch — or an empty `paths` — is a typed
-/// [`DistError`], naming the offending file where there is one.
+/// Every part is folded the same way, into sets that start empty: its
+/// snapshot is read into one buffer that serves every part, checked,
+/// and its measurement state merged into the running set straight from
+/// those bytes ([`FigureSet::merge_decoded`]), so the reducer holds the
+/// running sets plus one part's bytes, whatever `k` is, and never a
+/// decoded copy of a part. Every merge is order-free, so the read order
+/// does not reach the output. Each file is validated before its state
+/// is merged: its body's parameters must re-hash to its header's plan
+/// hash (checked before the accumulators behind them are read), and it
+/// must carry the plan hash, seed, profile and shard count of the first
+/// part read. Both partitions of the work domains are checked, in shard
+/// order, before anything is finished. Any mismatch, any malformed body
+/// — or an empty `paths` — is a typed [`DistError`], naming the
+/// offending file where there is one, and the partly merged sets are
+/// dropped: a bad part fails the reduce before any figure exists.
 pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistError> {
     let tracer = trace::active();
     let mut spans = tracer.local();
     let span = spans.begin();
 
-    let mut paths = paths.iter();
-    let Some(first_path) = paths.next() else {
+    let mut sets = (FigureSet::new(), EvalFigureSet::new(COST_SEED));
+    let mut body = Vec::new();
+    let mut reference: Option<(SnapshotHeader, &'static EcosystemProfile)> = None;
+    let mut read = Vec::with_capacity(paths.len());
+    let mut merge_seconds = 0.0;
+    for path in paths {
+        let part = fold_part(path, reference.as_ref(), &mut body, &mut sets)?;
+        read.push((part.job.measure, part.job.eval, part.stat));
+        merge_seconds += part.merge_seconds;
+        reference.get_or_insert((part.head, part.profile));
+    }
+    drop(body);
+    let (figure_set, eval_set) = sets;
+    let Some((reference, profile)) = reference else {
         return Err(DistError::Partition {
             domain: "measurement units",
             error: PartitionError::WrongCount {
@@ -603,20 +627,6 @@ pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistEr
             },
         });
     };
-    let first = read_part(first_path, None)?;
-    let (reference, profile) = (first.head, first.profile);
-    let mut read = Vec::with_capacity(paths.len() + 1);
-    read.push((first.part.job.measure, first.part.job.eval, first.stat));
-    let (mut figure_set, mut eval_set) = (first.part.figures, first.part.eval);
-    let mut merge_seconds = 0.0;
-    for path in paths {
-        let ReadPart { part, stat, .. } = read_part(path, Some(&reference))?;
-        read.push((part.job.measure, part.job.eval, stat));
-        let merge_start = Instant::now();
-        figure_set.merge(part.figures);
-        eval_set.merge(part.eval);
-        merge_seconds += merge_start.elapsed().as_secs_f64();
-    }
 
     read.sort_by_key(|(.., stat)| stat.shard_index);
     let measure_slices: Vec<SliceAssignment> = read.iter().map(|(measure, ..)| *measure).collect();
@@ -664,22 +674,30 @@ pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistEr
     })
 }
 
-/// One part file, read, checked and decoded.
-struct ReadPart {
+/// What folding one part file into the running sets learned about it.
+struct FoldedPart {
     head: SnapshotHeader,
     profile: &'static EcosystemProfile,
-    part: ShardPart,
+    job: ShardJob,
     stat: PartStat,
+    /// Wall seconds spent merging its state (its decode included).
+    merge_seconds: f64,
 }
 
-/// Read one part file and decode its state, checking on the way, in
-/// this order: its size on disk, its kind, that its job re-hashes to
-/// its header's plan hash (before the accumulators behind the job are
-/// decoded: the hash covers their layout, so state written under
-/// another layout is refused here and never mis-decoded), and that it
-/// belongs to the run of `reference`, when there is one. The snapshot
-/// body is dropped once decoded.
-fn read_part(path: &Path, reference: Option<&SnapshotHeader>) -> Result<ReadPart, DistError> {
+/// Read one part file into `body` and fold its state into `sets`,
+/// checking on the way, in this order: its size on disk, its kind, that
+/// its job re-hashes to its header's plan hash (before the accumulators
+/// behind the job are read: the hash covers their layout, so state
+/// written under another layout is refused here and never mis-read),
+/// that it belongs to the run of `reference`, when there is one, and
+/// then, as they are merged, every accumulator's bytes and that nothing
+/// follows them. On an error `sets` may hold part of this part's state.
+fn fold_part(
+    path: &Path,
+    reference: Option<&(SnapshotHeader, &'static EcosystemProfile)>,
+    body: &mut Vec<u8>,
+    (figures, eval): &mut (FigureSet, EvalFigureSet),
+) -> Result<FoldedPart, DistError> {
     let snapshot_bytes =
         std::fs::metadata(path)
             .map(|m| m.len())
@@ -687,7 +705,7 @@ fn read_part(path: &Path, reference: Option<&SnapshotHeader>) -> Result<ReadPart
                 path: path.to_path_buf(),
                 source,
             })?;
-    let (head, body) = read_snapshot(path)?;
+    let head = read_snapshot_into(path, body)?;
     if head.kind != PART_KIND {
         return Err(DistError::WrongKind {
             path: path.to_path_buf(),
@@ -699,7 +717,8 @@ fn read_part(path: &Path, reference: Option<&SnapshotHeader>) -> Result<ReadPart
         path: path.to_path_buf(),
         error,
     };
-    let job = ShardJob::decode(&mut Dec::new(&body)).map_err(body_error)?;
+    let mut dec = Dec::new(body);
+    let job = ShardJob::decode(&mut dec).map_err(body_error)?;
     let profile = EcosystemProfile::by_name(&head.profile).map_err(|e| DistError::Provenance {
         path: path.to_path_buf(),
         detail: e.to_string(),
@@ -720,7 +739,7 @@ fn read_part(path: &Path, reference: Option<&SnapshotHeader>) -> Result<ReadPart
             ),
         });
     }
-    if let Some(reference) = reference {
+    if let Some((reference, _)) = reference {
         if head.plan_hash != reference.plan_hash
             || head.seed != reference.seed
             || head.profile != reference.profile
@@ -742,17 +761,23 @@ fn read_part(path: &Path, reference: Option<&SnapshotHeader>) -> Result<ReadPart
             });
         }
     }
-    let part = ShardPart::from_bytes(&body).map_err(body_error)?;
+    let merge_start = Instant::now();
+    figures.merge_decoded(&mut dec).map_err(body_error)?;
+    eval.merge(EvalFigureSet::decode(&mut dec).map_err(body_error)?);
+    let execute_seconds = dec.f64().map_err(body_error)?;
+    dec.finish().map_err(body_error)?;
+    let merge_seconds = merge_start.elapsed().as_secs_f64();
     let stat = PartStat {
         shard_index: head.shard_index,
-        execute_seconds: part.execute_seconds,
+        execute_seconds,
         snapshot_bytes,
     };
-    Ok(ReadPart {
+    Ok(FoldedPart {
         head,
         profile,
-        part,
+        job,
         stat,
+        merge_seconds,
     })
 }
 
@@ -885,6 +910,41 @@ mod tests {
         let err = reduce_parts(&[parts[0].clone(), forged], 1).unwrap_err();
         assert!(matches!(err, DistError::Provenance { .. }), "{err}");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A part that passes its checksum and its provenance checks but
+    /// whose state is malformed — cut short inside the measurement
+    /// state, or with a byte after its last field — fails the reduce
+    /// as a body error naming it, though the parts before it merged.
+    #[test]
+    fn a_bad_body_in_the_last_part_fails_the_reduce() {
+        let cfg = quick_cfg(2);
+        let dir = temp_dir("badbody");
+        let plans = write_plans(&cfg, &dir.join("plans")).unwrap();
+        let parts: Vec<PathBuf> = plans
+            .iter()
+            .map(|plan| {
+                let run = run_shard_file(plan, &dir.join("parts"), 1).unwrap();
+                run.path().to_path_buf()
+            })
+            .collect();
+        let (head, body) = read_snapshot(&parts[1]).unwrap();
+        // The job leads the body; the measurement state is most of the
+        // rest, so its middle lies inside that state.
+        let job = shard_jobs(&cfg)[1].to_bytes().len();
+        let cut = body[..job + (body.len() - job) / 2].to_vec();
+        let mut extended = body.clone();
+        extended.push(0);
+        for (name, forged) in [("cut", cut), ("extended", extended)] {
+            let bad = dir.join(format!("shard-01-of-02-{name}.part"));
+            write_snapshot(&bad, &head, &forged).unwrap();
+            match reduce_parts(&[parts[0].clone(), bad.clone()], 1) {
+                Err(DistError::Body { path, .. }) => assert_eq!(path, bad),
+                Err(other) => panic!("{name}: failed with {other}"),
+                Ok(_) => panic!("{name}: a malformed part reduced"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

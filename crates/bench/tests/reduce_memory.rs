@@ -1,12 +1,16 @@
-//! The reducer folds each part in as it reads it, so its memory does
-//! not grow with the shard count, and the order the parts come in does
-//! not reach the output. Exact heap counts, no timing.
+//! The reducer merges each part into its running sets straight from
+//! the part's bytes, so at its peak it holds those sets and one part's
+//! bytes — never a decoded copy of a part — its memory does not grow
+//! with the shard count, and the order the parts come in does not reach
+//! the output. Exact heap counts, no timing.
 
-use mbw_analysis::sweep::SWEEP_IDS;
+use mbw_analysis::accum::FigureAccumulator;
+use mbw_analysis::sweep::{FigureSet, SWEEP_IDS};
 use mbw_bench::distributed::{
     collect_parts, reduce_parts, run_shard_file, write_plans, DistConfig, DistError, ShardPart,
+    COST_SEED,
 };
-use mbw_bench::eval_sweep::EVAL_SWEEP_IDS;
+use mbw_bench::eval_sweep::{EvalFigureSet, EVAL_SWEEP_IDS};
 use mbw_core::EvalCounts;
 use mbw_dataset::{EcosystemProfile, PartitionError};
 use mbw_frame::{read_snapshot, Codec};
@@ -110,10 +114,9 @@ fn text(parts: &[PathBuf]) -> String {
     text
 }
 
-/// A 2-part reduce peaks in its finish, so a reducer that decodes
-/// every part before merging only shows past that: eight parts of this
-/// run decoded side by side (each ~0.42 MB) peak 0.87 MB above the
-/// 2-part reduce, six only 0.29 MB.
+/// However many parts there are, the reducer holds one part's bytes at
+/// a time: a reducer that read or decoded every part before merging
+/// would peak higher with every part added.
 #[test]
 fn eight_parts_reduce_in_the_memory_of_two() {
     let (two, eight) = (parts("two", 2), parts("eight", 8));
@@ -131,6 +134,39 @@ fn eight_parts_reduce_in_the_memory_of_two() {
         (peak_eight - peak_two).abs() < one_part,
         "an 8-part reduce peaked at {peak_eight} B and a 2-part one at {peak_two} B: \
          more apart than one decoded part ({one_part} B)"
+    );
+}
+
+/// At its peak a 4-part reduce holds the sets the parts reduce to, the
+/// largest part's bytes and at most 64 KB besides: no decoded copy of a
+/// part is alive beside them (with one, this run peaks 0.42 MB higher).
+#[test]
+fn a_reduce_holds_its_sets_and_one_part_of_bytes_at_its_peak() {
+    let parts = parts("four", 4);
+    let bodies: Vec<Vec<u8>> = parts.iter().map(|p| read_snapshot(p).unwrap().1).collect();
+    let largest = parts
+        .iter()
+        .map(|p| std::fs::metadata(p).unwrap().len() as i64)
+        .max()
+        .unwrap();
+    let (sets, _, decoded) = measured(|| {
+        let mut sets = (FigureSet::new(), EvalFigureSet::new(COST_SEED));
+        for body in &bodies {
+            let part = ShardPart::from_bytes(body).unwrap();
+            sets.0.merge(part.figures);
+            sets.1.merge(part.eval);
+        }
+        sets
+    });
+    drop((sets, bodies));
+
+    let (reduced, peak, _) = measured(|| reduce_parts(&parts, 1).unwrap());
+    drop(reduced);
+    remove(&parts);
+    assert!(
+        peak <= decoded + largest + (64 << 10),
+        "a 4-part reduce peaked at {peak} B: more than its decoded sets ({decoded} B), \
+         the largest part ({largest} B) and 64 KB"
     );
 }
 

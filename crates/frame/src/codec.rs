@@ -140,8 +140,10 @@ impl Enc {
     }
 }
 
-/// Decode cursor over a byte slice.
-#[derive(Debug)]
+/// Decode cursor over a byte slice. A clone is a second cursor at the
+/// same position, which a decoder can use to look back at the bytes a
+/// value took.
+#[derive(Debug, Clone)]
 pub struct Dec<'a> {
     bytes: &'a [u8],
     at: usize,

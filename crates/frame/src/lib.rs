@@ -39,8 +39,8 @@ pub use codec::{Codec, CodecError, Dec, Enc};
 pub use crc::Crc32;
 pub use framing::{FrameScan, Frames, Framing, TornReason, LOG_MAGIC, SNAP_MAGIC};
 pub use snapshot::{
-    decode_snapshot, read_snapshot, write_snapshot, SnapshotDecodeError, SnapshotError,
-    SnapshotHeader, SNAPSHOT_VERSION,
+    decode_snapshot, read_snapshot, read_snapshot_into, write_snapshot, SnapshotDecodeError,
+    SnapshotError, SnapshotHeader, SNAPSHOT_VERSION,
 };
 
 /// FNV-1a 64-bit hash — the plan-hash function snapshot provenance

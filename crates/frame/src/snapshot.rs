@@ -259,17 +259,34 @@ pub fn write_snapshot(
 /// body payload — one allocation of the file's size and one checksum
 /// pass over it, no second copy.
 pub fn read_snapshot(path: &Path) -> Result<(SnapshotHeader, Vec<u8>), SnapshotError> {
-    let mut bytes = std::fs::read(path).map_err(|source| SnapshotError::Io {
+    let mut body = Vec::new();
+    let header = read_snapshot_into(path, &mut body)?;
+    Ok((header, body))
+}
+
+/// [`read_snapshot`] into a buffer the caller keeps: `buf` is cleared,
+/// filled with the file and cut down to the body payload, so a reader
+/// of many snapshots in turn holds one buffer, of the largest file's
+/// size, however many it reads. After an error `buf` holds no body to
+/// use.
+pub fn read_snapshot_into(path: &Path, buf: &mut Vec<u8>) -> Result<SnapshotHeader, SnapshotError> {
+    use std::io::Read as _;
+    buf.clear();
+    let io_err = |source| SnapshotError::Io {
         path: path.to_path_buf(),
         source,
-    })?;
-    let (header, body) = locate(&bytes).map_err(|error| SnapshotError::Decode {
+    };
+    let mut file = std::fs::File::open(path).map_err(io_err)?;
+    let len = file.metadata().map_err(io_err)?.len();
+    buf.reserve_exact(usize::try_from(len).unwrap_or(0));
+    file.read_to_end(buf).map_err(io_err)?;
+    let (header, body) = locate(buf).map_err(|error| SnapshotError::Decode {
         path: path.to_path_buf(),
         error,
     })?;
-    bytes.truncate(body.end);
-    bytes.drain(..body.start);
-    Ok((header, bytes))
+    buf.truncate(body.end);
+    buf.drain(..body.start);
+    Ok(header)
 }
 
 #[cfg(test)]

@@ -237,6 +237,25 @@ impl LogBins {
         }
     }
 
+    /// Fold in the counts of a log histogram of this shape, underflow bin
+    /// first, without building it: [`Self::merge`] of a histogram whose
+    /// [`Self::counts`] they are. A decoder reads them straight out of
+    /// its bytes, having bounded their sum.
+    ///
+    /// # Panics
+    /// Panics if `counts` holds a different number of bins.
+    pub fn merge_counts(&mut self, counts: impl ExactSizeIterator<Item = u64>) {
+        assert_eq!(
+            counts.len(),
+            self.counts.len(),
+            "cannot merge log histograms of different shape"
+        );
+        for (c, o) in self.counts.iter_mut().zip(counts) {
+            *c += o;
+            self.total += o;
+        }
+    }
+
     /// Fold another log histogram with the same shape into this one.
     /// Exact integer addition: associative, commutative, order-invariant.
     ///

@@ -383,8 +383,7 @@ fn load(args: &[String]) {
     std::fs::create_dir_all(&out_dir).expect("create output dir");
     let mut cfg = LoadConfig::full(out_dir.join("service.reslog"));
     if let Some(n) = clients {
-        cfg.clients = n;
-        cfg.target_inflight = (n / 3).max(4);
+        cfg = cfg.with_clients(n);
     }
     if let Some(n) = sockets {
         cfg.sockets = n;
