@@ -91,6 +91,22 @@ impl FigureAccumulator<TestRecord> for HardwareIllusionAcc {
         }
     }
 
+    /// An accumulator of another technology is refused by its tag, so
+    /// a part whose device accumulators are out of order cannot fold
+    /// one technology's strata into another's.
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let other = Self::decode(dec)?;
+        if other.tech != self.tech {
+            return Err(CodecError::BadTag {
+                what: "device figure technology",
+                // Declaration order, which is also the codec's tag.
+                tag: other.tech as u64,
+            });
+        }
+        self.merge(other);
+        Ok(())
+    }
+
     fn finish(self) -> HardwareIllusion {
         let of_tier = |tier: DeviceTier| self.tiers[tier_index(tier)].mean();
         let unconditional = (

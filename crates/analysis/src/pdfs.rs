@@ -18,7 +18,7 @@ use crate::fitcache::FitCache;
 use crate::summary::{decode_counts, MergeDecode};
 use crate::Render;
 use mbw_dataset::{AccessTech, TestRecord, WifiStandard};
-use mbw_frame::{fnv1a64, Codec, CodecError, Dec, Enc};
+use mbw_frame::{Codec, CodecError, Dec, Enc, Fnv1a64};
 use mbw_stats::{Gmm, LogBins, PoolCtx};
 use std::fmt::Write as _;
 
@@ -154,9 +154,25 @@ impl PdfAcc {
 
     /// The cache key for this accumulator's converged fit: `fnv1a64` over
     /// the `Codec` bytes, which cover the figure tag and every bin count
-    /// — any observation that could change the fit changes the key.
+    /// — any observation that could change the fit changes the key. The
+    /// bytes are hashed as they are produced, never gathered.
     pub fn fit_key(&self) -> u64 {
-        fnv1a64(&self.to_bytes())
+        let mut hash = Fnv1a64::new();
+        self.encoding(|bytes| hash.write(bytes));
+        hash.finish()
+    }
+
+    /// Hand `put` the `Codec` bytes piece by piece, in order: the figure
+    /// tag, then each count vector as its `Vec<u64>` encodes (a `u32`
+    /// length, then every count, big-endian), read where it lies.
+    fn encoding(&self, mut put: impl FnMut(&[u8])) {
+        put(&[self.tag()]);
+        for counts in [&self.counts[..], self.logbins.counts()] {
+            put(&(counts.len() as u32).to_be_bytes());
+            for count in counts {
+                put(&count.to_be_bytes());
+            }
+        }
     }
 
     /// Finish, serving the fit from `cache` when it already holds one
@@ -233,9 +249,7 @@ impl Codec for PdfAcc {
         // Title/filter/range/seed are structural — which of Figs
         // 16/18/19 this is — so they travel as one tag. The two count
         // vectors are the complete mergeable state.
-        enc.put_u8(self.tag());
-        self.counts.encode(enc);
-        self.logbins.counts().to_vec().encode(enc);
+        self.encoding(|bytes| enc.put_bytes(bytes));
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
@@ -291,6 +305,35 @@ mod tests {
             ..Default::default()
         })
         .generate()
+    }
+
+    #[test]
+    fn the_fit_key_hashes_the_encoding_and_the_encoding_is_the_count_vectors() {
+        let records = y2021(20_000, 405);
+        for make in [PdfAcc::fig16, PdfAcc::fig18, PdfAcc::fig19] {
+            let mut acc = make();
+            let mut keys = Vec::new();
+            for fill in [0, 1, 50, 2_000, records.len()] {
+                let start = acc.counts.iter().sum::<u64>();
+                for r in &records[..fill] {
+                    acc.observe(r);
+                }
+                let bytes = acc.to_bytes();
+                // What the encoding wrote when it copied the log bins
+                // into a `Vec` of their own.
+                let mut enc = Enc::new();
+                enc.put_u8(acc.tag());
+                acc.counts.encode(&mut enc);
+                acc.logbins.counts().to_vec().encode(&mut enc);
+                assert_eq!(bytes, enc.into_bytes(), "{} at {fill}", acc.title);
+                assert_eq!(acc.fit_key(), mbw_frame::fnv1a64(&bytes), "{}", acc.title);
+                if acc.counts.iter().sum::<u64>() > start {
+                    keys.push(acc.fit_key());
+                }
+            }
+            keys.dedup();
+            assert!(keys.len() >= 2, "{}: the fills moved no key", acc.title);
+        }
     }
 
     #[test]

@@ -948,6 +948,68 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A part whose 4G and 5G device accumulators trade places passes
+    /// its checksum and its provenance checks, but each accumulator is
+    /// refused by its technology: the reduce fails as a body error
+    /// naming the part instead of folding 4G strata into the 5G figure.
+    #[test]
+    fn swapped_device_accumulators_fail_the_reduce() {
+        use mbw_analysis::devices::HardwareIllusionAcc;
+        use mbw_analysis::robustness::OutcomeRatesAcc;
+        use mbw_dataset::AccessTech;
+
+        let cfg = quick_cfg(2);
+        let dir = temp_dir("devices");
+        let plans = write_plans(&cfg, &dir.join("plans")).unwrap();
+        let parts: Vec<PathBuf> = plans
+            .iter()
+            .map(|plan| {
+                let run = run_shard_file(plan, &dir.join("parts"), 1).unwrap();
+                run.path().to_path_buf()
+            })
+            .collect();
+        let (head, body) = read_snapshot(&parts[1]).unwrap();
+        let part = ShardPart::from_bytes(&body).unwrap();
+        // The body ends with the three device accumulators (4G, 5G,
+        // WiFi; each of one fixed size), the outcome tallies (fixed
+        // size), the evaluation state and the execute time.
+        let device = HardwareIllusionAcc::new(AccessTech::Cellular4g)
+            .to_bytes()
+            .len();
+        let tail = OutcomeRatesAcc::new().to_bytes().len() + part.eval.to_bytes().len() + 8;
+        let d4 = body.len() - tail - 3 * device;
+        let tag = |at: usize| AccessTech::from_bytes(&body[at..at + 1]).unwrap();
+        assert_eq!(tag(d4), AccessTech::Cellular4g);
+        assert_eq!(tag(d4 + device), AccessTech::Cellular5g);
+        assert_ne!(
+            body[d4 + 1..d4 + device],
+            body[d4 + device + 1..d4 + 2 * device]
+        );
+        let mut swapped = body.clone();
+        swapped[d4..d4 + 2 * device].rotate_left(device);
+
+        let bad = dir.join("shard-01-of-02-swapped.part");
+        write_snapshot(&bad, &head, &swapped).unwrap();
+        match reduce_parts(&[parts[0].clone(), bad.clone()], 1) {
+            Err(DistError::Body { path, error }) => {
+                assert_eq!(path, bad);
+                assert!(
+                    matches!(
+                        error,
+                        CodecError::BadTag {
+                            what: "device figure technology",
+                            tag: 2
+                        }
+                    ),
+                    "{error}"
+                );
+            }
+            Err(other) => panic!("failed with {other}"),
+            Ok(_) => panic!("a part with swapped device state reduced"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// `plan_hash` as the parent of the bounded-state change computed
     /// it: the same parameters, no state-layout constant.
     fn layout_1_plan_hash(cfg: &DistConfig) -> u64 {

@@ -136,6 +136,22 @@ impl MultiFlowSim {
         }
     }
 
+    /// Start over on `path`: the simulator is left exactly as
+    /// [`MultiFlowSim::new`] would build it, but keeps the capacity of
+    /// its flow list and sample bins, so a run of tests on one simulator
+    /// sizes them once, by the largest test.
+    pub fn reset(&mut self, path: PathModel, config: MultiFlowConfig) {
+        let mut flows = std::mem::take(&mut self.flows);
+        let mut bins = std::mem::take(&mut self.bins);
+        flows.clear();
+        bins.clear();
+        *self = Self {
+            flows,
+            bins,
+            ..Self::new(path, config)
+        };
+    }
+
     /// Allocate the sample bins once for a run that steps rounds while
     /// flow time is under `horizon`, instead of doubling them as rounds
     /// finish. The round that crosses the horizon ends past it by at
@@ -487,6 +503,64 @@ mod tests {
         let (reserved, len, capacity) = run(MultiFlowSim::new(path, MultiFlowConfig::default()));
         assert!(len > reserved, "{len} bins, {reserved} reserved");
         assert_eq!(capacity, len);
+    }
+
+    #[test]
+    fn a_reset_simulator_runs_as_a_new_one() {
+        // A lossy path with a blackout, three flows added along the way:
+        // both loss draws and the grow-once rule come into play.
+        let path = |seed: u64| {
+            let mut cfg = PathConfig::constant(150e6, Duration::from_millis(30));
+            cfg.loss_prob = 2e-3;
+            cfg.seed = seed;
+            PathModel::new(cfg).with_faults(FaultPlan::blackout(
+                SimTime::from_millis(1_900),
+                Duration::from_millis(600),
+            ))
+        };
+        let config = |seed| MultiFlowConfig {
+            seed,
+            ..Default::default()
+        };
+        let run = |s: &mut MultiFlowSim, alg: CcAlgorithm, reserve: bool| {
+            if reserve {
+                s.reserve_horizon(Duration::from_secs(2));
+            }
+            for at_ms in [0, 300, 900] {
+                s.run_until(Duration::from_millis(at_ms));
+                s.add_flow(alg);
+            }
+            s.run_until(Duration::from_secs(2));
+            let exits: Vec<_> = (0..s.flow_count()).map(|i| s.slow_start_exit(i)).collect();
+            let bits: Vec<_> = s
+                .samples()
+                .iter()
+                .map(|x| (x.at, x.bps.to_bits()))
+                .collect();
+            let (sent, delivered, losses) = s.totals();
+            (bits, sent.to_bits(), delivered.to_bits(), losses, exits)
+        };
+        for alg in CcAlgorithm::ALL {
+            for reserve in [false, true] {
+                let mut used = sim(400e6, 60);
+                used.reserve_horizon(Duration::from_secs(8));
+                for _ in 0..5 {
+                    used.add_flow(CcAlgorithm::Bbr);
+                }
+                used.run_until(Duration::from_secs(6));
+                let capacity = (used.flows.capacity(), used.bins.capacity());
+                used.reset(path(3), config(4));
+                assert_eq!(used.flow_count(), 0);
+                assert_eq!(used.now(), Duration::ZERO);
+                assert_eq!((used.flows.capacity(), used.bins.capacity()), capacity);
+                let mut fresh = MultiFlowSim::new(path(3), config(4));
+                assert_eq!(
+                    run(&mut used, alg, reserve),
+                    run(&mut fresh, alg, reserve),
+                    "{alg}, reserved {reserve}"
+                );
+            }
+        }
     }
 
     /// The draw as the simulator made it before the lazy bound: the

@@ -18,7 +18,9 @@
 //!    immutable, so one harness serves every worker) and assembles a
 //!    columnar [`TrialPool`] in plan order — byte-identical for any
 //!    thread count. Each test records a fixed-size
-//!    [`DecisionRecord`], not a full timeline.
+//!    [`DecisionRecord`], not a full timeline, and every trial of a
+//!    worker runs on the worker's one reusable test scratch (flow
+//!    simulator and sample buffers, reset between tests).
 //! 3. **Reduce** (in `mbw-bench`): figure accumulators fold the shared
 //!    pool into Figs 17–26 in one pass.
 //!
@@ -34,7 +36,8 @@ use crate::harness::{Fleets, TestHarness};
 use crate::model::TechClass;
 use crate::probe::{self, BtsKind, SwiftestConfig};
 use crate::scenario::AccessScenario;
-use mbw_congestion::{CcAlgorithm, MultiFlowConfig, MultiFlowSim};
+use crate::scratch::TestScratch;
+use mbw_congestion::{CcAlgorithm, MultiFlowConfig};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_netsim::{ConstantCapacity, PathConfig, PathModel, RampUpCapacity};
 use mbw_stats::{pool, Gmm, SeededRng};
@@ -1107,7 +1110,18 @@ fn ramp_path(mbps: f64, seed: u64) -> PathModel {
 /// flow is stepped no further than the round that finishes the crossing
 /// sample.
 pub fn ramp_time(alg: CcAlgorithm, mbps: f64, seed: u64, cap_secs: f64) -> f64 {
-    let mut sim = MultiFlowSim::new(
+    ramp_time_in(&mut TestScratch::default(), alg, mbps, seed, cap_secs)
+}
+
+/// [`ramp_time`] on `scratch`'s simulator.
+fn ramp_time_in(
+    scratch: &mut TestScratch,
+    alg: CcAlgorithm,
+    mbps: f64,
+    seed: u64,
+    cap_secs: f64,
+) -> f64 {
+    let sim = scratch.sim(
         ramp_path(mbps, seed),
         MultiFlowConfig {
             seed: seed ^ 0xF16,
@@ -1152,12 +1166,13 @@ impl ExecContext {
         &self.harnesses[id.tag() as usize]
     }
 
-    /// Execute one trial into a caller-owned scratch buffer, returning
-    /// the number of rows written. The executor's hot path: each test
-    /// keeps a [`DecisionRecord`], not a timeline, and no row is
-    /// allocated.
+    /// Execute one trial on `scratch` into a caller-owned row buffer,
+    /// returning the number of rows written. The executor's hot path:
+    /// each test keeps a [`DecisionRecord`], not a timeline, and no row
+    /// is allocated.
     fn execute_into(
         &self,
+        scratch: &mut TestScratch,
         spec: &TrialSpec,
         campaign_seed: u64,
         out: &mut [TrialOutcome; MAX_TRIAL_ROWS],
@@ -1167,14 +1182,14 @@ impl ExecContext {
             TrialKind::Single(kind) => {
                 let o = self
                     .harness(spec.scenario)
-                    .run_logged::<DecisionRecord>(kind, seed);
+                    .run_in::<DecisionRecord>(scratch, kind, seed);
                 out[0] = (&o).into();
                 1
             }
             TrialKind::Pair(a, b) => {
                 let pair = self
                     .harness(spec.scenario)
-                    .back_to_back_logged::<DecisionRecord>(a, b, seed);
+                    .back_to_back_in::<DecisionRecord>(scratch, a, b, seed);
                 out[0] = (&pair.first).into();
                 out[1] = (&pair.second).into();
                 2
@@ -1182,7 +1197,7 @@ impl ExecContext {
             TrialKind::Group => {
                 let group = self
                     .harness(spec.scenario)
-                    .test_group_logged::<DecisionRecord>(seed);
+                    .test_group_in::<DecisionRecord>(scratch, seed);
                 for (slot, o) in out.iter_mut().zip(group.outcomes.iter()) {
                     *slot = o.into();
                 }
@@ -1190,7 +1205,7 @@ impl ExecContext {
             }
             TrialKind::Ramp(alg, bin) => {
                 let mbps = BANDWIDTH_BINS[bin as usize];
-                let t = ramp_time(alg, mbps, seed, RAMP_CAP_SECS);
+                let t = ramp_time_in(scratch, alg, mbps, seed, RAMP_CAP_SECS);
                 out[0] = TrialOutcome {
                     duration_s: t,
                     ping_s: 0.0,
@@ -1204,15 +1219,18 @@ impl ExecContext {
             TrialKind::Variant(variant) => {
                 let setup = variant.setup();
                 let drawn = self.harness(spec.scenario).scenario().draw(seed);
-                let mut est = ConvergenceEstimator::new(setup.window, setup.tolerance, 0);
+                let est =
+                    |b: &mut _| ConvergenceEstimator::new_on(b, setup.window, setup.tolerance, 0);
                 // Same draw/run seed split as `TestHarness::run`.
-                let r = probe::run_swiftest_logged::<DecisionRecord>(
-                    drawn.build(),
-                    &setup.model,
-                    &mut est,
-                    &setup.config,
-                    seed ^ 0x51AB,
-                );
+                let r = scratch.lend(est, |_, est| {
+                    probe::run_swiftest_logged::<DecisionRecord>(
+                        drawn.build(),
+                        &setup.model,
+                        est,
+                        &setup.config,
+                        seed ^ 0x51AB,
+                    )
+                });
                 out[0] = TrialOutcome {
                     duration_s: r.duration.as_secs_f64(),
                     ping_s: 0.0,
@@ -1229,13 +1247,14 @@ impl ExecContext {
 
 fn execute_one(
     ctx: &ExecContext,
+    scratch: &mut TestScratch,
     spec: &TrialSpec,
     campaign_seed: u64,
     metrics: Option<&CampaignMetrics>,
     out: &mut [TrialOutcome; MAX_TRIAL_ROWS],
 ) -> usize {
     let started = Instant::now();
-    let rows = ctx.execute_into(spec, campaign_seed, out);
+    let rows = ctx.execute_into(scratch, spec, campaign_seed, out);
     if let Some(m) = metrics {
         m.observe_trial(spec.kind.label(), rows as u64, started.elapsed());
     }
@@ -1273,19 +1292,22 @@ pub fn run_campaign_metered(
     // fine-grained enough that long trials (10 s BTS-APP floods) can't
     // stall a static stripe. A batch's rows are one `Copy` array — no
     // per-trial heap allocation — and the pool hands batches back in plan
-    // order, so the result is byte-identical at any thread count.
+    // order, so the result is byte-identical at any thread count. Each
+    // worker runs all its trials on one test scratch, which lives no
+    // longer than this call.
     let mut pushed = specs.chunks(CLAIM_BATCH);
-    pool::for_each(
+    pool::for_each_with(
         threads,
         n.div_ceil(CLAIM_BATCH),
-        |b| {
+        TestScratch::default,
+        |scratch, b| {
             let mut batch_spans = trace::active().local();
             let batch_span = batch_spans.begin();
             let start = b * CLAIM_BATCH;
             let batch = &specs[start..n.min(start + CLAIM_BATCH)];
             let mut rows = [(0, [TrialOutcome::ZERO; MAX_TRIAL_ROWS]); CLAIM_BATCH];
             for (spec, (len, out)) in batch.iter().zip(&mut rows) {
-                *len = execute_one(&ctx, spec, campaign_seed, metrics, out);
+                *len = execute_one(&ctx, scratch, spec, campaign_seed, metrics, out);
             }
             if batch_span.id != 0 {
                 batch_spans.end_with(
@@ -1330,6 +1352,7 @@ pub fn run_campaign_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbw_congestion::MultiFlowSim;
     use proptest::prelude::*;
 
     fn tiny_counts() -> EvalCounts {
@@ -1736,8 +1759,73 @@ mod tests {
         }
     }
 
+    /// Any trial kind, every service, algorithm, bin and variant.
+    fn any_kind() -> impl Strategy<Value = TrialKind> {
+        let bts = || (0..BtsKind::ALL.len()).prop_map(|i| BtsKind::ALL[i]);
+        prop_oneof![
+            bts().prop_map(TrialKind::Single),
+            (bts(), bts()).prop_map(|(a, b)| TrialKind::Pair(a, b)),
+            Just(TrialKind::Group),
+            (0..CcAlgorithm::ALL.len(), 0..BANDWIDTH_BINS.len())
+                .prop_map(|(a, bin)| TrialKind::Ramp(CcAlgorithm::ALL[a], bin as u8)),
+            (0..VariantId::ALL.len()).prop_map(|v| TrialKind::Variant(VariantId::ALL[v])),
+        ]
+    }
+
+    fn any_spec() -> impl Strategy<Value = TrialSpec> {
+        (any_kind(), 0..ScenarioId::ALL.len(), 0u32..10_000).prop_map(|(kind, s, index)| {
+            TrialSpec {
+                kind,
+                scenario: ScenarioId::ALL[s],
+                index,
+            }
+        })
+    }
+
+    /// The bits of one trial's rows.
+    fn rows_bits(rows: &[TrialOutcome]) -> Vec<[u64; 6]> {
+        rows.iter()
+            .map(|o| {
+                [
+                    o.duration_s.to_bits(),
+                    o.ping_s.to_bits(),
+                    o.data_bytes.to_bits(),
+                    o.estimate_mbps.to_bits(),
+                    o.truth_mbps.to_bits(),
+                    u64::from(o.complete),
+                ]
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Nothing one trial leaves in a worker's scratch reaches the
+        /// next: trial `b` after trial `a` on one scratch gives the rows
+        /// `b` gives on a fresh one, bit for bit.
+        #[test]
+        fn a_trial_on_a_used_scratch_runs_as_on_a_fresh_one(
+            a in any_spec(),
+            b in any_spec(),
+            campaign_seed in any::<u64>(),
+        ) {
+            let ctx = ExecContext::new(ProfileDim::PAPER_CHINA);
+            let run = |scratch: &mut TestScratch, spec: &TrialSpec| {
+                let mut out = [TrialOutcome::ZERO; MAX_TRIAL_ROWS];
+                let rows = ctx.execute_into(scratch, spec, campaign_seed, &mut out);
+                rows_bits(&out[..rows])
+            };
+            let mut used = TestScratch::default();
+            run(&mut used, &a);
+            prop_assert_eq!(
+                run(&mut used, &b),
+                run(&mut TestScratch::default(), &b),
+                "{:?} after {:?}",
+                b,
+                a
+            );
+        }
 
         #[test]
         fn distinct_indices_never_collide(

@@ -55,6 +55,41 @@ pub trait BandwidthEstimator {
     }
 }
 
+/// The sample buffers of one test, lent to its estimator, which hands
+/// them back when the test ends ([`Lend::release`]): a run of tests (a
+/// campaign worker's) sizes them once, by its largest test rather than
+/// by the sum of its estimators. An estimator's public constructor lends
+/// it fresh, empty buffers, so it allocates as it always did.
+#[derive(Debug, Default)]
+pub(crate) struct SampleBuffers {
+    samples: Vec<f64>,
+    sorted: Vec<f64>,
+}
+
+impl SampleBuffers {
+    /// The sample buffer, emptied, with room for `n` samples: when it
+    /// must grow, it grows to exactly `n`, as `Vec::with_capacity` sizes.
+    fn samples(&mut self, n: usize) -> Vec<f64> {
+        let mut samples = std::mem::take(&mut self.samples);
+        samples.clear();
+        samples.reserve_exact(n);
+        samples
+    }
+
+    /// The buffer for a sorted copy of the samples, emptied.
+    fn sorted(&mut self) -> Vec<f64> {
+        let mut sorted = std::mem::take(&mut self.sorted);
+        sorted.clear();
+        sorted
+    }
+}
+
+/// An estimator built on lent [`SampleBuffers`].
+pub(crate) trait Lend: BandwidthEstimator {
+    /// Hand the buffers back once the test is over.
+    fn release(self, buffers: &mut SampleBuffers);
+}
+
 /// BTS-APP's estimator (§2): collect `groups × group_size` samples,
 /// average each group, discard the `drop_low` lowest and `drop_high`
 /// highest group means, and average the rest. The paper's production
@@ -72,7 +107,12 @@ impl GroupedTrimmedMean {
     /// The production BTS-APP configuration: 200 samples in 20 groups,
     /// drop 5 lowest and 2 highest group means.
     pub fn bts_app() -> Self {
-        Self::new(20, 10, 5, 2)
+        Self::bts_app_on(&mut SampleBuffers::default())
+    }
+
+    /// [`GroupedTrimmedMean::bts_app`] on lent buffers.
+    pub(crate) fn bts_app_on(buffers: &mut SampleBuffers) -> Self {
+        Self::new_on(buffers, 20, 10, 5, 2)
     }
 
     /// Custom grouping (for ablations).
@@ -80,10 +120,27 @@ impl GroupedTrimmedMean {
     /// # Panics
     /// Panics if the trim would discard every group.
     pub fn new(groups: usize, group_size: usize, drop_low: usize, drop_high: usize) -> Self {
+        Self::new_on(
+            &mut SampleBuffers::default(),
+            groups,
+            group_size,
+            drop_low,
+            drop_high,
+        )
+    }
+
+    /// [`GroupedTrimmedMean::new`] on lent buffers.
+    fn new_on(
+        buffers: &mut SampleBuffers,
+        groups: usize,
+        group_size: usize,
+        drop_low: usize,
+        drop_high: usize,
+    ) -> Self {
         assert!(groups > 0 && group_size > 0);
         assert!(drop_low + drop_high < groups, "trim discards all groups");
         Self {
-            samples: Vec::with_capacity(groups * group_size),
+            samples: buffers.samples(groups * group_size),
             groups,
             group_size,
             drop_low,
@@ -141,6 +198,12 @@ impl BandwidthEstimator for GroupedTrimmedMean {
     }
 }
 
+impl Lend for GroupedTrimmedMean {
+    fn release(self, buffers: &mut SampleBuffers) {
+        buffers.samples = self.samples;
+    }
+}
+
 /// FAST's and Swiftest's stop rule (§5.1): the test ends when the last
 /// `window` samples differ by no more than `tolerance` (max−min relative
 /// to max); the result is their mean.
@@ -164,7 +227,12 @@ impl ConvergenceEstimator {
     /// The Swiftest configuration: 10-sample window, 3% tolerance,
     /// no warm-up.
     pub fn swiftest() -> Self {
-        Self::new(10, 0.03, 0)
+        Self::swiftest_on(&mut SampleBuffers::default())
+    }
+
+    /// [`ConvergenceEstimator::swiftest`] on lent buffers.
+    pub(crate) fn swiftest_on(buffers: &mut SampleBuffers) -> Self {
+        Self::new_on(buffers, 10, 0.03, 0)
     }
 
     /// The FAST configuration: same convergence rule over TCP samples,
@@ -173,7 +241,12 @@ impl ConvergenceEstimator {
     /// which is why its TCP tests run much longer than Swiftest (§5.3:
     /// 13.5 s average).
     pub fn fast() -> Self {
-        Self::new(10, 0.03, 40)
+        Self::fast_on(&mut SampleBuffers::default())
+    }
+
+    /// [`ConvergenceEstimator::fast`] on lent buffers.
+    pub(crate) fn fast_on(buffers: &mut SampleBuffers) -> Self {
+        Self::new_on(buffers, 10, 0.03, 40)
     }
 
     /// Custom window/tolerance (ablations).
@@ -181,10 +254,20 @@ impl ConvergenceEstimator {
     /// # Panics
     /// Panics on a zero window or non-positive tolerance.
     pub fn new(window: usize, tolerance: f64, warmup: usize) -> Self {
+        Self::new_on(&mut SampleBuffers::default(), window, tolerance, warmup)
+    }
+
+    /// [`ConvergenceEstimator::new`] on lent buffers.
+    pub(crate) fn new_on(
+        buffers: &mut SampleBuffers,
+        window: usize,
+        tolerance: f64,
+        warmup: usize,
+    ) -> Self {
         assert!(window >= 2, "need at least two samples to compare");
         assert!(tolerance > 0.0);
         Self {
-            recent: Vec::with_capacity(2 * window),
+            recent: buffers.samples(2 * window),
             seen: 0,
             window,
             tolerance,
@@ -230,6 +313,12 @@ impl BandwidthEstimator for ConvergenceEstimator {
     }
 }
 
+impl Lend for ConvergenceEstimator {
+    fn release(self, buffers: &mut SampleBuffers) {
+        buffers.samples = self.recent;
+    }
+}
+
 /// FastBTS's crucial-interval estimator (§5.1): among all intervals of
 /// sorted samples, pick the one maximising *density × quantity*; the
 /// estimate is the mean of the samples inside. The test stops once the
@@ -257,9 +346,14 @@ impl CrucialIntervalEstimator {
     /// across connections before trusting it; the evidence floor here
     /// (24 samples ≈ 1.2 s) plays that role.
     pub fn fastbts() -> Self {
+        Self::fastbts_on(&mut SampleBuffers::default())
+    }
+
+    /// [`CrucialIntervalEstimator::fastbts`] on lent buffers.
+    pub(crate) fn fastbts_on(buffers: &mut SampleBuffers) -> Self {
         Self {
-            samples: Vec::new(),
-            sorted: Vec::new(),
+            samples: buffers.samples(0),
+            sorted: buffers.sorted(),
             min_samples: 24,
             stability: 0.05,
             stable_needed: 5,
@@ -346,6 +440,13 @@ impl BandwidthEstimator for CrucialIntervalEstimator {
 
     fn name(&self) -> &'static str {
         "crucial-interval"
+    }
+}
+
+impl Lend for CrucialIntervalEstimator {
+    fn release(self, buffers: &mut SampleBuffers) {
+        buffers.samples = self.samples;
+        buffers.sorted = self.sorted;
     }
 }
 

@@ -11,6 +11,10 @@
 //! [`ProbeTimeline`]; their `_logged` forms record into any other
 //! [`ProbeLog`], such as the campaign's fixed-size
 //! [`crate::decision::DecisionRecord`].
+//!
+//! Every test runs on a `TestScratch`, the flow simulator and sample
+//! buffers it borrows: the public methods give each call a fresh one,
+//! and a campaign worker lends its own to every trial it runs.
 
 use crate::decision::ProbeLog;
 use crate::estimator::{ConvergenceEstimator, CrucialIntervalEstimator, GroupedTrimmedMean};
@@ -18,6 +22,7 @@ use crate::model::TechClass;
 use crate::outcome::TestStatus;
 use crate::probe::{self, BtsKind, FloodingConfig, ProbeResult, SwiftestConfig};
 use crate::scenario::{AccessScenario, DrawnPath};
+use crate::scratch::TestScratch;
 use crate::server::ServerPool;
 use mbw_stats::{descriptive, SeededRng};
 use mbw_telemetry::ProbeTimeline;
@@ -157,18 +162,30 @@ impl TestHarness {
 
     /// [`TestHarness::run`], recording into any [`ProbeLog`].
     pub fn run_logged<L: ProbeLog>(&self, kind: BtsKind, seed: u64) -> TestOutcome<L> {
+        self.run_in(&mut TestScratch::default(), kind, seed)
+    }
+
+    /// [`TestHarness::run_logged`] on `scratch`.
+    pub(crate) fn run_in<L: ProbeLog>(
+        &self,
+        scratch: &mut TestScratch,
+        kind: BtsKind,
+        seed: u64,
+    ) -> TestOutcome<L> {
         let drawn = self.scenario.draw(seed);
-        self.run_on_logged(kind, &drawn, seed ^ 0x51AB)
+        self.run_on_logged(scratch, kind, &drawn, seed ^ 0x51AB)
     }
 
     /// Run one test on an explicit drawn link.
     pub fn run_on(&self, kind: BtsKind, drawn: &DrawnPath, run_seed: u64) -> TestOutcome {
-        self.run_on_logged(kind, drawn, run_seed)
+        self.run_on_logged(&mut TestScratch::default(), kind, drawn, run_seed)
     }
 
-    /// [`TestHarness::run_on`], recording into any [`ProbeLog`].
+    /// [`TestHarness::run_on`] on `scratch`, recording into any
+    /// [`ProbeLog`].
     fn run_on_logged<L: ProbeLog>(
         &self,
+        scratch: &mut TestScratch,
         kind: BtsKind,
         drawn: &DrawnPath,
         run_seed: u64,
@@ -186,28 +203,24 @@ impl TestHarness {
 
         let path = drawn.build();
         let result: ProbeResult<L> = match kind {
-            BtsKind::BtsApp => {
-                let mut est = GroupedTrimmedMean::bts_app();
-                probe::run_flooding_logged(path, &mut est, &FloodingConfig::bts_app(), run_seed)
-            }
-            BtsKind::Fast => {
-                let mut est = ConvergenceEstimator::fast();
-                probe::run_flooding_logged(path, &mut est, &FloodingConfig::fast(), run_seed)
-            }
+            BtsKind::BtsApp => scratch.lend(GroupedTrimmedMean::bts_app_on, |scratch, est| {
+                let config = FloodingConfig::bts_app();
+                probe::run_flooding_logged(scratch, path, est, &config, run_seed)
+            }),
+            BtsKind::Fast => scratch.lend(ConvergenceEstimator::fast_on, |scratch, est| {
+                let config = FloodingConfig::fast();
+                probe::run_flooding_logged(scratch, path, est, &config, run_seed)
+            }),
             BtsKind::FastBts => {
-                let mut est = CrucialIntervalEstimator::fastbts();
-                probe::run_flooding_logged(path, &mut est, &FloodingConfig::fastbts(), run_seed)
+                scratch.lend(CrucialIntervalEstimator::fastbts_on, |scratch, est| {
+                    let config = FloodingConfig::fastbts();
+                    probe::run_flooding_logged(scratch, path, est, &config, run_seed)
+                })
             }
-            BtsKind::Swiftest => {
-                let mut est = ConvergenceEstimator::swiftest();
-                probe::run_swiftest_logged(
-                    path,
-                    &self.scenario.model,
-                    &mut est,
-                    &SwiftestConfig::default(),
-                    run_seed,
-                )
-            }
+            BtsKind::Swiftest => scratch.lend(ConvergenceEstimator::swiftest_on, |_, est| {
+                let config = SwiftestConfig::default();
+                probe::run_swiftest_logged(path, &self.scenario.model, est, &config, run_seed)
+            }),
         };
 
         let mut timeline = result.timeline;
@@ -241,14 +254,26 @@ impl TestHarness {
         b: BtsKind,
         seed: u64,
     ) -> BackToBack<L> {
+        self.back_to_back_in(&mut TestScratch::default(), a, b, seed)
+    }
+
+    /// [`TestHarness::back_to_back_logged`] on `scratch`.
+    pub(crate) fn back_to_back_in<L: ProbeLog>(
+        &self,
+        scratch: &mut TestScratch,
+        a: BtsKind,
+        b: BtsKind,
+        seed: u64,
+    ) -> BackToBack<L> {
         let drawn = self.scenario.draw(seed);
         let mut rng = SeededRng::new(seed ^ 0x0DD);
         let flip = rng.chance(0.5);
         let (first_kind, second_kind) = if flip { (b, a) } else { (a, b) };
         // Distinct run seeds: the second run starts after a cooldown, so
         // its noise process is a different draw on the same link.
-        let mut first = self.run_on_logged(first_kind, &drawn, seed ^ 0xF157);
+        let mut first = self.run_on_logged(scratch, first_kind, &drawn, seed ^ 0xF157);
         let mut second = self.run_on_logged(
+            scratch,
             second_kind,
             &DrawnPath {
                 seed: drawn.seed ^ 0x2ED,
@@ -271,12 +296,21 @@ impl TestHarness {
 
     /// [`TestHarness::test_group`], recording into any [`ProbeLog`].
     pub fn test_group_logged<L: ProbeLog>(&self, seed: u64) -> TestGroup<L> {
+        self.test_group_in(&mut TestScratch::default(), seed)
+    }
+
+    /// [`TestHarness::test_group_logged`] on `scratch`.
+    pub(crate) fn test_group_in<L: ProbeLog>(
+        &self,
+        scratch: &mut TestScratch,
+        seed: u64,
+    ) -> TestGroup<L> {
         let drawn = self.scenario.draw(seed);
-        let reference = self.run_on_logged(BtsKind::BtsApp, &drawn, seed ^ 0x0EF);
+        let reference = self.run_on_logged(scratch, BtsKind::BtsApp, &drawn, seed ^ 0x0EF);
         let mut k = 0u64;
         let [fast, fastbts, swiftest] =
             [BtsKind::Fast, BtsKind::FastBts, BtsKind::Swiftest].map(|kind| {
-                let o = self.run_on_logged(kind, &drawn, seed ^ (0xA11 + k));
+                let o = self.run_on_logged(scratch, kind, &drawn, seed ^ (0xA11 + k));
                 k += 1;
                 o
             });

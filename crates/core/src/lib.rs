@@ -53,6 +53,7 @@ pub mod model;
 pub mod outcome;
 pub mod probe;
 pub mod scenario;
+mod scratch;
 pub mod server;
 pub mod tcp_variant;
 

@@ -9,6 +9,7 @@
 use crate::decision::ProbeLog;
 use crate::estimator::{BandwidthEstimator, EstimatorDecision};
 use crate::outcome::{DegradeReason, FailReason, TestStatus};
+use crate::scratch::TestScratch;
 use crate::SAMPLE_INTERVAL_MS;
 use mbw_congestion::{CcAlgorithm, CongestionControl, MultiFlowConfig, MultiFlowSim};
 use mbw_netsim::{PathModel, SimTime};
@@ -142,11 +143,12 @@ pub fn run_flooding(
     config: &FloodingConfig,
     seed: u64,
 ) -> ProbeResult {
-    run_flooding_logged(path, estimator, config, seed)
+    run_flooding_logged(&mut TestScratch::default(), path, estimator, config, seed)
 }
 
-/// [`run_flooding`], recording into any [`ProbeLog`].
+/// [`run_flooding`] on `scratch`, recording into any [`ProbeLog`].
 pub(crate) fn run_flooding_logged<L: ProbeLog>(
+    scratch: &mut TestScratch,
     path: PathModel,
     estimator: &mut dyn BandwidthEstimator,
     config: &FloodingConfig,
@@ -154,12 +156,11 @@ pub(crate) fn run_flooding_logged<L: ProbeLog>(
 ) -> ProbeResult<L> {
     let mut next_threshold = 0usize;
     drive_tcp_test(
-        path,
+        scratch.sim(path, tcp_config(seed)),
         config.cc.build(),
         "flooding",
         estimator,
         config.max_duration,
-        seed,
         |sim, log: &mut L, at_ns, mbps| {
             // Progressive connection addition (§2).
             while next_threshold < config.thresholds.len()
@@ -175,28 +176,30 @@ pub(crate) fn run_flooding_logged<L: ProbeLog>(
     )
 }
 
-/// The one loop behind every TCP-based test: step `first_flow` over
-/// `path` round by round, drain the 50 ms samples each round finishes
-/// (each is handed out once — see `MultiFlowSim::next_sample`), record
-/// them, and stop when `estimator` converges or `max_duration` passes.
-/// `after_sample` runs between recording a sample and pushing it into
-/// the estimator; the flooding prober adds connections there.
+/// The simulator settings of a TCP-based test seeded with `seed`: the
+/// clients' 50 ms samples.
+pub(crate) fn tcp_config(seed: u64) -> MultiFlowConfig {
+    MultiFlowConfig {
+        sample_interval: Duration::from_millis(SAMPLE_INTERVAL_MS),
+        seed,
+    }
+}
+
+/// The one loop behind every TCP-based test: step `first_flow` on `sim`
+/// (fresh on the test's path, with no flow yet) round by round, drain
+/// the 50 ms samples each round finishes (each is handed out once — see
+/// `MultiFlowSim::next_sample`), record them, and stop when `estimator`
+/// converges or `max_duration` passes. `after_sample` runs between
+/// recording a sample and pushing it into the estimator; the flooding
+/// prober adds connections there.
 pub(crate) fn drive_tcp_test<L: ProbeLog>(
-    path: PathModel,
+    sim: &mut MultiFlowSim,
     first_flow: Box<dyn CongestionControl>,
     prober: &'static str,
     estimator: &mut dyn BandwidthEstimator,
     max_duration: Duration,
-    seed: u64,
     mut after_sample: impl FnMut(&mut MultiFlowSim, &mut L, u64, f64),
 ) -> ProbeResult<L> {
-    let mut sim = MultiFlowSim::new(
-        path,
-        MultiFlowConfig {
-            sample_interval: Duration::from_millis(SAMPLE_INTERVAL_MS),
-            seed,
-        },
-    );
     sim.reserve_horizon(max_duration);
     sim.add_flow_boxed(first_flow);
 
@@ -214,7 +217,7 @@ pub(crate) fn drive_tcp_test<L: ProbeLog>(
             sampled = true;
             let at_ns = s.at.as_nanos() as u64;
             log.sample(at_ns, mbps);
-            after_sample(&mut sim, &mut log, at_ns, mbps);
+            after_sample(sim, &mut log, at_ns, mbps);
             if let EstimatorDecision::Done(v) = estimator.push(mbps) {
                 final_estimate = Some(v);
                 end = s.at;

@@ -21,8 +21,8 @@
 //! ours, so the modification is a module.
 
 use crate::estimator::{BandwidthEstimator, ConvergenceEstimator};
-use crate::probe::{drive_tcp_test, ProbeResult, SwiftestConfig};
-use mbw_congestion::{CongestionControl, RoundInput, MSS};
+use crate::probe::{drive_tcp_test, tcp_config, ProbeResult, SwiftestConfig};
+use mbw_congestion::{CongestionControl, MultiFlowSim, RoundInput, MSS};
 use mbw_netsim::PathModel;
 use mbw_stats::{Gmm, SeededRng};
 
@@ -134,12 +134,11 @@ pub fn run_swiftest_tcp(
     seed: u64,
 ) -> ProbeResult {
     drive_tcp_test(
-        path,
+        &mut MultiFlowSim::new(path, tcp_config(seed)),
         Box::new(ModelGuidedCc::new(model.clone(), config)),
         "swiftest-tcp",
         estimator,
         config.max_duration,
-        seed,
         |_, _, _, _| {},
     )
 }

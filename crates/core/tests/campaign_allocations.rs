@@ -152,6 +152,52 @@ fn each_trial_kind_stays_under_its_frozen_ceiling() {
     assert!(over.is_empty(), "trials over their ceiling:\n{over}");
 }
 
+/// Bytes each trial adds to a campaign of [`RUN`] trials of one series:
+/// what `run_campaign` requests for the whole series, less what it
+/// requests for its first trial, per further trial.
+fn added_trial_bytes(kind: TrialKind) -> u64 {
+    let plan = |n| {
+        let mut plan = CampaignPlan::new(0xA110C);
+        plan.push_series(kind, LTE, n);
+        plan
+    };
+    let (one, run) = (plan(1), plan(RUN));
+    (requested(|| run_campaign(&run, 1)) - requested(|| run_campaign(&one, 1))) / (RUN as u64 - 1)
+}
+
+/// Trials in the campaigns of [`ADDED`].
+const RUN: usize = 41;
+
+/// What each further trial of a series costs, in bytes. A worker runs
+/// every trial on one test scratch, so past the first trial a test
+/// requests no sample bins, no estimator buffers and no flow list:
+/// what is left is its controllers, its capacity process and its rows
+/// of the pool. A trial may request up to 10 % more before the test
+/// fails; a simulator or an estimator buffer built per test again costs
+/// 1.6 KB to 5 KB more.
+const ADDED: [(&str, TrialKind, u64); 5] = [
+    ("BTS-APP", TrialKind::Single(BtsKind::BtsApp), 748),
+    ("FAST", TrialKind::Single(BtsKind::Fast), 537),
+    ("FastBTS", TrialKind::Single(BtsKind::FastBts), 520),
+    ("Swiftest", TrialKind::Single(BtsKind::Swiftest), 141),
+    ("group", TrialKind::Group, 1_664),
+];
+
+#[test]
+fn further_trials_reuse_the_workers_scratch() {
+    speedtest_thresholds();
+    let mut over = String::new();
+    for (name, kind, measured) in ADDED {
+        let bytes = added_trial_bytes(kind);
+        if bytes > measured + measured / 10 {
+            over.push_str(&format!(
+                "{name}: {bytes} B a trial (measured {measured} B)\n"
+            ));
+        }
+    }
+    assert!(over.is_empty(), "trials over their ceiling:\n{over}");
+}
+
 /// Bytes one BTS-APP test requests on the campaign's path over a
 /// constant link at a fixed base RTT, and the bytes of the sample bins
 /// the flow simulator reserves for that test up front.

@@ -15,6 +15,15 @@
 //! `runner_class` field. Records
 //! themselves are profile-agnostic, so the parser validates the column
 //! is present but does not store it.
+//!
+//! The reader parses files this process did not write, so outside tests
+//! the module denies `unwrap`, `expect` and `panic!`: a malformed file
+//! must come back as a typed [`CsvStreamError`].
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::profile::EcosystemProfile;
 use crate::types::*;

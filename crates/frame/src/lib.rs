@@ -47,12 +47,41 @@ pub use snapshot::{
 /// uses. Stable across platforms and releases (the constants are part
 /// of the on-disk format).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut hash = Fnv1a64::new();
+    hash.write(bytes);
+    hash.finish()
+}
+
+/// [`fnv1a64`] over bytes that arrive in pieces: FNV-1a is bytewise, so
+/// the hash of the pieces written in order is the hash of their
+/// concatenation, and nothing need be copied into one buffer first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The hash of no bytes.
+    pub const fn new() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
     }
-    hash
+
+    /// Fold in the next piece.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of everything written.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]
@@ -65,5 +94,16 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171F73967E8);
+    }
+
+    #[test]
+    fn pieces_hash_as_their_concatenation() {
+        for split in 0..=6 {
+            let (a, b) = b"foobar".split_at(split);
+            let mut hash = Fnv1a64::default();
+            hash.write(a);
+            hash.write(b);
+            assert_eq!(hash.finish(), 0x85944171F73967E8, "split at {split}");
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! Ordered fan-out over scoped threads, the workspace's one way to split
-//! work across threads. [`for_each`] claims indices from one atomic
+//! work across threads. [`for_each_with`] claims indices from one atomic
 //! cursor, runs jobs inside the caller's [`trace::active`] scope and
 //! hands results back in index order, so output never depends on the
-//! thread count. `threads <= 1` runs inline with no allocation of its
-//! own. A panicking job panics the caller once every thread stops.
+//! thread count. Each thread builds one worker state and lends it to
+//! every job it runs (a campaign's reusable trial scratch); [`for_each`]
+//! is the same fan-out with no state. `threads <= 1` runs inline with no
+//! allocation of its own. A panicking job panics the caller once every
+//! thread stops.
 
 use mbw_telemetry::trace;
 use std::collections::BTreeMap;
@@ -29,13 +32,27 @@ impl PoolCtx {
 /// Run `job(i)` for each `i` in `0..n` on up to `threads` threads, the
 /// calling one included, and hand the results to `sink`, on the calling
 /// thread, in index order.
-pub fn for_each<T: Send, J, S>(threads: usize, n: usize, job: J, mut sink: S)
+pub fn for_each<T: Send, J, S>(threads: usize, n: usize, job: J, sink: S)
 where
     J: Fn(usize) -> T + Sync,
     S: FnMut(T),
 {
+    for_each_with(threads, n, || (), |_, i| job(i), sink);
+}
+
+/// [`for_each`] with worker state: each thread that runs jobs builds one
+/// `W` with `init`, on that thread, and passes it to every `job` it runs.
+/// Which jobs share a state depends on the thread count, so a job's
+/// result must not depend on what earlier jobs left in it.
+pub fn for_each_with<W, T: Send, I, J, S>(threads: usize, n: usize, init: I, job: J, mut sink: S)
+where
+    I: Fn() -> W + Sync,
+    J: Fn(&mut W, usize) -> T + Sync,
+    S: FnMut(T),
+{
     if threads <= 1 || n <= 1 {
-        return (0..n).for_each(|i| sink(job(i)));
+        let mut state = init();
+        return (0..n).for_each(|i| sink(job(&mut state, i)));
     }
     let (tracer, cursor) = (trace::active(), AtomicUsize::new(0));
     // Relaxed: an index publishes nothing; results travel by channel.
@@ -52,18 +69,20 @@ where
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
         for _ in 1..threads.min(n) {
-            let (tx, tracer, claim, job) = (tx.clone(), &tracer, &claim, &job);
+            let (tx, tracer, claim, init, job) = (tx.clone(), &tracer, &claim, &init, &job);
             // A send fails only once the caller unwinds (and drops `rx`).
             scope.spawn(move || {
                 trace::scope(tracer, || {
-                    iter::from_fn(claim).try_for_each(|i| tx.send((i, job(i))))
+                    let mut state = init();
+                    iter::from_fn(claim).try_for_each(|i| tx.send((i, job(&mut state, i))))
                 })
             });
         }
         drop(tx);
         // The caller works too, delivering what arrived between its jobs.
+        let mut state = init();
         while let Some(i) = claim() {
-            deliver((i, job(i)));
+            deliver((i, job(&mut state, i)));
             rx.try_iter().for_each(&mut deliver);
         }
         rx.iter().for_each(deliver); // ends once every worker has stopped
@@ -136,6 +155,34 @@ mod tests {
             });
             let want: Vec<usize> = (0..32).map(|i| i * 7).collect();
             assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn each_thread_lends_one_state_to_every_job_it_runs() {
+        for threads in [1, 2, 8] {
+            let built = AtomicUsize::new(0);
+            let mut got = Vec::new();
+            for_each_with(
+                threads,
+                40,
+                || {
+                    built.fetch_add(1, Ordering::SeqCst);
+                    std::thread::current().id()
+                },
+                |owner, i| {
+                    assert_eq!(*owner, std::thread::current().id(), "a state moved");
+                    i * 3
+                },
+                |value| got.push(value),
+            );
+            let want: Vec<usize> = (0..40).map(|i| i * 3).collect();
+            assert_eq!(got, want, "threads={threads}");
+            let built = built.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads).contains(&built),
+                "{built} states for {threads}"
+            );
         }
     }
 
