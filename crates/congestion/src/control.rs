@@ -1,5 +1,10 @@
-//! The congestion-control interface consumed by the flow simulator.
+//! The congestion-control interface consumed by the flow simulator, and
+//! [`Controller`], the closed set of controllers a flow holds by value.
 
+use crate::bbr::Bbr;
+use crate::cubic::Cubic;
+use crate::guided::ModelGuidedCc;
+use crate::reno::Reno;
 use mbw_stats::SeededRng;
 use std::time::Duration;
 
@@ -62,11 +67,11 @@ pub enum CcAlgorithm {
 
 impl CcAlgorithm {
     /// Instantiate a fresh controller.
-    pub fn build(self) -> Box<dyn CongestionControl> {
+    pub fn build(self) -> Controller {
         match self {
-            CcAlgorithm::Reno => Box::new(crate::reno::Reno::new()),
-            CcAlgorithm::Cubic => Box::new(crate::cubic::Cubic::new()),
-            CcAlgorithm::Bbr => Box::new(crate::bbr::Bbr::new()),
+            CcAlgorithm::Reno => Reno::new().into(),
+            CcAlgorithm::Cubic => Cubic::new().into(),
+            CcAlgorithm::Bbr => Bbr::new().into(),
         }
     }
 
@@ -86,6 +91,99 @@ impl CcAlgorithm {
 impl std::fmt::Display for CcAlgorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Every controller a flow can run, held by value and dispatched with a
+/// `match`: a flow's controller lives in the simulator's flow list, so
+/// adding a flow allocates nothing once the list has room. Each
+/// controller, and a [`CcAlgorithm`], converts into it with `.into()`.
+#[derive(Debug, Clone)]
+pub enum Controller {
+    /// [`Reno`].
+    Reno(Reno),
+    /// [`Cubic`].
+    Cubic(Cubic),
+    /// [`Bbr`].
+    Bbr(Bbr),
+    /// [`ModelGuidedCc`], the TCP variant of Swiftest.
+    ModelGuided(ModelGuidedCc),
+}
+
+impl CongestionControl for Controller {
+    fn window_pkts(&self) -> f64 {
+        match self {
+            Controller::Reno(cc) => cc.window_pkts(),
+            Controller::Cubic(cc) => cc.window_pkts(),
+            Controller::Bbr(cc) => cc.window_pkts(),
+            Controller::ModelGuided(cc) => cc.window_pkts(),
+        }
+    }
+
+    fn pacing_rate_pps(&self) -> Option<f64> {
+        match self {
+            Controller::Reno(cc) => cc.pacing_rate_pps(),
+            Controller::Cubic(cc) => cc.pacing_rate_pps(),
+            Controller::Bbr(cc) => cc.pacing_rate_pps(),
+            Controller::ModelGuided(cc) => cc.pacing_rate_pps(),
+        }
+    }
+
+    fn on_round(&mut self, input: &RoundInput, rng: &mut SeededRng) {
+        match self {
+            Controller::Reno(cc) => cc.on_round(input, rng),
+            Controller::Cubic(cc) => cc.on_round(input, rng),
+            Controller::Bbr(cc) => cc.on_round(input, rng),
+            Controller::ModelGuided(cc) => cc.on_round(input, rng),
+        }
+    }
+
+    fn in_slow_start(&self) -> bool {
+        match self {
+            Controller::Reno(cc) => cc.in_slow_start(),
+            Controller::Cubic(cc) => cc.in_slow_start(),
+            Controller::Bbr(cc) => cc.in_slow_start(),
+            Controller::ModelGuided(cc) => cc.in_slow_start(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Controller::Reno(cc) => cc.name(),
+            Controller::Cubic(cc) => cc.name(),
+            Controller::Bbr(cc) => cc.name(),
+            Controller::ModelGuided(cc) => cc.name(),
+        }
+    }
+}
+
+impl From<CcAlgorithm> for Controller {
+    fn from(alg: CcAlgorithm) -> Self {
+        alg.build()
+    }
+}
+
+impl From<Reno> for Controller {
+    fn from(cc: Reno) -> Self {
+        Controller::Reno(cc)
+    }
+}
+
+impl From<Cubic> for Controller {
+    fn from(cc: Cubic) -> Self {
+        Controller::Cubic(cc)
+    }
+}
+
+impl From<Bbr> for Controller {
+    fn from(cc: Bbr) -> Self {
+        Controller::Bbr(cc)
+    }
+}
+
+impl From<ModelGuidedCc> for Controller {
+    fn from(cc: ModelGuidedCc) -> Self {
+        Controller::ModelGuided(cc)
     }
 }
 

@@ -13,9 +13,12 @@
 //!   TCP-friendly region, and HyStart delay-based slow-start exit.
 //! - [`bbr`] — BBR v1: startup/drain/probe-bandwidth state machine over
 //!   windowed bottleneck-bandwidth and min-RTT estimates.
+//! - [`guided`] — the model-guided controller of Swiftest's TCP variant
+//!   (§7): jump-start at the bandwidth model's dominant mode, modal
+//!   escalation, multiplicative back-off on loss.
 //! - [`multi`] — a round-based (one iteration per RTT) fluid simulation
 //!   of one or more flows sharing a [`mbw_netsim::PathModel`], each
-//!   under any [`CongestionControl`]: queue build-up, buffer overflow,
+//!   under one of these [`Controller`]s: queue build-up, buffer overflow,
 //!   random wireless loss, 50 ms throughput sampling exactly like the
 //!   BTS client's sampler, and progressive connection addition (how
 //!   BTS-APP and Speedtest saturate fast links).
@@ -30,13 +33,15 @@
 pub mod bbr;
 pub mod control;
 pub mod cubic;
+pub mod guided;
 pub mod multi;
 pub mod packet;
 pub mod reno;
 
 pub use bbr::Bbr;
-pub use control::{CcAlgorithm, CongestionControl, RoundInput};
+pub use control::{CcAlgorithm, CongestionControl, Controller, RoundInput};
 pub use cubic::Cubic;
+pub use guided::ModelGuidedCc;
 pub use multi::{MultiFlowConfig, MultiFlowSim, ThroughputSample};
 pub use packet::{run_packet_tcp, PacketTcpConfig, PacketTcpTrace};
 pub use reno::Reno;

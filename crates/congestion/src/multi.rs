@@ -14,9 +14,13 @@
 //! when the draw falls under a cheap upper bound of it, and the
 //! finished samples are counted once per round, not on every
 //! [`MultiFlowSim::next_sample`]. The path's base RTT and buffer depth
-//! are read once, when the simulator is built.
+//! are read once, when the simulator is built. Each flow keeps its
+//! [`Controller`] by value in the flow list, so the per-round calls are
+//! a `match`, not a virtual call through a box, and a flow added to a
+//! simulator that [`MultiFlowSim::reset`] kept the list of allocates
+//! nothing.
 
-use crate::control::{CcAlgorithm, CongestionControl, RoundInput};
+use crate::control::{CongestionControl, Controller, RoundInput};
 use crate::MSS;
 use mbw_netsim::{PathModel, SimTime};
 use mbw_stats::SeededRng;
@@ -77,7 +81,7 @@ fn wireless_loss_strikes(u: f64, loss: f64, segments: f64) -> bool {
 }
 
 struct FlowState {
-    cc: Box<dyn CongestionControl>,
+    cc: Controller,
     started_at: Duration,
     slow_start_exit: Option<Duration>,
     /// Segments offered in the round being stepped (`step_round`'s
@@ -179,17 +183,13 @@ impl MultiFlowSim {
         self.flows.len()
     }
 
-    /// Add a flow using the given algorithm.
-    pub fn add_flow(&mut self, alg: CcAlgorithm) {
-        self.add_flow_boxed(alg.build());
-    }
-
-    /// Add a flow with a pre-built controller, such as one defined
-    /// outside this crate. [`MultiFlowSim::add_flow`] is this with
-    /// [`CcAlgorithm::build`].
-    pub fn add_flow_boxed(&mut self, cc: Box<dyn CongestionControl>) {
+    /// Add a flow under `cc`: a [`crate::CcAlgorithm`], for a fresh
+    /// controller of that algorithm, or a controller already built (any
+    /// that converts into a [`Controller`]). The flow list keeps
+    /// controllers by value, so once it has room this allocates nothing.
+    pub fn add_flow(&mut self, cc: impl Into<Controller>) {
         self.flows.push(FlowState {
-            cc,
+            cc: cc.into(),
             started_at: self.now,
             slow_start_exit: None,
             offered: 0.0,
@@ -380,6 +380,7 @@ impl MultiFlowSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::CcAlgorithm;
     use mbw_netsim::{FaultPlan, PathConfig};
 
     fn sim(rate_bps: f64, rtt_ms: u64) -> MultiFlowSim {

@@ -4,17 +4,15 @@
 //! sample, once finished, never changes.
 
 use mbw_congestion::{CcAlgorithm, MultiFlowConfig, MultiFlowSim, ThroughputSample};
-use mbw_netsim::{
-    CapacityProcess, ConstantCapacity, OuCapacity, PathConfig, PathModel, RampUpCapacity,
-};
+use mbw_netsim::{Capacity, ConstantCapacity, OuCapacity, PathConfig, PathModel, RampUpCapacity};
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn capacity(shape: u8, rate_bps: f64, seed: u64) -> Box<dyn CapacityProcess> {
+fn capacity(shape: u8, rate_bps: f64, seed: u64) -> Capacity {
     match shape {
-        0 => Box::new(ConstantCapacity(rate_bps)),
-        1 => Box::new(OuCapacity::new(rate_bps, 0.8, 0.3, seed)),
-        _ => Box::new(RampUpCapacity::new(ConstantCapacity(rate_bps), 0.7, 0.15)),
+        0 => ConstantCapacity(rate_bps).into(),
+        1 => OuCapacity::new(rate_bps, 0.8, 0.3, seed).into(),
+        _ => RampUpCapacity::new(ConstantCapacity(rate_bps), 0.7, 0.15).into(),
     }
 }
 

@@ -44,7 +44,7 @@ use mbw_stats::{pool, Gmm, SeededRng};
 use mbw_telemetry::trace::{self, ArgValue};
 use mbw_telemetry::CampaignMetrics;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Finalizer of the splitmix64 generator: a bijective mixer on `u64`.
@@ -1097,7 +1097,7 @@ fn ramp_path(mbps: f64, seed: u64) -> PathModel {
     let ramp = rng.uniform_range(0.5, 1.1) * (mbps / 300.0).powf(0.4);
     let capacity = RampUpCapacity::new(ConstantCapacity(mbps * 1e6), ramp, 0.15);
     PathModel::new(PathConfig {
-        capacity: Box::new(capacity),
+        capacity: capacity.into(),
         base_rtt: Duration::from_secs_f64(rtt),
         loss_prob: loss,
         buffer_bdp: 1.0,
@@ -1143,10 +1143,12 @@ fn ramp_time_in(
 }
 
 /// Shared execution context: one immutable harness per scenario, all
-/// testing against one pair of server fleets, used concurrently by every
+/// testing against one pair of server fleets, and each variant's setup,
+/// resolved by the first trial that runs it. Used concurrently by every
 /// worker.
 struct ExecContext {
     harnesses: [TestHarness; 4],
+    variants: [OnceLock<VariantSetup>; VariantId::ALL.len()],
 }
 
 impl ExecContext {
@@ -1159,11 +1161,16 @@ impl ExecContext {
                     Arc::clone(&fleets),
                 )
             }),
+            variants: Default::default(),
         }
     }
 
     fn harness(&self, id: ScenarioId) -> &TestHarness {
         &self.harnesses[id.tag() as usize]
+    }
+
+    fn variant(&self, id: VariantId) -> &VariantSetup {
+        self.variants[id.tag() as usize].get_or_init(|| id.setup())
     }
 
     /// Execute one trial on `scratch` into a caller-owned row buffer,
@@ -1217,7 +1224,7 @@ impl ExecContext {
                 1
             }
             TrialKind::Variant(variant) => {
-                let setup = variant.setup();
+                let setup = self.variant(variant);
                 let drawn = self.harness(spec.scenario).scenario().draw(seed);
                 let est =
                     |b: &mut _| ConvergenceEstimator::new_on(b, setup.window, setup.tolerance, 0);

@@ -17,6 +17,7 @@
 
 use crate::decision::StopRule;
 use mbw_stats::descriptive;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// Whether a test should keep probing after a sample.
@@ -76,10 +77,12 @@ impl SampleBuffers {
         samples
     }
 
-    /// The buffer for a sorted copy of the samples, emptied.
-    fn sorted(&mut self) -> Vec<f64> {
+    /// The buffer for a sorted copy of the samples, emptied, with room
+    /// for `n` values: when it must grow, it grows to exactly `n`.
+    fn sorted(&mut self, n: usize) -> Vec<f64> {
         let mut sorted = std::mem::take(&mut self.sorted);
         sorted.clear();
+        sorted.reserve_exact(n);
         sorted
     }
 }
@@ -97,6 +100,11 @@ pub(crate) trait Lend: BandwidthEstimator {
 #[derive(Debug, Clone)]
 pub struct GroupedTrimmedMean {
     samples: Vec<f64>,
+    /// The group means of the latest estimate, sorted by the trim: room
+    /// for `groups` of them, reserved up front, so an estimate
+    /// allocates nothing. Behind a cell because
+    /// [`BandwidthEstimator::finalize`] estimates through `&self`.
+    means: RefCell<Vec<f64>>,
     groups: usize,
     group_size: usize,
     drop_low: usize,
@@ -141,6 +149,7 @@ impl GroupedTrimmedMean {
         assert!(drop_low + drop_high < groups, "trim discards all groups");
         Self {
             samples: buffers.samples(groups * group_size),
+            means: RefCell::new(buffers.sorted(groups)),
             groups,
             group_size,
             drop_low,
@@ -157,17 +166,15 @@ impl GroupedTrimmedMean {
         if self.samples.is_empty() {
             return None;
         }
-        let means: Vec<f64> = self
-            .samples
-            .chunks(self.group_size)
-            .map(descriptive::mean)
-            .collect();
+        let mut means = self.means.borrow_mut();
+        means.clear();
+        means.extend(self.samples.chunks(self.group_size).map(descriptive::mean));
         // With a full run there are exactly `groups` means; a truncated
         // run trims proportionally fewer.
         let scale = means.len() as f64 / self.groups as f64;
         let low = (self.drop_low as f64 * scale).floor() as usize;
         let high = (self.drop_high as f64 * scale).floor() as usize;
-        descriptive::trimmed_mean(&means, low, high).or_else(|| Some(descriptive::mean(&means)))
+        descriptive::trimmed_mean(&mut means, low, high).or_else(|| Some(descriptive::mean(&means)))
     }
 }
 
@@ -201,6 +208,7 @@ impl BandwidthEstimator for GroupedTrimmedMean {
 impl Lend for GroupedTrimmedMean {
     fn release(self, buffers: &mut SampleBuffers) {
         buffers.samples = self.samples;
+        buffers.sorted = self.means.into_inner();
     }
 }
 
@@ -353,7 +361,7 @@ impl CrucialIntervalEstimator {
     pub(crate) fn fastbts_on(buffers: &mut SampleBuffers) -> Self {
         Self {
             samples: buffers.samples(0),
-            sorted: buffers.sorted(),
+            sorted: buffers.sorted(0),
             min_samples: 24,
             stability: 0.05,
             stable_needed: 5,

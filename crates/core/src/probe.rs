@@ -11,7 +11,7 @@ use crate::estimator::{BandwidthEstimator, EstimatorDecision};
 use crate::outcome::{DegradeReason, FailReason, TestStatus};
 use crate::scratch::TestScratch;
 use crate::SAMPLE_INTERVAL_MS;
-use mbw_congestion::{CcAlgorithm, CongestionControl, MultiFlowConfig, MultiFlowSim};
+use mbw_congestion::{CcAlgorithm, Controller, MultiFlowConfig, MultiFlowSim};
 use mbw_netsim::{PathModel, SimTime};
 use mbw_stats::Gmm;
 use mbw_telemetry::ProbeTimeline;
@@ -194,14 +194,14 @@ pub(crate) fn tcp_config(seed: u64) -> MultiFlowConfig {
 /// prober adds connections there.
 pub(crate) fn drive_tcp_test<L: ProbeLog>(
     sim: &mut MultiFlowSim,
-    first_flow: Box<dyn CongestionControl>,
+    first_flow: Controller,
     prober: &'static str,
     estimator: &mut dyn BandwidthEstimator,
     max_duration: Duration,
     mut after_sample: impl FnMut(&mut MultiFlowSim, &mut L, u64, f64),
 ) -> ProbeResult<L> {
     sim.reserve_horizon(max_duration);
-    sim.add_flow_boxed(first_flow);
+    sim.add_flow(first_flow);
 
     let mut log = L::default();
     log.start(0, prober, estimator.name());
@@ -657,8 +657,9 @@ mod tests {
         let model = TechClass::Wifi.default_model();
         // A wildly fluctuating path may never converge; the cap must hold.
         let mut path_cfg = PathConfig::constant(80e6, Duration::from_millis(20));
-        path_cfg.capacity =
-            Box::new(mbw_netsim::OuCapacity::new(80e6, 0.5, 0.5, 42).with_bounds(0.2, 1.8));
+        path_cfg.capacity = mbw_netsim::OuCapacity::new(80e6, 0.5, 0.5, 42)
+            .with_bounds(0.2, 1.8)
+            .into();
         let mut est = ConvergenceEstimator::swiftest();
         let r = run_swiftest(
             PathModel::new(path_cfg),

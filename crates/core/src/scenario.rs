@@ -10,7 +10,7 @@
 
 use crate::model::TechClass;
 use mbw_netsim::{
-    CapacityProcess, ConstantCapacity, FaultPlan, FaultProfile, OuCapacity, PathConfig, PathModel,
+    Capacity, ConstantCapacity, FaultPlan, FaultProfile, OuCapacity, PathConfig, PathModel,
     ShapedCapacity, SimTime,
 };
 use mbw_stats::{Gmm, SeededRng};
@@ -207,20 +207,17 @@ impl DrawnPath {
     /// Materialise the path. Each call returns an identical instance.
     pub fn build(&self) -> PathModel {
         let nominal_bps = self.truth_mbps * 1e6;
-        let capacity: Box<dyn CapacityProcess> = match self.class {
-            FluctuationClass::Constant => Box::new(ConstantCapacity(nominal_bps)),
+        let capacity: Capacity = match self.class {
+            FluctuationClass::Constant => ConstantCapacity(nominal_bps).into(),
             FluctuationClass::Stable => {
-                Box::new(OuCapacity::new(nominal_bps, 0.8, 0.02, self.seed ^ 0xCAFE))
+                OuCapacity::new(nominal_bps, 0.8, 0.02, self.seed ^ 0xCAFE).into()
             }
             FluctuationClass::Fluctuating => {
-                Box::new(OuCapacity::new(nominal_bps, 0.6, 0.12, self.seed ^ 0xCAFE))
+                OuCapacity::new(nominal_bps, 0.6, 0.12, self.seed ^ 0xCAFE).into()
             }
-            FluctuationClass::Shaped => Box::new(ShapedCapacity::new(
-                nominal_bps * 1.25,
-                nominal_bps * 0.45,
-                2.5,
-                0.55,
-            )),
+            FluctuationClass::Shaped => {
+                ShapedCapacity::new(nominal_bps * 1.25, nominal_bps * 0.45, 2.5, 0.55).into()
+            }
         };
         PathModel::new(PathConfig {
             capacity,

@@ -5,7 +5,7 @@
 //! TCP: we can customize the TCP congestion control algorithm to
 //! realize in part the data-driven bandwidth probing mechanism, while
 //! retaining TCP's fairness properties". This module is that variant:
-//! a congestion controller that
+//! a test run under [`ModelGuidedCc`], a congestion controller that
 //!
 //! 1. **jump-starts** at the model's most probable modal bandwidth
 //!    instead of slow-starting from 10 segments,
@@ -18,112 +18,15 @@
 //!
 //! The paper chose UDP because this approach "involves heavy
 //! modifications to the congestion control of TCP"; here the kernel is
-//! ours, so the modification is a module.
+//! ours, so the modification is a module. The controller lives with
+//! the other controllers in `mbw-congestion` and is re-exported here.
 
 use crate::estimator::{BandwidthEstimator, ConvergenceEstimator};
 use crate::probe::{drive_tcp_test, tcp_config, ProbeResult, SwiftestConfig};
-use mbw_congestion::{CongestionControl, MultiFlowSim, RoundInput, MSS};
+pub use mbw_congestion::ModelGuidedCc;
+use mbw_congestion::MultiFlowSim;
 use mbw_netsim::PathModel;
-use mbw_stats::{Gmm, SeededRng};
-
-/// Model-guided TCP congestion control.
-#[derive(Debug, Clone)]
-pub struct ModelGuidedCc {
-    /// The technology's bandwidth model (Mbps modes).
-    model: Gmm,
-    /// Current pacing target, segments/second.
-    target_pps: f64,
-    /// Congestion window, segments.
-    cwnd: f64,
-    /// Saturation margin: delivery ≥ margin × target means "not
-    /// saturated, escalate".
-    margin: f64,
-    /// Growth factor past the largest mode.
-    beyond_growth: f64,
-    /// Smoothed delivery rate, segments/second.
-    delivered_ewma: f64,
-}
-
-fn mbps_to_pps(mbps: f64) -> f64 {
-    mbps * 1e6 / (8.0 * MSS)
-}
-
-fn pps_to_mbps(pps: f64) -> f64 {
-    pps * 8.0 * MSS / 1e6
-}
-
-impl ModelGuidedCc {
-    /// Start at the model's most probable mode.
-    pub fn new(model: Gmm, config: &SwiftestConfig) -> Self {
-        let start = model.dominant_mode().max(1.0);
-        Self {
-            target_pps: mbps_to_pps(start),
-            cwnd: 10.0,
-            margin: config.saturation_margin,
-            beyond_growth: config.beyond_mode_growth,
-            model,
-            delivered_ewma: 0.0,
-        }
-    }
-
-    /// Current pacing target in Mbps (diagnostics).
-    pub fn target_mbps(&self) -> f64 {
-        pps_to_mbps(self.target_pps)
-    }
-}
-
-impl CongestionControl for ModelGuidedCc {
-    fn window_pkts(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn pacing_rate_pps(&self) -> Option<f64> {
-        Some(self.target_pps)
-    }
-
-    fn on_round(&mut self, input: &RoundInput, _rng: &mut SeededRng) {
-        let rtt = input.rtt.as_secs_f64().max(1e-6);
-        self.delivered_ewma = if self.delivered_ewma == 0.0 {
-            input.delivery_rate_pps
-        } else {
-            0.7 * self.delivered_ewma + 0.3 * input.delivery_rate_pps
-        };
-
-        if input.saw_loss() {
-            // TCP-friendliness: multiplicative decrease toward what the
-            // path proved it can deliver.
-            self.target_pps = (self.target_pps * 0.85)
-                .max(self.delivered_ewma * 0.9)
-                .max(mbps_to_pps(1.0));
-        } else if input.delivery_rate_pps >= self.target_pps * self.margin {
-            // Not saturated: escalate to the next most probable larger
-            // modal bandwidth, exactly like the UDP prober.
-            let current_mbps = pps_to_mbps(self.target_pps);
-            let next = self
-                .model
-                .next_larger_mode(current_mbps)
-                .unwrap_or(current_mbps * self.beyond_growth);
-            self.target_pps = mbps_to_pps(next);
-        } else {
-            // Saturated: track the link (the UDP variant holds its rate;
-            // holding *above* capacity would keep the queue full, so the
-            // TCP variant trails the measured rate slightly high to keep
-            // probing pressure without standing loss).
-            self.target_pps = (self.delivered_ewma * 1.05).max(mbps_to_pps(1.0));
-        }
-        // Window: two BDPs at the pacing target keeps the pacer, not the
-        // window, in control, while still bounding inflight like TCP.
-        self.cwnd = (2.0 * self.target_pps * rtt).max(10.0);
-    }
-
-    fn in_slow_start(&self) -> bool {
-        false // jump-start: there is no slow-start phase at all
-    }
-
-    fn name(&self) -> &'static str {
-        "Swiftest-TCP"
-    }
-}
+use mbw_stats::Gmm;
 
 /// Run the TCP-variant Swiftest test over a simulated path.
 pub fn run_swiftest_tcp(
@@ -135,7 +38,12 @@ pub fn run_swiftest_tcp(
 ) -> ProbeResult {
     drive_tcp_test(
         &mut MultiFlowSim::new(path, tcp_config(seed)),
-        Box::new(ModelGuidedCc::new(model.clone(), config)),
+        ModelGuidedCc::new(
+            model.clone(),
+            config.saturation_margin,
+            config.beyond_mode_growth,
+        )
+        .into(),
         "swiftest-tcp",
         estimator,
         config.max_duration,
@@ -155,8 +63,15 @@ mod tests {
     use crate::estimator::GroupedTrimmedMean;
     use crate::model::TechClass;
     use crate::probe::{run_flooding, FloodingConfig};
+    use mbw_congestion::{CongestionControl, RoundInput};
     use mbw_netsim::PathConfig;
+    use mbw_stats::SeededRng;
     use std::time::Duration;
+
+    fn guided(model: Gmm) -> ModelGuidedCc {
+        let config = SwiftestConfig::default();
+        ModelGuidedCc::new(model, config.saturation_margin, config.beyond_mode_growth)
+    }
 
     fn flat_path(mbps: f64, rtt_ms: u64) -> PathModel {
         PathModel::new(PathConfig::constant(
@@ -168,7 +83,7 @@ mod tests {
     #[test]
     fn jump_start_skips_slow_start() {
         let model = TechClass::Nr.default_model();
-        let cc = ModelGuidedCc::new(model.clone(), &SwiftestConfig::default());
+        let cc = guided(model.clone());
         assert!(!cc.in_slow_start());
         assert!((cc.target_mbps() - model.dominant_mode()).abs() < 1e-9);
     }
@@ -218,7 +133,7 @@ mod tests {
     #[test]
     fn backs_off_on_loss_like_tcp() {
         let model = TechClass::Nr.default_model();
-        let mut cc = ModelGuidedCc::new(model, &SwiftestConfig::default());
+        let mut cc = guided(model);
         let mut rng = SeededRng::new(1);
         // Feed a saturated round first so the EWMA has signal.
         let clean = RoundInput {

@@ -170,17 +170,29 @@ const RUN: usize = 41;
 
 /// What each further trial of a series costs, in bytes. A worker runs
 /// every trial on one test scratch, so past the first trial a test
-/// requests no sample bins, no estimator buffers and no flow list:
-/// what is left is its controllers, its capacity process and its rows
-/// of the pool. A trial may request up to 10 % more before the test
-/// fails; a simulator or an estimator buffer built per test again costs
-/// 1.6 KB to 5 KB more.
-const ADDED: [(&str, TrialKind, u64); 5] = [
-    ("BTS-APP", TrialKind::Single(BtsKind::BtsApp), 748),
-    ("FAST", TrialKind::Single(BtsKind::Fast), 537),
-    ("FastBTS", TrialKind::Single(BtsKind::FastBts), 520),
-    ("Swiftest", TrialKind::Single(BtsKind::Swiftest), 141),
-    ("group", TrialKind::Group, 1_664),
+/// requests no sample bins, no estimator buffers and no flow list; its
+/// controllers and its link's capacity process are held by value, and
+/// the variant setups are resolved once per campaign. What is left is
+/// its row of the pool (53 B, all a Swiftest, ramp or variant trial
+/// requests) and, spread over the series, the scratch growing when a
+/// test needs more bins or connections than every test before it. A
+/// trial may request up to 10 % more before the test fails; a boxed
+/// `Cubic` flow or `OuCapacity` link costs 88 B more each, the group
+/// means of a BTS-APP estimate collected and sorted in new buffers
+/// 320 B, and a simulator or an estimator buffer built per test again
+/// 1.6 KB to 5 KB.
+const ADDED: [(&str, TrialKind, u64); 7] = [
+    ("BTS-APP", TrialKind::Single(BtsKind::BtsApp), 93),
+    ("FAST", TrialKind::Single(BtsKind::Fast), 241),
+    ("FastBTS", TrialKind::Single(BtsKind::FastBts), 226),
+    ("Swiftest", TrialKind::Single(BtsKind::Swiftest), 53),
+    ("group", TrialKind::Group, 323),
+    (
+        "ramp",
+        TrialKind::Ramp(CcAlgorithm::Cubic, BANDWIDTH_BINS.len() as u8 - 1),
+        53,
+    ),
+    ("variant", TrialKind::Variant(VariantId::PopulationMean), 53),
 ];
 
 #[test]

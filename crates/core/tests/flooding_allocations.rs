@@ -68,7 +68,7 @@ fn bts_app_bytes(base_rtt_ms: u64) -> u64 {
 fn flooding_allocations_follow_samples_not_rounds() {
     let slow_rounds = bts_app_bytes(40);
     let fast_rounds = bts_app_bytes(10);
-    // 20 095 B at 40 ms and 20 087 B at 10 ms: the timeline is a test's
+    // 20 207 B at 40 ms and 20 199 B at 10 ms: the timeline is a test's
     // only record of its samples, and the estimator and the simulator's
     // sample bins are allocated once, the bins one 8-byte bin longer at
     // 40 ms for its longer last round; a second copy of the samples

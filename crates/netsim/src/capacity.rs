@@ -4,8 +4,10 @@
 //! large test-pair deviations to "severe network fluctuations" (§5.3)
 //! and identifies on/off traffic shaping by certain BSes/APs. Each of
 //! those behaviours is one process here; the congestion and BTS layers
-//! only see [`CapacityProcess::capacity_at`]. The diurnal pattern of
-//! Fig 10 lives in the dataset profile's hour tables, not in a link.
+//! only see [`CapacityProcess::capacity_at`]. A path holds its process
+//! by value as a [`Capacity`], the closed set of them, so drawing a
+//! link allocates nothing. The diurnal pattern of Fig 10 lives in the
+//! dataset profile's hour tables, not in a link.
 
 use crate::time::SimTime;
 use mbw_stats::SeededRng;
@@ -149,23 +151,24 @@ impl CapacityProcess for ShapedCapacity {
     }
 }
 
-/// A radio ramp in front of any capacity process: cellular links do not
+/// A radio ramp in front of a constant capacity: cellular links do not
 /// grant full scheduling capacity to a fresh flow instantly — RRC state
 /// promotion and the per-UE scheduler ramp take hundreds of
 /// milliseconds. The wrapped capacity scales from `floor_frac` to 1.0
 /// linearly over `ramp_secs`.
-pub struct RampUpCapacity<C: CapacityProcess> {
-    inner: C,
+#[derive(Debug, Clone)]
+pub struct RampUpCapacity {
+    inner: ConstantCapacity,
     ramp_secs: f64,
     floor_frac: f64,
 }
 
-impl<C: CapacityProcess> RampUpCapacity<C> {
+impl RampUpCapacity {
     /// Wrap `inner` with a linear ramp.
     ///
     /// # Panics
     /// Panics unless `ramp_secs > 0` and `0 < floor_frac <= 1`.
-    pub fn new(inner: C, ramp_secs: f64, floor_frac: f64) -> Self {
+    pub fn new(inner: ConstantCapacity, ramp_secs: f64, floor_frac: f64) -> Self {
         assert!(ramp_secs > 0.0);
         assert!(floor_frac > 0.0 && floor_frac <= 1.0);
         Self {
@@ -176,7 +179,7 @@ impl<C: CapacityProcess> RampUpCapacity<C> {
     }
 }
 
-impl<C: CapacityProcess> CapacityProcess for RampUpCapacity<C> {
+impl CapacityProcess for RampUpCapacity {
     fn capacity_at(&mut self, t: SimTime) -> f64 {
         let frac = (t.as_secs_f64() / self.ramp_secs).min(1.0);
         let scale = self.floor_frac + (1.0 - self.floor_frac) * frac;
@@ -185,6 +188,65 @@ impl<C: CapacityProcess> CapacityProcess for RampUpCapacity<C> {
 
     fn nominal_bps(&self) -> f64 {
         self.inner.nominal_bps()
+    }
+}
+
+/// Every capacity process a path can carry, held by value and
+/// dispatched with a `match`. Each process converts into it with
+/// `.into()`.
+#[derive(Debug, Clone)]
+pub enum Capacity {
+    /// [`ConstantCapacity`].
+    Constant(ConstantCapacity),
+    /// [`OuCapacity`].
+    Ou(OuCapacity),
+    /// [`ShapedCapacity`].
+    Shaped(ShapedCapacity),
+    /// [`RampUpCapacity`].
+    RampUp(RampUpCapacity),
+}
+
+impl CapacityProcess for Capacity {
+    fn capacity_at(&mut self, t: SimTime) -> f64 {
+        match self {
+            Capacity::Constant(c) => c.capacity_at(t),
+            Capacity::Ou(c) => c.capacity_at(t),
+            Capacity::Shaped(c) => c.capacity_at(t),
+            Capacity::RampUp(c) => c.capacity_at(t),
+        }
+    }
+
+    fn nominal_bps(&self) -> f64 {
+        match self {
+            Capacity::Constant(c) => c.nominal_bps(),
+            Capacity::Ou(c) => c.nominal_bps(),
+            Capacity::Shaped(c) => c.nominal_bps(),
+            Capacity::RampUp(c) => c.nominal_bps(),
+        }
+    }
+}
+
+impl From<ConstantCapacity> for Capacity {
+    fn from(c: ConstantCapacity) -> Self {
+        Capacity::Constant(c)
+    }
+}
+
+impl From<OuCapacity> for Capacity {
+    fn from(c: OuCapacity) -> Self {
+        Capacity::Ou(c)
+    }
+}
+
+impl From<ShapedCapacity> for Capacity {
+    fn from(c: ShapedCapacity) -> Self {
+        Capacity::Shaped(c)
+    }
+}
+
+impl From<RampUpCapacity> for Capacity {
+    fn from(c: RampUpCapacity) -> Self {
+        Capacity::RampUp(c)
     }
 }
 

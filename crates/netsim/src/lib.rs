@@ -17,7 +17,8 @@
 //!   rate, propagation delay, a finite drop-tail queue, and random loss.
 //! - [`capacity`] — time-varying capacity processes (constant,
 //!   Ornstein–Uhlenbeck fluctuation, on/off traffic shaping, and a radio
-//!   ramp), the mechanism behind the paper's network-dynamics findings.
+//!   ramp), the mechanism behind the paper's network-dynamics findings,
+//!   and [`Capacity`], the closed set of them a path holds by value.
 //! - [`fault`] — transient fault injection (blackouts, capacity
 //!   collapses, burst loss, delay spikes) that links and paths can carry,
 //!   for exercising estimators under handover gaps and deep fades.
@@ -37,7 +38,9 @@ pub mod link;
 pub mod path;
 pub mod time;
 
-pub use capacity::{CapacityProcess, ConstantCapacity, OuCapacity, RampUpCapacity, ShapedCapacity};
+pub use capacity::{
+    Capacity, CapacityProcess, ConstantCapacity, OuCapacity, RampUpCapacity, ShapedCapacity,
+};
 pub use event::EventQueue;
 pub use fault::{FaultKind, FaultPlan, FaultProfile, FaultWindow};
 pub use link::{Link, LinkConfig, LinkStats};

@@ -10,7 +10,7 @@
 //! - **parameters**: capacity / RTT / buffer / loss queried by the
 //!   round-based TCP models in `mbw-congestion`.
 
-use crate::capacity::CapacityProcess;
+use crate::capacity::{Capacity, CapacityProcess, ConstantCapacity};
 use crate::fault::FaultPlan;
 use crate::time::SimTime;
 use mbw_stats::SeededRng;
@@ -19,7 +19,7 @@ use std::time::Duration;
 /// Path construction parameters.
 pub struct PathConfig {
     /// The bottleneck capacity process (bits/second over time).
-    pub capacity: Box<dyn CapacityProcess>,
+    pub capacity: Capacity,
     /// Base (unloaded) round-trip time.
     pub base_rtt: Duration,
     /// Per-packet random loss probability (wireless corruption; congestion
@@ -36,7 +36,7 @@ impl PathConfig {
     /// A constant-rate path — the simplest usable configuration.
     pub fn constant(rate_bps: f64, base_rtt: Duration) -> Self {
         Self {
-            capacity: Box::new(crate::capacity::ConstantCapacity(rate_bps)),
+            capacity: ConstantCapacity(rate_bps).into(),
             base_rtt,
             loss_prob: 0.0,
             buffer_bdp: 1.0,
@@ -107,7 +107,7 @@ impl PathTotals {
 
 /// An end-to-end path with a time-varying bottleneck.
 pub struct PathModel {
-    capacity: Box<dyn CapacityProcess>,
+    capacity: Capacity,
     base_rtt: Duration,
     loss_prob: f64,
     buffer_bdp: f64,
@@ -249,7 +249,7 @@ impl PathModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capacity::{ConstantCapacity, ShapedCapacity};
+    use crate::capacity::ShapedCapacity;
 
     fn flat_path(rate: f64) -> PathModel {
         PathModel::new(PathConfig::constant(rate, Duration::from_millis(40)))
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn wireless_loss_discounts_goodput() {
         let mut p = PathModel::new(PathConfig {
-            capacity: Box::new(ConstantCapacity(100e6)),
+            capacity: ConstantCapacity(100e6).into(),
             base_rtt: Duration::from_millis(40),
             loss_prob: 0.02,
             buffer_bdp: 1.0,
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn shaped_path_shows_on_off_pattern() {
         let mut p = PathModel::new(PathConfig {
-            capacity: Box::new(ShapedCapacity::new(100e6, 10e6, 1.0, 0.5)),
+            capacity: ShapedCapacity::new(100e6, 10e6, 1.0, 0.5).into(),
             base_rtt: Duration::from_millis(20),
             loss_prob: 0.0,
             buffer_bdp: 1.0,

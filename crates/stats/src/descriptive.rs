@@ -126,14 +126,15 @@ pub fn fraction_above(values: &[f64], threshold: f64) -> f64 {
 /// observations. This is the exact shape of BTS-APP's estimator (§2):
 /// 20 groups, drop 5 lowest + 2 highest, average the rest.
 ///
-/// Returns `None` when the trim would consume the whole sample.
-pub fn trimmed_mean(values: &[f64], low: usize, high: usize) -> Option<f64> {
+/// Sorts `values` in place (a stable sort) and allocates nothing.
+/// Returns `None`, leaving `values` as they are, when the trim would
+/// consume the whole sample.
+pub fn trimmed_mean(values: &mut [f64], low: usize, high: usize) -> Option<f64> {
     if low + high >= values.len() {
         return None;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    let kept = &sorted[low..sorted.len() - high];
+    values.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+    let kept = &values[low..values.len() - high];
     Some(mean(kept))
 }
 
@@ -213,15 +214,15 @@ mod tests {
     #[test]
     fn trimmed_mean_btsapp_rule() {
         // 20 groups, drop 5 lowest + 2 highest: keep indices 5..18.
-        let groups: Vec<f64> = (1..=20).map(|g| g as f64).collect();
-        let got = trimmed_mean(&groups, 5, 2).unwrap();
+        let mut groups: Vec<f64> = (1..=20).map(|g| g as f64).collect();
+        let got = trimmed_mean(&mut groups, 5, 2).unwrap();
         let want = (6..=18).sum::<usize>() as f64 / 13.0;
         assert!((got - want).abs() < 1e-12);
     }
 
     #[test]
     fn trimmed_mean_rejects_overtrim() {
-        assert_eq!(trimmed_mean(&[1.0, 2.0], 1, 1), None);
+        assert_eq!(trimmed_mean(&mut [1.0, 2.0], 1, 1), None);
     }
 
     #[test]
