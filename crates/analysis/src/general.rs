@@ -3,7 +3,9 @@
 //! the paper's narrative.
 
 use crate::accum::{self, FigureAccumulator, TECH3};
-use crate::summary::{decode_count_usize, Dense, IdBitmap, Mean, MergeDecode, Pearson, Sample};
+use crate::summary::{
+    decode_count_usize, Dense, IdBitmap, Mean, Merge, MergeDecode, Pearson, Sample,
+};
 use crate::Render;
 use mbw_dataset::{AccessTech, CityTier, EcosystemProfile, Isp, TestRecord};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
@@ -71,11 +73,7 @@ impl FigureAccumulator<TestRecord> for SpatialAcc {
     }
 
     fn merge(&mut self, other: Self) {
-        self.per_city.merge_with(&other.per_city, |mine, theirs| {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(b);
-            }
-        });
+        self.per_city.merge_with(&other.per_city, Merge::merge);
         self.nat4.merge(&other.nat4);
         self.nat5.merge(&other.nat5);
     }
@@ -331,12 +329,7 @@ impl FigureAccumulator<TestRecord> for SameGroupAcc {
 
     fn merge(&mut self, other: Self) {
         self.mega.merge(other.mega);
-        self.groups.merge_with(&other.groups, |mine, theirs| {
-            let strata = mine.iter_mut().flatten().flatten();
-            for (a, b) in strata.zip(theirs.iter().flatten().flatten()) {
-                a.merge(b);
-            }
-        });
+        self.groups.merge_with(&other.groups, Merge::merge);
     }
 
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {

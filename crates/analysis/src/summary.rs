@@ -67,12 +67,40 @@ use mbw_stats::LogBins;
 /// incoming stratum alone and with the same typed errors, then adds it
 /// in with the operations of `merge`: `a.merge_decoded(bytes of b)`
 /// leaves `a` bit for bit as `a.merge(decode(bytes of b))` does. The
-/// summaries here check a stratum whole before they touch `self`; an
+/// summaries here check a stratum whole before they touch `self`, but
+/// for an [`IdBitmap`], which reads its words a page at a time; an
 /// array or a [`Dense`] table of them may fail after merging some of its
 /// rows, so on an error the caller drops `self`.
 pub trait MergeDecode {
     /// Check the encoded sibling at the cursor and fold it in.
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError>;
+}
+
+/// A summary that folds a sibling in, for code generic over the summary
+/// (a [`Dense`] table's rows): each type's own `merge`.
+pub trait Merge {
+    /// Fold `other` in.
+    fn merge(&mut self, other: &Self);
+}
+
+impl<T: Merge, const N: usize> Merge for [T; N] {
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.iter_mut().zip(other) {
+            mine.merge(theirs);
+        }
+    }
+}
+
+impl Merge for Mean {
+    fn merge(&mut self, other: &Self) {
+        Mean::merge(self, other);
+    }
+}
+
+impl Merge for BinnedCdf {
+    fn merge(&mut self, other: &Self) {
+        BinnedCdf::merge(self, other);
+    }
 }
 
 impl<T: MergeDecode, const N: usize> MergeDecode for [T; N] {
@@ -135,9 +163,9 @@ fn take_i128(dec: &mut Dec<'_>) -> Result<i128, CodecError> {
     Ok(i128::from_be_bytes(head))
 }
 
-/// `len` big-endian `u64`s at the cursor, still as bytes: a decoder
-/// checks them all before it adds any.
-fn take_words<'a>(dec: &mut Dec<'a>, len: usize) -> Result<&'a [[u8; 8]], CodecError> {
+/// `len` big-endian `u64`s at the cursor, still as bytes, lent until the
+/// cursor moves again: a decoder checks them all before it adds any.
+fn take_words<'d>(dec: &'d mut Dec<'_>, len: usize) -> Result<&'d [[u8; 8]], CodecError> {
     Ok(dec.take(len.saturating_mul(8))?.as_chunks::<8>().0)
 }
 
@@ -149,12 +177,12 @@ fn word(bytes: &[u8; 8]) -> u64 {
 /// The counts of a `Vec<u64>` encoding that must hold exactly `len` of
 /// them, their sum bounded by [`COUNT_MAX`]: `what` names the length in
 /// an error, `total_what` the sum.
-pub(crate) fn decode_counts<'a>(
-    dec: &mut Dec<'a>,
+pub(crate) fn decode_counts<'d>(
+    dec: &'d mut Dec<'_>,
     len: usize,
     what: &'static str,
     total_what: &'static str,
-) -> Result<impl ExactSizeIterator<Item = u64> + 'a, CodecError> {
+) -> Result<impl ExactSizeIterator<Item = u64> + 'd, CodecError> {
     let claimed = dec.seq_len("sequence")?;
     let words = take_words(dec, claimed)?;
     if claimed != len {
@@ -768,7 +796,7 @@ impl<T: Default + Clone + PartialEq> Dense<T> {
     }
 }
 
-impl<T: Default + Clone + PartialEq + Codec + MergeDecode> Dense<T> {
+impl<T: Default + Clone + PartialEq + Codec + Merge + MergeDecode> Dense<T> {
     /// Append the rows up to the last non-empty one.
     pub fn encode(&self, enc: &mut Enc) {
         let empty = T::default();
@@ -798,8 +826,8 @@ impl<T: Default + Clone + PartialEq + Codec + MergeDecode> Dense<T> {
     /// Fold in the encoding of a table of at most `cap` rows, row by row
     /// (see [`MergeDecode`]). A longer claim, or a claim the remaining
     /// bytes cannot hold, is rejected before anything is allocated for
-    /// it; a trailing empty row (which `encode` never writes) after its
-    /// rows are merged, so on an error the table is dropped.
+    /// it; a trailing empty row (which `encode` never writes) after the
+    /// rows before it are merged, so on an error the table is dropped.
     pub fn merge_decoded_capped(
         &mut self,
         dec: &mut Dec<'_>,
@@ -815,17 +843,19 @@ impl<T: Default + Clone + PartialEq + Codec + MergeDecode> Dense<T> {
             return Err(bad);
         }
         self.grow(len);
-        let mut last = dec.clone();
-        for row in &mut self.rows[..len] {
-            last = dec.clone();
+        let Some((last, rows)) = self.rows[..len].split_last_mut() else {
+            return Ok(());
+        };
+        for row in rows {
             row.merge_decoded(dec)?;
         }
-        // Encodings are canonical: a row decodes to the empty one
-        // exactly when its bytes are the empty row's.
-        let last_row = last.take(last.remaining() - dec.remaining())?;
-        if len > 0 && last_row == T::default().to_bytes() {
+        // Encodings are canonical: the last row's bytes are the empty
+        // row's exactly when it decodes to the empty row.
+        let theirs = T::decode(dec)?;
+        if theirs == T::default() {
             return Err(bad);
         }
+        last.merge(&theirs);
         Ok(())
     }
 }
@@ -959,7 +989,9 @@ impl MergeDecode for IdBitmap {
     /// A claim past the id range, a claim the remaining bytes cannot
     /// hold, or a trailing zero word (which `encode` never writes) is
     /// rejected; pages are allocated only for words that hold a bit and
-    /// land on a page this set does not have yet.
+    /// land on a page this set does not have yet. The words are read a
+    /// page at a time, so the last word is checked after the pages
+    /// before it are ORed in.
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         let len = dec.u32()? as usize;
         let bad = CodecError::BadLen {
@@ -969,16 +1001,16 @@ impl MergeDecode for IdBitmap {
         if len > BITMAP_WORDS_CAP || len > dec.remaining() / 8 {
             return Err(bad);
         }
-        let words = take_words(dec, len)?;
-        if words.last().map(word) == Some(0) {
-            return Err(bad);
-        }
         let pages = len.div_ceil(PAGE_WORDS);
         if pages > self.pages.len() {
             self.pages.reserve_exact(pages - self.pages.len());
             self.pages.resize(pages, None);
         }
-        for (page, theirs) in self.pages.iter_mut().zip(words.chunks(PAGE_WORDS)) {
+        for (i, page) in self.pages[..pages].iter_mut().enumerate() {
+            let theirs = take_words(dec, PAGE_WORDS.min(len - i * PAGE_WORDS))?;
+            if i + 1 == pages && theirs.last().map(word) == Some(0) {
+                return Err(bad);
+            }
             if theirs.iter().all(|w| word(w) == 0) {
                 continue;
             }
@@ -1435,6 +1467,20 @@ mod tests {
         bad_len(raw(2, 511, 18, 50), "sum of levels above 255 n");
         bad_len(raw(2, 6, 2 * 255 * 255 + 1, 50), "sum of squared levels");
         bad_len(raw(0, 0, 0, 9), "sums with n = 0");
+    }
+
+    #[test]
+    fn a_bitmap_read_a_page_at_a_time_rejects_a_zero_last_word() {
+        // The last word sits on a later page than the bits, on a page
+        // part full and on one exactly full.
+        for len in [PAGE_WORDS + 3, 2 * PAGE_WORDS] {
+            let mut enc = Enc::new();
+            enc.put_u32(len as u32);
+            for i in 0..len {
+                enc.put_u64(u64::from(i == 7));
+            }
+            bad_len(IdBitmap::from_bytes(&enc.into_bytes()), "zero last word");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use mbw_dataset::{
     SliceAssignment, Year,
 };
 use mbw_frame::{
-    fnv1a64, read_snapshot, read_snapshot_into, write_snapshot, Codec, CodecError, Dec, Enc,
+    fnv1a64, read_snapshot, read_snapshot_with, write_snapshot, Codec, CodecError, Dec, Enc,
     SnapshotError, SnapshotHeader,
 };
 use mbw_telemetry::trace::{self, ArgValue};
@@ -488,7 +488,9 @@ pub fn run_shard_file(
     }
 
     let part_path = out_dir.join(shard_file_name(head.shard_index, head.shard_count, "part"));
-    if let Ok((existing, _)) = read_snapshot(&part_path) {
+    // The whole file is checked, but only its header is kept.
+    let existing = read_snapshot_with(&part_path, |head, _| Ok::<_, SnapshotError>(head));
+    if let Ok(existing) = existing {
         if existing.kind == PART_KIND
             && existing.plan_hash == head.plan_hash
             && existing.shard_index == head.shard_index
@@ -586,37 +588,39 @@ impl std::fmt::Debug for Reduced {
 /// is identical either way).
 ///
 /// Every part is folded the same way, into sets that start empty: its
-/// snapshot is read into one buffer that serves every part, checked,
-/// and its measurement state merged into the running set straight from
-/// those bytes ([`FigureSet::merge_decoded`]), so the reducer holds the
-/// running sets plus one part's bytes, whatever `k` is, and never a
-/// decoded copy of a part. Every merge is order-free, so the read order
-/// does not reach the output. Each file is validated before its state
-/// is merged: its body's parameters must re-hash to its header's plan
-/// hash (checked before the accumulators behind them are read), and it
-/// must carry the plan hash, seed, profile and shard count of the first
-/// part read. Both partitions of the work domains are checked, in shard
-/// order, before anything is finished. Any mismatch, any malformed body
-/// — or an empty `paths` — is a typed [`DistError`], naming the
-/// offending file where there is one, and the partly merged sets are
-/// dropped: a bad part fails the reduce before any figure exists.
+/// body streams through one fixed window ([`mbw_frame::WINDOW`]) and
+/// the checksum, and its state is merged into the running sets as it
+/// passes ([`FigureSet::merge_decoded`]), so the reducer holds the
+/// running sets plus one window, whatever `k` is and however large a
+/// part, and never a part's body or a decoded copy of it. Every merge
+/// is order-free, so the read order does not reach the output. Each
+/// file's header and provenance are checked before its state is
+/// merged: its body's parameters must re-hash to its header's plan hash
+/// (checked before the accumulators behind them are read), and it must
+/// carry the plan hash, seed, profile and shard count of the first part
+/// read. Its checksum, the rest of its body and that nothing follows it
+/// are checked after, and a fault there outranks any other error in the
+/// file, as in [`read_snapshot`]. Both partitions of the work domains
+/// are checked, in shard order, before anything is finished. Any
+/// mismatch, any malformed body — or an empty `paths` — is a typed
+/// [`DistError`], naming the offending file where there is one, and the
+/// partly merged sets are dropped: a bad part fails the reduce before
+/// any figure exists.
 pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistError> {
     let tracer = trace::active();
     let mut spans = tracer.local();
     let span = spans.begin();
 
     let mut sets = (FigureSet::new(), EvalFigureSet::new(COST_SEED));
-    let mut body = Vec::new();
     let mut reference: Option<(SnapshotHeader, &'static EcosystemProfile)> = None;
     let mut read = Vec::with_capacity(paths.len());
     let mut merge_seconds = 0.0;
     for path in paths {
-        let part = fold_part(path, reference.as_ref(), &mut body, &mut sets)?;
+        let part = fold_part(path, reference.as_ref(), &mut sets)?;
         read.push((part.job.measure, part.job.eval, part.stat));
         merge_seconds += part.merge_seconds;
         reference.get_or_insert((part.head, part.profile));
     }
-    drop(body);
     let (figure_set, eval_set) = sets;
     let Some((reference, profile)) = reference else {
         return Err(DistError::Partition {
@@ -680,32 +684,52 @@ struct FoldedPart {
     profile: &'static EcosystemProfile,
     job: ShardJob,
     stat: PartStat,
-    /// Wall seconds spent merging its state (its decode included).
+    /// Wall seconds spent merging its state (its decode, and the reads
+    /// and checksum of the body under it, included).
     merge_seconds: f64,
 }
 
-/// Read one part file into `body` and fold its state into `sets`,
-/// checking on the way, in this order: its size on disk, its kind, that
-/// its job re-hashes to its header's plan hash (before the accumulators
-/// behind the job are read: the hash covers their layout, so state
-/// written under another layout is refused here and never mis-read),
-/// that it belongs to the run of `reference`, when there is one, and
-/// then, as they are merged, every accumulator's bytes and that nothing
-/// follows them. On an error `sets` may hold part of this part's state.
+/// Fold one part file's state into `sets`, reading its body through
+/// one window ([`read_snapshot_with`]), never whole. See [`fold_body`]
+/// for the checks; a snapshot error anywhere in the file outranks them.
 fn fold_part(
     path: &Path,
     reference: Option<&(SnapshotHeader, &'static EcosystemProfile)>,
-    body: &mut Vec<u8>,
+    sets: &mut (FigureSet, EvalFigureSet),
+) -> Result<FoldedPart, DistError> {
+    let snapshot_bytes = file_len(path)?;
+    read_snapshot_with(path, |head, dec| {
+        fold_body(path, head, dec, snapshot_bytes, reference, sets)
+    })
+}
+
+/// Size of the file at `path`.
+fn file_len(path: &Path) -> Result<u64, DistError> {
+    std::fs::metadata(path)
+        .map(|m| m.len())
+        .map_err(|source| DistError::Io {
+            path: path.to_path_buf(),
+            source,
+        })
+}
+
+/// Fold the body of the part at `path` (header `head`, `snapshot_bytes`
+/// on disk) into `sets` from `dec`, checking on the way, in this order:
+/// its kind, that its job re-hashes to its header's plan hash (before
+/// the accumulators behind the job are read: the hash covers their
+/// layout, so state written under another layout is refused here and
+/// never mis-read), that it belongs to the run of `reference`, when
+/// there is one, and then, as they are merged, every accumulator's
+/// bytes and that nothing follows them. On an error `sets` may hold
+/// part of this part's state.
+fn fold_body(
+    path: &Path,
+    head: SnapshotHeader,
+    dec: &mut Dec<'_>,
+    snapshot_bytes: u64,
+    reference: Option<&(SnapshotHeader, &'static EcosystemProfile)>,
     (figures, eval): &mut (FigureSet, EvalFigureSet),
 ) -> Result<FoldedPart, DistError> {
-    let snapshot_bytes =
-        std::fs::metadata(path)
-            .map(|m| m.len())
-            .map_err(|source| DistError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?;
-    let head = read_snapshot_into(path, body)?;
     if head.kind != PART_KIND {
         return Err(DistError::WrongKind {
             path: path.to_path_buf(),
@@ -717,8 +741,7 @@ fn fold_part(
         path: path.to_path_buf(),
         error,
     };
-    let mut dec = Dec::new(body);
-    let job = ShardJob::decode(&mut dec).map_err(body_error)?;
+    let job = ShardJob::decode(dec).map_err(body_error)?;
     let profile = EcosystemProfile::by_name(&head.profile).map_err(|e| DistError::Provenance {
         path: path.to_path_buf(),
         detail: e.to_string(),
@@ -762,10 +785,14 @@ fn fold_part(
         }
     }
     let merge_start = Instant::now();
-    figures.merge_decoded(&mut dec).map_err(body_error)?;
-    eval.merge(EvalFigureSet::decode(&mut dec).map_err(body_error)?);
+    figures.merge_decoded(dec).map_err(body_error)?;
+    eval.merge(EvalFigureSet::decode(dec).map_err(body_error)?);
     let execute_seconds = dec.f64().map_err(body_error)?;
-    dec.finish().map_err(body_error)?;
+    if !dec.is_done() {
+        return Err(body_error(CodecError::Trailing {
+            bytes: dec.remaining(),
+        }));
+    }
     let merge_seconds = merge_start.elapsed().as_secs_f64();
     let stat = PartStat {
         shard_index: head.shard_index,
@@ -785,6 +812,7 @@ fn fold_part(
 mod tests {
     use super::*;
     use mbw_analysis::sweep::SWEEP_IDS;
+    use mbw_frame::SNAPSHOT_VERSION;
 
     fn quick_cfg(shards: u32) -> DistConfig {
         DistConfig {
@@ -1154,5 +1182,178 @@ mod tests {
         let err = run_shard_file(run.path(), &dir.join("parts2"), 1).unwrap_err();
         assert!(matches!(err, DistError::WrongKind { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fold [`fold_part`] replaced: the whole file read into one
+    /// buffer ([`read_snapshot`]) and decoded from a slice. The oracle
+    /// the streamed fold's sets and errors are held to.
+    fn fold_whole(
+        path: &Path,
+        reference: Option<&(SnapshotHeader, &'static EcosystemProfile)>,
+        sets: &mut (FigureSet, EvalFigureSet),
+    ) -> Result<FoldedPart, DistError> {
+        let snapshot_bytes = file_len(path)?;
+        let (head, body) = read_snapshot(path)?;
+        fold_body(
+            path,
+            head,
+            &mut Dec::new(&body),
+            snapshot_bytes,
+            reference,
+            sets,
+        )
+    }
+
+    type Fold = fn(
+        &Path,
+        Option<&(SnapshotHeader, &'static EcosystemProfile)>,
+        &mut (FigureSet, EvalFigureSet),
+    ) -> Result<FoldedPart, DistError>;
+
+    /// `paths` folded in order by `fold`, as `reduce_parts` folds them:
+    /// the sets, or the first error's text.
+    fn fold_all(paths: &[PathBuf], fold: Fold) -> Result<(FigureSet, EvalFigureSet), String> {
+        let mut sets = (FigureSet::new(), EvalFigureSet::new(COST_SEED));
+        let mut reference = None;
+        for path in paths {
+            let part = fold(path, reference.as_ref(), &mut sets).map_err(|e| e.to_string())?;
+            reference.get_or_insert((part.head, part.profile));
+        }
+        Ok(sets)
+    }
+
+    /// Plan and run a `shards`-way split of the quick config; the part
+    /// files in shard order.
+    fn quick_parts(dir: &Path, shards: u32) -> Vec<PathBuf> {
+        let plans = write_plans(&quick_cfg(shards), &dir.join("plans")).unwrap();
+        plans
+            .iter()
+            .map(|plan| {
+                let run = run_shard_file(plan, &dir.join("parts"), 1).unwrap();
+                run.path().to_path_buf()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streamed_parts_fold_to_the_whole_buffer_sets() {
+        let dir = temp_dir("oracle");
+        let parts = quick_parts(&dir, 3);
+        let (figures, eval) = fold_all(&parts, fold_part).unwrap();
+        let (want_figures, want_eval) = fold_all(&parts, fold_whole).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(figures.to_bytes() == want_figures.to_bytes());
+        assert!(eval.to_bytes() == want_eval.to_bytes());
+    }
+
+    /// A snapshot's bytes with a header of `version`, frames intact.
+    fn with_version(head: &SnapshotHeader, body: &[u8], version: u16) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.put_u16(version);
+        head.encode(&mut enc);
+        let mut bytes = mbw_frame::Framing::SNAPSHOT.frame(&enc.into_bytes());
+        mbw_frame::Framing::SNAPSHOT.append_frame(&mut bytes, body);
+        bytes
+    }
+
+    /// Every mutation of a real part fails `reduce_parts` with the error
+    /// the whole-buffer fold gives, text for text: single-bit flips in
+    /// the header frame (all of them) and the body (its frame header and
+    /// a spread of its payload), cuts at and around every frame
+    /// boundary, an empty file, garbage or a valid frame appended, a
+    /// wrong version, and a CRC-valid part whose body, kind or
+    /// provenance is wrong and whose file is also torn or followed by a
+    /// frame, where the snapshot's fault must win.
+    #[test]
+    fn a_mutated_part_fails_the_reduce_as_the_whole_buffer_fold_does() {
+        use mbw_frame::Framing;
+        let dir = temp_dir("mutants");
+        let parts = quick_parts(&dir, 2);
+        let bytes = std::fs::read(&parts[1]).unwrap();
+        let (head, body) = read_snapshot(&parts[1]).unwrap();
+        let frame = Framing::SNAPSHOT.header_len();
+        let head_end = bytes.len() - frame - body.len();
+
+        let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut flip = |at: usize, bit: u8| {
+            let mut b = bytes.clone();
+            b[at] ^= 1 << bit;
+            corpus.push((format!("bit {bit} of byte {at}"), b));
+        };
+        for at in 0..head_end + frame {
+            for bit in 0..8 {
+                flip(at, bit);
+            }
+        }
+        for i in 0..97 {
+            let at = head_end + frame + i * (body.len() - 1) / 96;
+            flip(at, (i % 8) as u8);
+        }
+        for boundary in [0, frame, head_end, head_end + frame, bytes.len()] {
+            for cut in boundary.saturating_sub(2)..(boundary + 3).min(bytes.len()) {
+                corpus.push((format!("cut at {cut}"), bytes[..cut].to_vec()));
+            }
+        }
+        let appended = |tail: &[u8]| [&bytes[..], tail].concat();
+        corpus.push(("garbage appended".into(), appended(b"\x01garbage")));
+        let mut framed = Vec::new();
+        Framing::SNAPSHOT.append_frame(&mut framed, b"extra");
+        corpus.push(("frame appended".into(), appended(&framed)));
+        corpus.push((
+            "empty frame appended".into(),
+            appended(&Framing::SNAPSHOT.frame(&[])),
+        ));
+        let wrong = with_version(&head, &body, SNAPSHOT_VERSION + 1);
+        corpus.push(("wrong version".into(), wrong.clone()));
+        corpus.push((
+            "wrong version, torn body".into(),
+            wrong[..wrong.len() - 1].to_vec(),
+        ));
+        let cut_body = with_version(&head, &body[..body.len() / 2], SNAPSHOT_VERSION);
+        corpus.push(("cut body".into(), cut_body.clone()));
+        corpus.push((
+            "cut body, frame appended".into(),
+            [&cut_body[..], &framed].concat(),
+        ));
+        corpus.push((
+            "cut body, garbage appended".into(),
+            [&cut_body[..], b"\x00"].concat(),
+        ));
+        let foreign = SnapshotHeader {
+            seed: head.seed + 1,
+            ..head.clone()
+        };
+        let foreign = with_version(&foreign, &body, SNAPSHOT_VERSION);
+        corpus.push(("foreign seed".into(), foreign.clone()));
+        corpus.push((
+            "foreign seed, frame appended".into(),
+            [&foreign[..], &framed].concat(),
+        ));
+        let plan = SnapshotHeader {
+            kind: PLAN_KIND.into(),
+            ..head.clone()
+        };
+        let plan = with_version(&plan, &body, SNAPSHOT_VERSION);
+        corpus.push(("plan kind".into(), plan.clone()));
+        corpus.push(("plan kind, torn".into(), plan[..plan.len() - 3].to_vec()));
+
+        let mut differ = String::new();
+        for (label, mutant) in &corpus {
+            std::fs::write(&parts[1], mutant).unwrap();
+            let want = fold_all(&parts, fold_whole).map(|_| ()).unwrap_err();
+            let got = match reduce_parts(&parts, 1) {
+                Ok(_) => "reduced".to_string(),
+                Err(e) => e.to_string(),
+            };
+            if got != want {
+                differ.push_str(&format!("{label}: {got}\n  whole buffer: {want}\n"));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            differ.is_empty(),
+            "{} mutants, these failed otherwise:\n{differ}",
+            corpus.len()
+        );
     }
 }

@@ -38,8 +38,13 @@ enum State {
 #[derive(Debug, Clone)]
 pub struct Bbr {
     state: State,
-    /// Recent delivery-rate maxima (segments/second).
-    btlbw_samples: Vec<f64>,
+    /// The last [`BTLBW_WINDOW`] delivery rates (segments/second), a
+    /// ring written at `next`; slots no round has written yet hold 0,
+    /// which the max starts from anyway. Boxed, so a flow allocates it
+    /// once, at its size, and a `Controller` does not grow with it.
+    btlbw_samples: Box<[f64; BTLBW_WINDOW]>,
+    /// The ring slot the next rate goes to.
+    next: usize,
     /// Minimum observed RTT (seconds).
     min_rtt: f64,
     /// Best bandwidth seen when full-pipe detection last advanced.
@@ -62,7 +67,8 @@ impl Bbr {
     pub fn new() -> Self {
         Self {
             state: State::Startup,
-            btlbw_samples: Vec::new(),
+            btlbw_samples: Box::new([0.0; BTLBW_WINDOW]),
+            next: 0,
             min_rtt: f64::INFINITY,
             full_bw: 0.0,
             full_bw_rounds: 0,
@@ -86,10 +92,8 @@ impl Bbr {
     }
 
     fn push_bw_sample(&mut self, rate: f64) {
-        self.btlbw_samples.push(rate);
-        if self.btlbw_samples.len() > BTLBW_WINDOW {
-            self.btlbw_samples.remove(0);
-        }
+        self.btlbw_samples[self.next] = rate;
+        self.next = (self.next + 1) % BTLBW_WINDOW;
     }
 }
 

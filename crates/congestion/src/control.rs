@@ -191,6 +191,15 @@ impl From<ModelGuidedCc> for Controller {
 mod tests {
     use super::*;
 
+    /// Every flow holds its controller by value, so the largest variant
+    /// sizes them all. BBR, the largest, keeps its bandwidth filter
+    /// behind one box (8 B where a `Vec` took 24 B and the enum 96 B).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn controller_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Controller>(), 88);
+    }
+
     #[test]
     fn build_constructs_each_algorithm() {
         for alg in CcAlgorithm::ALL {

@@ -82,7 +82,7 @@ const MEASURED: [(&str, TrialKind, ScenarioId, u64); 8] = [
         "single BTS-APP",
         TrialKind::Single(BtsKind::BtsApp),
         LTE,
-        3_997,
+        3_949,
     ),
     ("single FAST", TrialKind::Single(BtsKind::Fast), LTE, 4_893),
     (
@@ -101,9 +101,9 @@ const MEASURED: [(&str, TrialKind, ScenarioId, u64); 8] = [
         "pair",
         TrialKind::Pair(BtsKind::Swiftest, BtsKind::BtsApp),
         LTE,
-        5_334,
+        5_158,
     ),
-    ("group", TrialKind::Group, LTE, 14_312),
+    ("group", TrialKind::Group, LTE, 12_416),
     (
         "ramp",
         TrialKind::Ramp(CcAlgorithm::Cubic, BANDWIDTH_BINS.len() as u8 - 1),
@@ -183,10 +183,10 @@ const RUN: usize = 41;
 /// 1.6 KB to 5 KB.
 const ADDED: [(&str, TrialKind, u64); 7] = [
     ("BTS-APP", TrialKind::Single(BtsKind::BtsApp), 93),
-    ("FAST", TrialKind::Single(BtsKind::Fast), 241),
-    ("FastBTS", TrialKind::Single(BtsKind::FastBts), 226),
+    ("FAST", TrialKind::Single(BtsKind::Fast), 239),
+    ("FastBTS", TrialKind::Single(BtsKind::FastBts), 224),
     ("Swiftest", TrialKind::Single(BtsKind::Swiftest), 53),
-    ("group", TrialKind::Group, 323),
+    ("group", TrialKind::Group, 322),
     (
         "ramp",
         TrialKind::Ramp(CcAlgorithm::Cubic, BANDWIDTH_BINS.len() as u8 - 1),

@@ -15,6 +15,32 @@
 //!   so encoded bytes are a pure function of *content* and
 //!   hash-iteration order can never leak into a snapshot;
 //! - malformed input returns a typed [`CodecError`], never panics.
+//!
+//! # Decoding from a reader
+//!
+//! A [`Dec`] reads either a slice it borrows whole or a reader of known
+//! length through a fixed window of [`WINDOW`] bytes, so a reducer can
+//! fold a part file of any size while holding 64 KiB of it. It is one
+//! type with one hot path: a take checks the bytes left in the window,
+//! as the slice cursor always did, and only where that check fails does
+//! a reader-backed cursor refill (a slice-backed one reports the end of
+//! its input, as before). A take borrows the cursor, so the bytes it
+//! lends last until the next take, and a decoder cannot look back: it
+//! checks what it needs as the bytes pass. The window is sized for the
+//! largest take a valid part asks for, a `BinnedCdf` bin run of 17 KB;
+//! a larger take grows the window to exactly that take, and never past
+//! the input left, which the length prefix checks have already bounded,
+//! so a corrupt length costs at most the input's size, as a whole
+//! buffer would have.
+//!
+//! Errors do not depend on the mode: [`Dec::remaining`] counts the bytes
+//! still in the reader as well as the window, so `Eof { wanted, have }`,
+//! the sequence-length checks and `Trailing` read the same either way.
+//! What the reader itself does wrong (an I/O error, an early end) ends
+//! the input for the decoder; the reader's owner reports it, and ranks
+//! it above any decode error (see [`crate::snapshot`]).
+
+use std::io::Read;
 
 /// Why a decode failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,24 +166,90 @@ impl Enc {
     }
 }
 
-/// Decode cursor over a byte slice. A clone is a second cursor at the
-/// same position, which a decoder can use to look back at the bytes a
-/// value took.
-#[derive(Debug, Clone)]
+/// Bytes a [`Dec`] reading from a [`Read`] holds at once: the window
+/// it refills. A refill reads up to this much, so a decoder's takes
+/// cost one `read` per window, not one per value. It must hold the
+/// largest take a reducer makes of a valid part, a whole `BinnedCdf`
+/// bin run (2 176 words, 17 KB); 64 KiB is that with room to spare,
+/// and a sixteenth of the 1.05 MB body a reader of a whole part holds.
+pub const WINDOW: usize = 64 << 10;
+
+/// Decode cursor over a window of bytes.
+///
+/// Over a slice ([`Dec::new`]) the window is the whole input and never
+/// refills. Over a reader of known length ([`Dec::from_reader`]) it is
+/// a buffer of [`WINDOW`] bytes, refilled from the reader only where a
+/// take finds too few bytes left in it; a take larger than the window
+/// grows it to exactly that take. Either way [`Dec::remaining`] counts
+/// every byte of the input not yet taken, so the checks made against it
+/// and the errors they return are the same, byte for byte, in both
+/// modes.
 pub struct Dec<'a> {
-    bytes: &'a [u8],
+    input: Input<'a>,
+    /// The next byte to take, in the window.
     at: usize,
+    /// Where the window's bytes end.
+    end: usize,
+}
+
+/// Where a [`Dec`]'s window lives.
+enum Input<'a> {
+    /// The whole input, borrowed.
+    Slice(&'a [u8]),
+    /// A buffer refilled from `reader`, which has `left` bytes of the
+    /// input still to give.
+    Reader {
+        window: Vec<u8>,
+        reader: &'a mut dyn Read,
+        left: usize,
+    },
+}
+
+impl std::fmt::Debug for Dec<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dec")
+            .field("buffered", &(self.end - self.at))
+            .field("remaining", &self.remaining())
+            .finish()
+    }
 }
 
 impl<'a> Dec<'a> {
     /// Cursor at the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
+        Self {
+            input: Input::Slice(bytes),
+            at: 0,
+            end: bytes.len(),
+        }
+    }
+
+    /// Cursor at the start of the next `len` bytes of `reader`, through a
+    /// window of at most [`WINDOW`] bytes, allocated at the first take
+    /// (and then no larger than the input). The reader is read only as far
+    /// as those `len` bytes, and a read interrupted is tried again; one
+    /// that fails otherwise, or ends before them, ends the input there
+    /// (the decoder sees [`CodecError::Eof`], and the reader's owner
+    /// learns why from the reader).
+    pub fn from_reader(reader: &'a mut dyn Read, len: usize) -> Self {
+        Self {
+            input: Input::Reader {
+                window: Vec::new(),
+                reader,
+                left: len,
+            },
+            at: 0,
+            end: 0,
+        }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.at
+        let unread = match &self.input {
+            Input::Slice(_) => 0,
+            Input::Reader { left, .. } => *left,
+        };
+        self.end - self.at + unread
     }
 
     /// Whether every byte was consumed.
@@ -177,28 +269,72 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Take `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Eof {
-                wanted: n,
-                have: self.remaining(),
-            });
+    /// Take `n` raw bytes, lent until the cursor moves again.
+    pub fn take(&mut self, n: usize) -> Result<&[u8], CodecError> {
+        if self.end - self.at < n {
+            self.refill(n)?;
         }
-        let out = &self.bytes[self.at..self.at + n];
+        let window = match &self.input {
+            Input::Slice(bytes) => *bytes,
+            Input::Reader { window, .. } => window,
+        };
+        let out = &window[self.at..self.at + n];
         self.at += n;
         Ok(out)
     }
 
+    /// Make the window hold at least `n` bytes from the cursor on, or
+    /// say the input ends first.
+    #[cold]
+    fn refill(&mut self, n: usize) -> Result<(), CodecError> {
+        let have = self.remaining();
+        let Input::Reader {
+            window,
+            reader,
+            left,
+        } = &mut self.input
+        else {
+            return Err(CodecError::Eof { wanted: n, have });
+        };
+        if have < n {
+            return Err(CodecError::Eof { wanted: n, have });
+        }
+        window.copy_within(self.at..self.end, 0);
+        self.end -= self.at;
+        self.at = 0;
+        let size = n.max(have.min(WINDOW));
+        if window.len() < size {
+            window.reserve_exact(size - window.len());
+            window.resize(size, 0);
+        }
+        let fill = window.len().min(self.end + *left);
+        while self.end < n {
+            match reader.read(&mut window[self.end..fill]) {
+                Ok(0) => *left = 0,
+                Ok(got) => {
+                    let got = got.min(fill - self.end);
+                    self.end += got;
+                    *left -= got;
+                    continue;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => *left = 0,
+            }
+            return Err(CodecError::Eof {
+                wanted: n,
+                have: self.end,
+            });
+        }
+        Ok(())
+    }
+
     /// The next `N` bytes as an array.
     fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        let rest = &self.bytes[self.at..];
-        let (&head, _) = rest.split_first_chunk::<N>().ok_or(CodecError::Eof {
+        let bytes = self.take(N)?;
+        bytes.try_into().map_err(|_| CodecError::Eof {
             wanted: N,
-            have: rest.len(),
-        })?;
-        self.at += N;
-        Ok(head)
+            have: bytes.len(),
+        })
     }
 
     /// One byte.

@@ -15,7 +15,8 @@
 //! - [`snapshot`]: the versioned two-frame snapshot container (header
 //!   frame + body frame) carrying seed / profile / plan-hash
 //!   provenance, with atomic writes so a killed writer leaves either
-//!   nothing or a fully valid snapshot.
+//!   nothing or a fully valid snapshot, read whole or with its body
+//!   streamed to a decoder through one fixed window.
 //!
 //! This crate deliberately has **no dependencies**: it sits below
 //! `mbw-wire`, `mbw-dataset`, `mbw-analysis`, `mbw-core`, and
@@ -35,11 +36,11 @@ pub mod crc;
 pub mod framing;
 pub mod snapshot;
 
-pub use codec::{Codec, CodecError, Dec, Enc};
+pub use codec::{Codec, CodecError, Dec, Enc, WINDOW};
 pub use crc::Crc32;
 pub use framing::{FrameScan, Frames, Framing, TornReason, LOG_MAGIC, SNAP_MAGIC};
 pub use snapshot::{
-    decode_snapshot, read_snapshot, read_snapshot_into, write_snapshot, SnapshotDecodeError,
+    decode_snapshot, read_snapshot, read_snapshot_with, write_snapshot, SnapshotDecodeError,
     SnapshotError, SnapshotHeader, SNAPSHOT_VERSION,
 };
 

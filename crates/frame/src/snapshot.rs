@@ -18,12 +18,30 @@
 //! instant leaves either no snapshot or a fully valid one — the same
 //! guarantee the crash-safe results log gives per record, here given
 //! per file.
+//!
+//! There are two readers of one format. [`read_snapshot`] reads the
+//! file whole and hands back the body's bytes. [`read_snapshot_with`]
+//! hands a decoder the body as it streams off the file through the
+//! checksum, in a window of [`WINDOW`](crate::WINDOW) bytes (64 KiB:
+//! room for the largest take a reducer's decoders make of a valid part,
+//! a 17 KB `BinnedCdf` bin run, and a sixteenth of a 1.05 MB body), so
+//! a reducer folds a part of any size while holding 64 KiB of it.
+//!
+//! Both rank a file's faults the same way, so a file fails the same way
+//! on either path. An I/O error, a tear (a short frame, a bad magic or a
+//! checksum) anywhere in the file, a missing body or a frame after the
+//! body outranks a bad version or a malformed header, which outranks
+//! anything a decoder finds in the body. A streaming reader learns of a
+//! tear only once the body has passed, so [`read_snapshot_with`] runs
+//! the decoder first and then reads and checks the rest of the file
+//! before it lets the decoder's result, or error, out.
 
 use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{Codec, CodecError, Dec, Enc};
+use crate::crc::Crc32;
 use crate::framing::{Framing, TornReason};
 
 /// Current snapshot format version; bumped on any layout change.
@@ -257,36 +275,226 @@ pub fn write_snapshot(
 /// version; anything else is a typed error naming the path. The
 /// returned body is the buffer the file was read into, cut down to the
 /// body payload — one allocation of the file's size and one checksum
-/// pass over it, no second copy.
+/// pass over it, no second copy. [`read_snapshot_with`] decodes a body
+/// without holding it.
 pub fn read_snapshot(path: &Path) -> Result<(SnapshotHeader, Vec<u8>), SnapshotError> {
-    let mut body = Vec::new();
-    let header = read_snapshot_into(path, &mut body)?;
-    Ok((header, body))
-}
-
-/// [`read_snapshot`] into a buffer the caller keeps: `buf` is cleared,
-/// filled with the file and cut down to the body payload, so a reader
-/// of many snapshots in turn holds one buffer, of the largest file's
-/// size, however many it reads. After an error `buf` holds no body to
-/// use.
-pub fn read_snapshot_into(path: &Path, buf: &mut Vec<u8>) -> Result<SnapshotHeader, SnapshotError> {
     use std::io::Read as _;
-    buf.clear();
     let io_err = |source| SnapshotError::Io {
         path: path.to_path_buf(),
         source,
     };
     let mut file = std::fs::File::open(path).map_err(io_err)?;
     let len = file.metadata().map_err(io_err)?.len();
-    buf.reserve_exact(usize::try_from(len).unwrap_or(0));
-    file.read_to_end(buf).map_err(io_err)?;
-    let (header, body) = locate(buf).map_err(|error| SnapshotError::Decode {
+    let mut buf = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
+    file.read_to_end(&mut buf).map_err(io_err)?;
+    let (header, body) = locate(&buf).map_err(|error| SnapshotError::Decode {
         path: path.to_path_buf(),
         error,
     })?;
     buf.truncate(body.end);
     buf.drain(..body.start);
-    Ok(header)
+    Ok((header, buf))
+}
+
+/// Read a snapshot file and decode its body with `decode`, which reads
+/// the body payload through a [`Dec`] of one [`WINDOW`](crate::WINDOW),
+/// not from a copy of it: what the file costs to read is that window,
+/// however large its body.
+///
+/// The checks and their precedence are [`read_snapshot`]'s, so the same
+/// file fails the same way on either path. The header frame is checked
+/// and decoded first; `decode` runs only on a header that decoded, with
+/// the body streaming through the checksum as it reads. Whatever
+/// `decode` returns, the rest of the file is then read and checked: the
+/// rest of the body, its checksum, and that no frame follows it. An I/O
+/// error, a tear or a checksum anywhere, a missing body or a trailing
+/// frame outranks a header error, and a header error outranks whatever
+/// `decode` returned, so on a file that is not a clean snapshot the
+/// error is the snapshot's and `decode`'s result is dropped. (Anything
+/// `decode` did to its captures before it failed is not undone.)
+pub fn read_snapshot_with<T, E: From<SnapshotError>>(
+    path: &Path,
+    decode: impl FnOnce(SnapshotHeader, &mut Dec<'_>) -> Result<T, E>,
+) -> Result<T, E> {
+    let fail = |error| {
+        E::from(match error {
+            Fail::Io(source) => SnapshotError::Io {
+                path: path.to_path_buf(),
+                source,
+            },
+            Fail::Decode(error) => SnapshotError::Decode {
+                path: path.to_path_buf(),
+                error,
+            },
+        })
+    };
+    let mut file = SnapshotFile::open(path).map_err(fail)?;
+    let Some(head_len) = file.next_frame().map_err(fail)? else {
+        return Err(fail(Fail::Decode(SnapshotDecodeError::Torn(
+            TornReason::ShortFrame,
+        ))));
+    };
+    let header = file.payload(head_len, decode_header).map_err(fail)?;
+    let Some(body_len) = file.next_frame().map_err(fail)? else {
+        return Err(fail(Fail::Decode(SnapshotDecodeError::MissingBody)));
+    };
+    let decoded = file
+        .payload(body_len, |dec| header.map(|h| decode(h, dec)))
+        .map_err(fail)?;
+    let mut trailing = false;
+    while let Some(len) = file.next_frame().map_err(fail)? {
+        file.payload(len, |_| ()).map_err(fail)?;
+        trailing = true;
+    }
+    if trailing {
+        return Err(fail(Fail::Decode(SnapshotDecodeError::TrailingFrames)));
+    }
+    decoded.map_err(|error| fail(Fail::Decode(error)))?
+}
+
+/// The version and header of a header frame's payload.
+fn decode_header(dec: &mut Dec<'_>) -> Result<SnapshotHeader, SnapshotDecodeError> {
+    let version = dec.u16().map_err(SnapshotDecodeError::Header)?;
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotDecodeError::WrongVersion { found: version });
+    }
+    let header = SnapshotHeader::decode(dec).map_err(SnapshotDecodeError::Header)?;
+    if dec.is_done() {
+        Ok(header)
+    } else {
+        Err(SnapshotDecodeError::Header(CodecError::Trailing {
+            bytes: dec.remaining(),
+        }))
+    }
+}
+
+/// Why reading a snapshot file stopped.
+enum Fail {
+    Io(std::io::Error),
+    Decode(SnapshotDecodeError),
+}
+
+impl From<TornReason> for Fail {
+    fn from(reason: TornReason) -> Self {
+        Fail::Decode(SnapshotDecodeError::Torn(reason))
+    }
+}
+
+/// A snapshot file read front to back, frame by frame, with the checks
+/// of [`Framing::frames`]: a frame's length is checked against the bytes
+/// the file has left before any of its payload is read.
+struct SnapshotFile {
+    file: std::fs::File,
+    /// Bytes of the file not yet read.
+    left: u64,
+    /// The checksum of the frame being read, so far.
+    crc: Crc32,
+    /// The checksum the frame being read declares.
+    expected: u32,
+    /// Bytes of the frame's payload not yet read.
+    payload_left: usize,
+    /// Why the payload being read stopped early, when it did.
+    error: Option<std::io::Error>,
+}
+
+impl SnapshotFile {
+    fn open(path: &Path) -> Result<Self, Fail> {
+        let file = std::fs::File::open(path).map_err(Fail::Io)?;
+        let left = file.metadata().map_err(Fail::Io)?.len();
+        Ok(Self {
+            file,
+            left,
+            crc: Crc32::new(),
+            expected: 0,
+            payload_left: 0,
+            error: None,
+        })
+    }
+
+    /// Check the next frame's header and return its payload length, or
+    /// `None` at a clean end of the file.
+    fn next_frame(&mut self) -> Result<Option<usize>, Fail> {
+        use std::io::Read as _;
+        if self.left == 0 {
+            return Ok(None);
+        }
+        const HEAD: usize = Framing::SNAPSHOT.header_len();
+        if self.left < HEAD as u64 {
+            return Err(TornReason::ShortFrame.into());
+        }
+        let mut head = [0u8; HEAD];
+        self.file.read_exact(&mut head).map_err(Fail::Io)?;
+        self.left -= HEAD as u64;
+        let [m0, m1, m2, m3, l0, l1, l2, l3, c0, c1, c2, c3] = head;
+        if u32::from_be_bytes([m0, m1, m2, m3]) != Framing::SNAPSHOT.magic {
+            return Err(TornReason::BadMagic.into());
+        }
+        let len = u32::from_be_bytes([l0, l1, l2, l3]);
+        if u64::from(len) > self.left {
+            return Err(TornReason::ShortFrame.into());
+        }
+        self.crc = Crc32::new();
+        self.crc.update(&[l0, l1, l2, l3]);
+        self.expected = u32::from_be_bytes([c0, c1, c2, c3]);
+        self.payload_left = len as usize;
+        Ok(Some(len as usize))
+    }
+
+    /// Read the `len`-byte payload of the frame [`Self::next_frame`]
+    /// just checked through `decode`, then the rest of it, and check its
+    /// checksum.
+    fn payload<T>(
+        &mut self,
+        len: usize,
+        decode: impl FnOnce(&mut Dec<'_>) -> T,
+    ) -> Result<T, Fail> {
+        let out = decode(&mut Dec::from_reader(self, len));
+        let mut rest = [0u8; 4096];
+        while self.payload_left > 0 && self.error.is_none() {
+            let n = self.payload_left.min(rest.len());
+            if let Ok(0) | Err(_) = std::io::Read::read(self, &mut rest[..n]) {
+                break;
+            }
+        }
+        if let Some(error) = self.error.take() {
+            return Err(Fail::Io(error));
+        }
+        if self.payload_left > 0 {
+            return Err(Fail::Io(std::io::ErrorKind::UnexpectedEof.into()));
+        }
+        if self.crc.finish() != self.expected {
+            return Err(TornReason::BadChecksum.into());
+        }
+        Ok(out)
+    }
+}
+
+/// The payload of the frame being read, through its checksum. A read
+/// error other than an interruption is kept for [`SnapshotFile::payload`]
+/// to report, and ends the payload.
+impl std::io::Read for SnapshotFile {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = buf.len().min(self.payload_left);
+        if want == 0 || self.error.is_some() {
+            return Ok(0);
+        }
+        loop {
+            match self.file.read(&mut buf[..want]) {
+                Ok(n) => {
+                    let n = n.min(want);
+                    self.crc.update(&buf[..n]);
+                    self.payload_left -= n;
+                    self.left = self.left.saturating_sub(n as u64);
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.error = Some(e);
+                    return Ok(0);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +619,82 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(leftovers.len(), 1, "temp file left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `read_snapshot_with` reads every file as `read_snapshot` does: the
+    /// same header and body from a clean one, the same error from any
+    /// mutant, whatever the decoder did with the body (read it all, part
+    /// of it, none, or failed), with a body three windows long.
+    #[test]
+    fn streamed_reads_match_whole_reads() {
+        let dir = std::env::temp_dir().join(format!("mbw-frame-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("part.snap");
+        let body: Vec<u8> = (0..3 * crate::WINDOW + 5)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let bytes = encode_snapshot(&header(), &body);
+        let frame = Framing::SNAPSHOT.header_len();
+        let head_end = bytes.len() - frame - body.len();
+        let mut mutants = vec![bytes.clone(), Vec::new()];
+        for at in (0..head_end + frame).chain([head_end + frame + 7, bytes.len() - 1]) {
+            let mut b = bytes.clone();
+            b[at] ^= 0x10;
+            mutants.push(b);
+        }
+        for cut in [
+            1,
+            frame,
+            head_end - 1,
+            head_end,
+            head_end + 3,
+            bytes.len() - 1,
+        ] {
+            mutants.push(bytes[..cut].to_vec());
+        }
+        let mut extra = bytes.clone();
+        Framing::SNAPSHOT.append_frame(&mut extra, b"extra");
+        mutants.push(extra.clone());
+        extra.push(0);
+        mutants.push(extra);
+
+        for (i, mutant) in mutants.iter().enumerate() {
+            std::fs::write(&path, mutant).unwrap();
+            let whole = read_snapshot(&path).map_err(|e| e.to_string());
+            for take in [usize::MAX, 100, 0] {
+                let streamed = read_snapshot_with(&path, |h, dec| {
+                    let n = take.min(dec.remaining());
+                    let got = dec.take(n).map(<[u8]>::to_vec);
+                    got.map(|b| (h, b)).map_err(|e| SnapshotError::Decode {
+                        path: path.clone(),
+                        error: SnapshotDecodeError::Header(e),
+                    })
+                })
+                .map_err(|e| e.to_string());
+                match (&whole, streamed) {
+                    (Ok(want), Ok(got)) if take == usize::MAX => assert_eq!(&got, want, "{i}"),
+                    (Ok(want), Ok((h, b))) => {
+                        assert_eq!(h, want.0, "{i}");
+                        assert_eq!(&want.1[..b.len()], &b[..], "{i}");
+                    }
+                    (Err(want), Err(got)) => assert_eq!(&got, want, "mutant {i}, take {take}"),
+                    (want, got) => panic!("mutant {i}, take {take}: {got:?}, whole {want:?}"),
+                }
+            }
+            let failed = read_snapshot_with(&path, |_, _| {
+                Err::<(), _>(SnapshotError::Io {
+                    path: path.clone(),
+                    source: std::io::Error::other("decoder failed"),
+                })
+            })
+            .unwrap_err()
+            .to_string();
+            match &whole {
+                Ok(_) => assert!(failed.ends_with("decoder failed"), "{i}: {failed}"),
+                Err(want) => assert_eq!(&failed, want, "mutant {i}, failing decoder"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
