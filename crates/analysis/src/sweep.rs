@@ -43,9 +43,9 @@ use std::time::{Duration, Instant};
 /// container does not change when the meaning of a body does, so
 /// whatever names a run on disk (the distributed plan hash) mixes this
 /// in: state written under another layout is then refused by name and
-/// never decoded. Bump it with any change to what an accumulator
-/// encodes.
-pub const STATE_LAYOUT: u32 = 3;
+/// never decoded. Bump it with any change to what an accumulator, or
+/// the shard part around them, encodes.
+pub const STATE_LAYOUT: u32 = 4;
 
 /// One accumulator per measurement figure — the state of a fused sweep.
 #[derive(Debug)]

@@ -703,8 +703,13 @@ fn run_shard_runner(opts: &Options) -> Result<(), CliError> {
         eprintln!("shard-runner needs --plan FILE");
         std::process::exit(2);
     };
+    let started = Instant::now();
     match distributed::run_shard_file(plan, &opts.out_dir, opts.threads)? {
-        ShardRun::Ran(path) => eprintln!("shard executed -> {}", path.display()),
+        ShardRun::Ran(path) => eprintln!(
+            "shard executed in {:.2}s -> {}",
+            started.elapsed().as_secs_f64(),
+            path.display()
+        ),
         ShardRun::Skipped(path) => eprintln!(
             "skipping shard: a valid part for this plan already exists at {}",
             path.display()
@@ -750,8 +755,8 @@ fn run_reduce(opts: &Options) -> Result<(), CliError> {
     }
     for part in &reduced.parts {
         eprintln!(
-            "  shard {:02}: execute {:.2}s, {} snapshot bytes",
-            part.shard_index, part.execute_seconds, part.snapshot_bytes
+            "  shard {:02}: {} snapshot bytes",
+            part.shard_index, part.snapshot_bytes
         );
     }
     eprintln!(

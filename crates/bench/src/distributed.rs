@@ -172,8 +172,9 @@ impl Codec for ShardJob {
 }
 
 /// A shard's emitted partial state: its job echoed for partition
-/// validation, the unfinished accumulators of both pipeline halves, and
-/// the execute wall time for reduce-side reporting.
+/// validation and the unfinished accumulators of both pipeline halves.
+/// A pure function of the job: two executions of one plan write the
+/// same bytes.
 #[derive(Debug)]
 pub struct ShardPart {
     /// The assignment this part was produced from.
@@ -182,8 +183,6 @@ pub struct ShardPart {
     pub figures: FigureSet,
     /// Partial evaluation figure state (merge-ready, unfinished).
     pub eval: EvalFigureSet,
-    /// Wall seconds the shard's execute took.
-    pub execute_seconds: f64,
 }
 
 impl Codec for ShardPart {
@@ -191,7 +190,6 @@ impl Codec for ShardPart {
         self.job.encode(enc);
         self.figures.encode(enc);
         self.eval.encode(enc);
-        enc.put_f64(self.execute_seconds);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
@@ -199,7 +197,6 @@ impl Codec for ShardPart {
             job: Codec::decode(dec)?,
             figures: Codec::decode(dec)?,
             eval: Codec::decode(dec)?,
-            execute_seconds: dec.f64()?,
         })
     }
 }
@@ -370,7 +367,6 @@ pub fn execute_shard(
     job: &ShardJob,
     threads: usize,
 ) -> ShardPart {
-    let started = Instant::now();
     let tracer = trace::active();
     let mut spans = tracer.local();
     let span = spans.begin();
@@ -412,7 +408,6 @@ pub fn execute_shard(
         job: *job,
         figures,
         eval,
-        execute_seconds: started.elapsed().as_secs_f64(),
     }
 }
 
@@ -546,8 +541,6 @@ pub fn collect_parts(dir: &Path) -> Result<Vec<PathBuf>, DistError> {
 pub struct PartStat {
     /// The part's shard index.
     pub shard_index: u32,
-    /// Wall seconds the shard's execute took (from the part itself).
-    pub execute_seconds: f64,
     /// Size of the part snapshot on disk.
     pub snapshot_bytes: u64,
 }
@@ -787,7 +780,6 @@ fn fold_body(
     let merge_start = Instant::now();
     figures.merge_decoded(dec).map_err(body_error)?;
     eval.merge(EvalFigureSet::decode(dec).map_err(body_error)?);
-    let execute_seconds = dec.f64().map_err(body_error)?;
     if !dec.is_done() {
         return Err(body_error(CodecError::Trailing {
             bytes: dec.remaining(),
@@ -796,7 +788,6 @@ fn fold_body(
     let merge_seconds = merge_start.elapsed().as_secs_f64();
     let stat = PartStat {
         shard_index: head.shard_index,
-        execute_seconds,
         snapshot_bytes,
     };
     Ok(FoldedPart {
@@ -1000,11 +991,11 @@ mod tests {
         let part = ShardPart::from_bytes(&body).unwrap();
         // The body ends with the three device accumulators (4G, 5G,
         // WiFi; each of one fixed size), the outcome tallies (fixed
-        // size), the evaluation state and the execute time.
+        // size) and the evaluation state.
         let device = HardwareIllusionAcc::new(AccessTech::Cellular4g)
             .to_bytes()
             .len();
-        let tail = OutcomeRatesAcc::new().to_bytes().len() + part.eval.to_bytes().len() + 8;
+        let tail = OutcomeRatesAcc::new().to_bytes().len() + part.eval.to_bytes().len();
         let d4 = body.len() - tail - 3 * device;
         let tag = |at: usize| AccessTech::from_bytes(&body[at..at + 1]).unwrap();
         assert_eq!(tag(d4), AccessTech::Cellular4g);
@@ -1058,11 +1049,34 @@ mod tests {
     }
 
     #[test]
+    fn two_executions_of_one_plan_write_the_same_part_bytes() {
+        let cfg = quick_cfg(2);
+        let dir = temp_dir("pure");
+        let plans = write_plans(&cfg, &dir.join("plans")).unwrap();
+        let bytes: Vec<Vec<u8>> = ["a", "b"]
+            .iter()
+            .map(
+                |out| match run_shard_file(&plans[1], &dir.join(out), 1).unwrap() {
+                    ShardRun::Ran(path) => std::fs::read(path).unwrap(),
+                    ShardRun::Skipped(p) => panic!("{} was not executed", p.display()),
+                },
+            )
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(bytes[0] == bytes[1], "two executions wrote different parts");
+    }
+
+    #[test]
     fn files_written_under_another_state_layout_are_refused_by_name() {
         let cfg = quick_cfg(2);
         // Layout 1 hashed no layout word; layout 2 kept every trial of
-        // the evaluation figures.
-        for old_hash in [layout_1_plan_hash(&cfg), plan_hash_under(2, &cfg)] {
+        // the evaluation figures; layout 3 ended a part with the
+        // shard's wall time.
+        for old_hash in [
+            layout_1_plan_hash(&cfg),
+            plan_hash_under(2, &cfg),
+            plan_hash_under(3, &cfg),
+        ] {
             assert_ne!(old_hash, plan_hash(&cfg), "the layout is not in the hash");
             let dir = temp_dir("layout");
             let job = shard_jobs(&cfg)[0];
