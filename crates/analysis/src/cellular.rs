@@ -88,6 +88,15 @@ impl Fig04Acc {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Fresh accumulator whose stratum spans the whole grid from the
+    /// start ([`BinnedCdf::full_grid`]).
+    pub(crate) fn full_grid() -> Self {
+        Self {
+            bw: BinnedCdf::full_grid(),
+            ..Self::default()
+        }
+    }
 }
 
 impl FigureAccumulator<TestRecord> for Fig04Acc {
@@ -280,6 +289,14 @@ impl Fig07Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fresh accumulator whose stratum spans the whole grid from the
+    /// start ([`BinnedCdf::full_grid`]).
+    pub(crate) fn full_grid() -> Self {
+        Self {
+            bw: BinnedCdf::full_grid(),
+        }
     }
 }
 
@@ -512,6 +529,15 @@ impl RssAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fresh accumulator whose strata span the whole grid from the start
+    /// ([`BinnedCdf::full_grid`]).
+    pub(crate) fn full_grid() -> Self {
+        Self {
+            bw: std::array::from_fn(|_| BinnedCdf::full_grid()),
+            ..Self::default()
+        }
     }
 }
 

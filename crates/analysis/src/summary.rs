@@ -10,7 +10,7 @@
 //! | a figure needs | it keeps | state |
 //! |---|---|---|
 //! | a mean | [`Mean`]: count + exact fixed-point sum | 32 B |
-//! | a median or a CDF | [`BinnedCdf`]: a [`Mean`], exact min/max, log-linear bin counts | 17 KB |
+//! | a median or a CDF | [`BinnedCdf`]: a [`Mean`], exact min/max, log-linear bin counts | the run of bins seen, ≤ 17 KB |
 //! | a Pearson r against an integer level | [`Pearson`]: count and the five power sums | 80 B |
 //! | a distinct-id count | [`IdBitmap`]: one bit per id | O(largest id) |
 //! | a per-city table | [`Dense`]: rows indexed by id | O(largest id) |
@@ -318,8 +318,10 @@ const GRID_MIN_EXP: i32 = -4;
 const GRID_MAX_EXP: i32 = 13;
 /// Log-linear bins on the grid.
 const LOG_BINS: usize = ((GRID_MAX_EXP - GRID_MIN_EXP) as usize) << SUB_BITS;
-/// All bins: `<= 0`, `(0, 2^-4)`, the log-linear ones, `>= 2^13`.
-const BINS: usize = LOG_BINS + 3;
+/// Positive bins: `(0, 2^-4)`, the log-linear ones, `>= 2^13`.
+const POSITIVE: usize = LOG_BINS + 2;
+/// All bins: `<= 0` and the positive ones.
+const BINS: usize = POSITIVE + 1;
 /// The top `11 + SUB_BITS` bits of the smallest value on the log grid.
 const GRID_BASE: i64 = ((1023 + GRID_MIN_EXP) as i64) << SUB_BITS;
 
@@ -341,6 +343,17 @@ fn log_edge(k: usize) -> f64 {
     f64::from_bits(((k as i64 + GRID_BASE) as u64) << (52 - SUB_BITS))
 }
 
+/// The positive bins `lo..hi` a push into positive bin `p` grows a run
+/// to cover: the whole octave `p` lies in, or `p` alone off the log
+/// grid.
+fn octave_of(p: usize) -> (usize, usize) {
+    if p == 0 || p > LOG_BINS {
+        return (p, p + 1);
+    }
+    let lo = ((p - 1) >> SUB_BITS << SUB_BITS) + 1;
+    (lo, lo + (1 << SUB_BITS))
+}
+
 /// A stratum that feeds a median or a CDF: its [`Mean`], its exact
 /// minimum and maximum, and how many samples fell in each bin of a fixed
 /// log-linear grid.
@@ -350,21 +363,37 @@ fn log_edge(k: usize) -> f64 {
 /// Each octave from 2^-4 to 2^13 Mbps is cut into 2^[`SUB_BITS`] = 128
 /// equal bins, so a bin spans at most 1/128 of any value in it; one bin
 /// holds everything `<= 0` (failed tests: the CDF's floor stays exact),
-/// one holds `(0, 2^-4)` and one `>= 2^13`: 2 179 counts, 17 KB in
-/// memory; on the wire only the run between the outermost occupied
-/// positive bins. An order statistic is placed inside its bin as if the
-/// bin's samples were evenly spread, the bin clipped to `[min, max]`; the
-/// smallest and largest are `min` and `max` themselves. So a quantile is
-/// off by at most the width of one bin — **0.78 % of its value** between
-/// 2^-4 and 2^13 Mbps — a CDF value by at most the mass of one bin, and
-/// an empty, single-valued or all-zero stratum reads exactly as the
-/// sorted samples would.
-#[derive(Debug, Clone, PartialEq)]
+/// one holds `(0, 2^-4)` and one `>= 2^13`: 2 179 bins. An order
+/// statistic is placed inside its bin as if the bin's samples were
+/// evenly spread, the bin clipped to `[min, max]`; the smallest and
+/// largest are `min` and `max` themselves. So a quantile is off by at
+/// most the width of one bin — **0.78 % of its value** between 2^-4
+/// and 2^13 Mbps — a CDF value by at most the mass of one bin, and an
+/// empty, single-valued or all-zero stratum reads exactly as the sorted
+/// samples would.
+///
+/// # What it holds
+///
+/// The `<= 0` count, and the positive bins as a run from a start bin,
+/// as its encoding writes them: bins outside the run hold nothing. A
+/// stratum from [`BinnedCdf::new`] or from a decode holds no run until
+/// it sees a positive sample; a push outside the run grows it by whole
+/// octaves (at most 19 times), and a merge grows it to exactly the union
+/// of its run and the occupied bins merged in. One from `full_grid`
+/// (what a [`crate::sweep::FigureSet::sized_for`] set holds) holds all
+/// 2 178 positive counts (17 KB) from the start and never grows, so what
+/// observing allocates depends on neither the samples nor their order. Equality, the encoding and every
+/// read depend on the counts alone, never on how far a run reaches.
+#[derive(Debug, Clone)]
 pub struct BinnedCdf {
     mean: Mean,
     min: f64,
     max: f64,
-    bins: Vec<u64>,
+    /// Samples in the `<= 0` bin.
+    zeros: u64,
+    /// The positive bin `run[0]` counts (grid bin `1 + start`).
+    start: usize,
+    run: Vec<u64>,
 }
 
 impl Default for BinnedCdf {
@@ -373,14 +402,35 @@ impl Default for BinnedCdf {
     }
 }
 
+impl PartialEq for BinnedCdf {
+    fn eq(&self, other: &Self) -> bool {
+        self.mean == other.mean
+            && self.min == other.min
+            && self.max == other.max
+            && self.zeros == other.zeros
+            && self.occupied() == other.occupied()
+    }
+}
+
 impl BinnedCdf {
-    /// An empty stratum.
+    /// An empty stratum, holding no run.
     pub fn new() -> Self {
         Self {
             mean: Mean::default(),
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            bins: vec![0; BINS],
+            zeros: 0,
+            start: 0,
+            run: Vec::new(),
+        }
+    }
+
+    /// An empty stratum whose run spans every positive bin, allocated
+    /// once: no push or merge grows it.
+    pub(crate) fn full_grid() -> Self {
+        Self {
+            run: vec![0; POSITIVE],
+            ..Self::new()
         }
     }
 
@@ -393,7 +443,21 @@ impl BinnedCdf {
         self.mean.push(x);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.bins[bin_of(value)] += 1;
+        match bin_of(value).checked_sub(1) {
+            None => self.zeros += 1,
+            Some(p) => match self.run.get_mut(p.wrapping_sub(self.start)) {
+                Some(count) => *count += 1,
+                None => self.push_outside(p),
+            },
+        }
+    }
+
+    /// Count a sample in positive bin `p`, which lies outside the run:
+    /// grow the run by the octave `p` lies in first.
+    #[cold]
+    fn push_outside(&mut self, p: usize) {
+        let (lo, hi) = octave_of(p);
+        self.add_run(lo, (lo..hi).map(|bin| u64::from(bin == p)));
     }
 
     /// Fold a sibling stratum in.
@@ -401,9 +465,55 @@ impl BinnedCdf {
         self.mean.merge(&other.mean);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
+        self.zeros += other.zeros;
+        let (first, counts) = other.occupied();
+        self.add_run(first, counts.iter().copied());
+    }
+
+    /// Add `counts` to the positive bins from `first` on, growing the run
+    /// to cover them first.
+    fn add_run(&mut self, first: usize, counts: impl ExactSizeIterator<Item = u64>) {
+        if counts.len() == 0 {
+            return;
         }
+        self.cover(first, first + counts.len());
+        for (bin, count) in self.run[first - self.start..].iter_mut().zip(counts) {
+            *bin += count;
+        }
+    }
+
+    /// Grow the run to exactly the union of itself and the positive bins
+    /// `lo..hi` (`lo < hi`). It grows in place (one `reserve_exact`, then
+    /// a shift when it starts lower), so the old run is never held beside
+    /// a copy of it.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.run.is_empty() {
+            self.start = lo;
+        }
+        let len = self.run.len();
+        let start = self.start.min(lo);
+        let end = (self.start + len).max(hi);
+        if end - start == len {
+            return;
+        }
+        let front = self.start - start;
+        self.run.reserve_exact(end - start - len);
+        self.run.resize(end - start, 0);
+        if front > 0 {
+            self.run.copy_within(..len, front);
+            self.run[..front].fill(0);
+        }
+        self.start = start;
+    }
+
+    /// The first occupied positive bin and the counts from it to the
+    /// last occupied one; `(0, [])` when no positive bin is occupied.
+    fn occupied(&self) -> (usize, &[u64]) {
+        let Some(first) = self.run.iter().position(|&c| c > 0) else {
+            return (0, &[]);
+        };
+        let end = self.run.iter().rposition(|&c| c > 0).map_or(first, |i| i) + 1;
+        (self.start + first, &self.run[first..end])
     }
 
     /// Samples seen.
@@ -449,11 +559,19 @@ impl BinnedCdf {
         if k + 1 >= self.mean.n {
             return self.max;
         }
-        let mut before = 0u64;
-        for (i, &count) in self.bins.iter().enumerate() {
+        // The `k`-th smallest placed in bin `i`, which holds `count`
+        // samples after the `before` in the bins below it.
+        let place = |i: usize, before: u64, count: u64| {
+            let (lo, hi) = self.span(i);
+            lo + (hi - lo) * ((k - before) as f64 + 0.5) / count as f64
+        };
+        if k < self.zeros {
+            return place(0, 0, self.zeros);
+        }
+        let mut before = self.zeros;
+        for (i, &count) in self.run.iter().enumerate() {
             if k < before + count {
-                let (lo, hi) = self.span(i);
-                return lo + (hi - lo) * ((k - before) as f64 + 0.5) / count as f64;
+                return place(1 + self.start + i, before, count);
             }
             before += count;
         }
@@ -492,7 +610,15 @@ impl BinnedCdf {
             return 1.0;
         }
         let bin = bin_of(x);
-        let below: u64 = self.bins[..bin].iter().sum();
+        let (below, count) = match bin.checked_sub(1) {
+            None => (0, self.zeros),
+            Some(p) => {
+                let inside = p.saturating_sub(self.start).min(self.run.len());
+                let run_below: u64 = self.run[..inside].iter().sum();
+                let count = self.run.get(p.wrapping_sub(self.start)).copied();
+                (self.zeros + run_below, count.unwrap_or(0))
+            }
+        };
         let (lo, hi) = self.span(bin);
         let covered = if x >= hi {
             1.0
@@ -501,7 +627,7 @@ impl BinnedCdf {
         } else {
             0.0
         };
-        (below as f64 + self.bins[bin] as f64 * covered) / self.mean.n as f64
+        (below as f64 + count as f64 * covered) / self.mean.n as f64
     }
 
     /// Evenly spaced `(x, F(x))` series with `points` samples spanning
@@ -533,13 +659,11 @@ impl Codec for BinnedCdf {
         self.mean.encode(enc);
         enc.put_f64(self.min);
         enc.put_f64(self.max);
-        enc.put_u64(self.bins[0]);
-        let positive = &self.bins[1..];
-        let first = positive.iter().position(|&c| c > 0).unwrap_or(0);
-        let end = positive.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+        enc.put_u64(self.zeros);
+        let (first, counts) = self.occupied();
         enc.put_u16(first as u16);
-        enc.put_u16((end - first) as u16);
-        for &count in &positive[first..end] {
+        enc.put_u16(counts.len() as u16);
+        for &count in counts {
             enc.put_u64(count);
         }
     }
@@ -561,7 +685,7 @@ impl MergeDecode for BinnedCdf {
         let len = dec.u16()? as usize;
         // `encode` writes an empty run at 0 and never a run with an
         // empty bin at either end.
-        if 1 + first + len > BINS || (len == 0 && first != 0) {
+        if first + len > POSITIVE || (len == 0 && first != 0) {
             return Err(CodecError::BadLen {
                 what: "cdf bin run",
                 len: (first + len) as u64,
@@ -602,10 +726,8 @@ impl MergeDecode for BinnedCdf {
         self.mean.merge(&mean);
         self.min = self.min.min(min);
         self.max = self.max.max(max);
-        self.bins[0] += zeros;
-        for (bin, count) in self.bins[1 + first..].iter_mut().zip(run) {
-            *bin += word(count);
-        }
+        self.zeros += zeros;
+        self.add_run(first, run.iter().map(word));
         Ok(())
     }
 }
@@ -1039,6 +1161,7 @@ impl MergeDecode for LogBins {
 mod tests {
     use super::*;
     use mbw_stats::descriptive;
+    use proptest::prelude::*;
 
     fn cdf_of(values: &[f64]) -> BinnedCdf {
         let mut cdf = BinnedCdf::new();
@@ -1143,7 +1266,8 @@ mod tests {
         let values = spread(5_000);
         let cdf = cdf_of(&values);
         let exact = mbw_stats::Ecdf::new(&values);
-        let heaviest = *cdf.bins.iter().max().unwrap() as f64 / values.len() as f64;
+        let heaviest =
+            *cdf.run.iter().chain([&cdf.zeros]).max().unwrap() as f64 / values.len() as f64;
         let series = cdf.series(50);
         assert_eq!(series.len(), 50);
         for (i, &(x, f)) in series.iter().enumerate() {
@@ -1539,5 +1663,142 @@ mod tests {
             Dense::<Mean>::decode_capped(&mut Dec::new(&enc.into_bytes()), 1 << 24, "rows"),
             "longer than the input",
         );
+    }
+
+    /// A value in any bin: `<= 0` (NaN among them), `(0, 2^-4)`, the log
+    /// grid and `>= 2^13`, its edges included.
+    fn any_bin_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-10.0f64..16.0).prop_map(f64::exp2),
+            -50.0f64..0.0,
+            Just(0.0),
+            Just(f64::NAN),
+            Just(log_edge(0)),
+            Just(log_edge(LOG_BINS)),
+            Just(f64::MIN_POSITIVE),
+        ]
+    }
+
+    /// A stratum's samples: any, a few octaves of the grid as a
+    /// bandwidth stratum spans them, one value repeated, or zeros only;
+    /// empty among each.
+    fn population() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            proptest::collection::vec(any_bin_value(), 0..300),
+            proptest::collection::vec((0.0f64..5.0).prop_map(|e| 20.0 * e.exp2()), 0..300),
+            (any_bin_value(), 0..40usize).prop_map(|(v, n)| vec![v; n]),
+            (0..40usize).prop_map(|n| vec![0.0; n]),
+        ]
+    }
+
+    /// `values` shuffled by `seed`.
+    fn shuffled(values: &[f64], mut seed: u64) -> Vec<f64> {
+        let mut out = values.to_vec();
+        for i in (1..out.len()).rev() {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            out.swap(i, (seed >> 33) as usize % (i + 1));
+        }
+        out
+    }
+
+    /// `into` with `values` pushed.
+    fn pushed(mut into: BinnedCdf, values: &[f64]) -> BinnedCdf {
+        for &v in values {
+            into.push(Sample::new(v));
+        }
+        into
+    }
+
+    /// Everything a stratum of `values` reads out, as bits: the CDF is
+    /// probed at fixed points and at and either side of every sample, so
+    /// the bins next to each occupied one are read too.
+    fn reads(cdf: &BinnedCdf, values: &[f64]) -> Vec<u64> {
+        let mut out = vec![
+            cdf.len() as u64,
+            cdf.mean().to_bits(),
+            cdf.min.to_bits(),
+            cdf.max().to_bits(),
+            cdf.median().to_bits(),
+        ];
+        for i in 0..=40 {
+            out.push(cdf.quantile(f64::from(i) / 40.0).to_bits());
+        }
+        let probes = [-1.0, 0.0, 1e-3, log_edge(0), 0.5, 10.0, 300.0, 8192.0, 1e5];
+        let near = values.iter().flat_map(|&v| [v, v * 0.995, v * 1.005]);
+        for x in probes.into_iter().chain([cdf.min, cdf.max]).chain(near) {
+            out.push(cdf.eval(x).to_bits());
+        }
+        for (x, f) in cdf.series(20) {
+            out.extend([x.to_bits(), f.to_bits()]);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A stratum that grows its run as samples arrive and one that
+        /// holds the full grid from the start, fed the same samples in
+        /// any order and split and merged either way, are one stratum:
+        /// equal, the same bytes and the same reads, bit for bit.
+        #[test]
+        fn a_lazy_and_a_full_grid_stratum_are_one_stratum(
+            values in population(),
+            seed in any::<u64>(),
+            at in any::<proptest::sample::Index>(),
+        ) {
+            let whole = pushed(BinnedCdf::full_grid(), &values);
+            let order = shuffled(&values, seed);
+            let (left, right) = order.split_at(at.index(order.len() + 1));
+            let mut strata = Vec::new();
+            for (into, from) in [
+                (BinnedCdf::new(), BinnedCdf::new()),
+                (BinnedCdf::new(), BinnedCdf::full_grid()),
+                (BinnedCdf::full_grid(), BinnedCdf::new()),
+                (BinnedCdf::full_grid(), BinnedCdf::full_grid()),
+            ] {
+                let (into, from) = (pushed(into, left), pushed(from, right));
+                let mut merged = into.clone();
+                merged.merge(&from);
+                let mut decoded = into;
+                let bytes = from.to_bytes();
+                let mut dec = Dec::new(&bytes);
+                decoded.merge_decoded(&mut dec).unwrap();
+                prop_assert!(dec.is_done());
+                strata.extend([merged, decoded]);
+            }
+            strata.push(pushed(BinnedCdf::new(), &order));
+            strata.push(BinnedCdf::from_bytes(&whole.to_bytes()).unwrap());
+            for stratum in &strata {
+                prop_assert!(*stratum == whole);
+                prop_assert_eq!(stratum.to_bytes(), whole.to_bytes());
+                prop_assert_eq!(reads(stratum, &values), reads(&whole, &values));
+            }
+        }
+    }
+
+    #[test]
+    fn a_pushed_run_grows_by_whole_octaves_and_a_merged_one_exactly() {
+        let mut cdf = BinnedCdf::new();
+        assert_eq!(cdf.run.capacity(), 0);
+        cdf.push(Sample::new(0.0));
+        assert_eq!(cdf.run.capacity(), 0, "a zero grows no run");
+        cdf.push(Sample::new(1.5));
+        assert_eq!(
+            (cdf.start, cdf.run.len()),
+            (1 + (4 << SUB_BITS), 1 << SUB_BITS)
+        );
+        cdf.push(Sample::new(1.9));
+        assert_eq!(cdf.run.len(), 1 << SUB_BITS, "the octave already holds it");
+        cdf.push(Sample::new(9000.0));
+        assert_eq!(cdf.start + cdf.run.len(), POSITIVE);
+
+        let mut merged = BinnedCdf::new();
+        merged.merge(&pushed(BinnedCdf::full_grid(), &[3.0, 7.0]));
+        let (first, len) = (merged.occupied().0, merged.occupied().1.len());
+        assert_eq!((merged.start, merged.run.len()), (first, len));
+        assert_eq!(merged.run.capacity(), len);
+        merged.merge(&pushed(BinnedCdf::new(), &[0.01]));
+        assert_eq!((merged.start, merged.run.capacity()), (0, first + len));
     }
 }

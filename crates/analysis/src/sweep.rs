@@ -8,9 +8,12 @@
 //! the summaries of [`crate::summary`] (see the determinism contract in
 //! [`crate::accum`]), so the finished [`MeasurementFigures`] depend on
 //! neither the thread count, nor the split, nor the merge order. A set
-//! holds no sample: its state is a function of the figures — about
-//! 1 MB, most of it the two id bitmaps of the dataset summary — and not
-//! of the record count. It is also the unit of distributed state: it
+//! holds no sample: its state is bounded by the figures, not by the
+//! record count — about 1.1 MB in a reducer, most of it the two id
+//! bitmaps of the dataset summary, with each CDF stratum holding only
+//! the run of bins its samples reach (99 KB for all 16 of a
+//! `shard_reduce` pass), or the whole 17 KB grid in a set sized for its
+//! profile. It is also the unit of distributed state: it
 //! encodes with [`mbw_frame::Codec`], and merging the decoded parts of
 //! any partition, in any order, rebuilds the single-process set bit for
 //! bit.
@@ -112,11 +115,19 @@ impl FigureSet {
     }
 
     /// A fresh set whose per-city tables and id-bitmap indexes are
-    /// sized once for the profile's cities, base stations and APs, so
-    /// what observing its records allocates does not depend on the order
-    /// they arrive in. [`Self::new`] grows them as ids arrive instead.
+    /// sized once for the profile's cities, base stations and APs, and
+    /// whose CDF strata span the whole bin grid, so what observing its
+    /// records allocates depends on neither the records nor the order
+    /// they arrive in. [`Self::new`] grows them as ids and bins arrive
+    /// instead.
     pub fn sized_for(profile: &EcosystemProfile) -> Self {
         Self {
+            fig04: Fig04Acc::full_grid(),
+            fig07: Fig07Acc::full_grid(),
+            fig11_12: RssAcc::full_grid(),
+            fig13: WifiAcc::fig13().full_grid(),
+            fig14: WifiAcc::fig14().full_grid(),
+            fig15: WifiAcc::fig15().full_grid(),
             spatial: SpatialAcc::sized_for(profile),
             same_group: SameGroupAcc::sized_for(profile),
             summary: DatasetSummaryAcc::sized_for(profile),

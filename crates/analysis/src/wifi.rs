@@ -84,6 +84,15 @@ impl WifiAcc {
         Self::new("Fig 15: WiFi bandwidth distribution (5 GHz)", Some(true))
     }
 
+    /// This figure's accumulator with every stratum spanning the whole
+    /// grid from the start ([`BinnedCdf::full_grid`]).
+    pub(crate) fn full_grid(self) -> Self {
+        Self {
+            per_std: std::array::from_fn(|_| BinnedCdf::full_grid()),
+            ..self
+        }
+    }
+
     /// Which of Figs 13–15 this is, as the encoding tags it.
     fn tag(&self) -> u8 {
         match self.band_filter {

@@ -51,6 +51,11 @@
 //! process would have produced. A killed runner leaves no torn part
 //! behind, and re-running it skips shards whose parts already exist.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use mbw_analysis::{MeasurementFigures, ProfileFigures, StreamTimings};
 use mbw_bench::distributed::{self, ShardRun, COST_SEED, EVAL_SEED, MEASUREMENT_SEED};
 use mbw_bench::{bts_eval, deploy_eval, eval_sweep};
@@ -154,6 +159,10 @@ impl std::fmt::Display for OutputError {
 enum CliError {
     Output(OutputError),
     Dist(distributed::DistError),
+    /// The service load harness could not run.
+    Service(std::io::Error),
+    /// An experiment id whose figures the run did not compute.
+    Unrendered(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -161,6 +170,10 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Output(e) => e.fmt(f),
             CliError::Dist(e) => e.fmt(f),
+            CliError::Service(e) => write!(f, "service load harness: {e}"),
+            CliError::Unrendered(id) => {
+                write!(f, "no report for {id}: its figures were not computed")
+            }
         }
     }
 }
@@ -574,8 +587,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
                 cfg.sockets,
                 if cfg.chaos { " under chaos" } else { "" }
             );
-            let report = load::run_load(&cfg, &registry)
-                .unwrap_or_else(|e| panic!("service load harness: {e}"));
+            let report = load::run_load(&cfg, &registry).map_err(CliError::Service)?;
             let json_path = opts.out_dir.join("BENCH_service.json");
             write_file(&json_path, report.to_json().as_bytes())?;
             let text = report.render();
@@ -591,14 +603,12 @@ fn run(opts: &Options) -> Result<(), CliError> {
         let text = match id.as_str() {
             m if is_sweep_id(m) => figures
                 .as_ref()
-                .expect("swept above")
-                .render(m)
-                .expect("known measurement id"),
+                .and_then(|f| f.render(m))
+                .ok_or_else(|| CliError::Unrendered(m.to_string()))?,
             e if is_eval_id(e) => eval_figures
                 .as_ref()
-                .expect("campaign ran above")
-                .render(e)
-                .expect("known evaluation id")
+                .and_then(|f| f.render(e))
+                .ok_or_else(|| CliError::Unrendered(e.to_string()))?
                 .unwrap_or_else(|err| format!("{err}\n")),
             "fig26" => deploy_eval::fig26(sizes.replay_days, 0x26)
                 .map(|f| f.render())
@@ -814,7 +824,10 @@ fn run_all_profiles(
         let dir = opts.out_dir.join("profiles").join(run.profile);
         ensure_dir(&dir)?;
         for id in &sweep_ids {
-            let text = run.figures.render(id).expect("known measurement id");
+            let text = run
+                .figures
+                .render(id)
+                .ok_or_else(|| CliError::Unrendered(id.to_string()))?;
             write_file(&dir.join(format!("{id}.txt")), text.as_bytes())?;
         }
     }

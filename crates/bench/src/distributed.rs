@@ -484,7 +484,9 @@ pub fn run_shard_file(
 
     let part_path = out_dir.join(shard_file_name(head.shard_index, head.shard_count, "part"));
     // The whole file is checked, but only its header is kept.
-    let existing = read_snapshot_with(&part_path, |head, _| Ok::<_, SnapshotError>(head));
+    let existing = read_snapshot_with(&part_path, &mut Vec::new(), |head, _| {
+        Ok::<_, SnapshotError>(head)
+    });
     if let Ok(existing) = existing {
         if existing.kind == PART_KIND
             && existing.plan_hash == head.plan_hash
@@ -585,7 +587,10 @@ impl std::fmt::Debug for Reduced {
 /// the checksum, and its state is merged into the running sets as it
 /// passes ([`FigureSet::merge_decoded`]), so the reducer holds the
 /// running sets plus one window, whatever `k` is and however large a
-/// part, and never a part's body or a decoded copy of it. Every merge
+/// part, and never a part's body or a decoded copy of it. The one
+/// window is lent to every part in turn, so it is allocated once per
+/// reduction, not once per part. The sets' CDF strata hold only the
+/// bins the parts occupy. Every merge
 /// is order-free, so the read order does not reach the output. Each
 /// file's header and provenance are checked before its state is
 /// merged: its body's parameters must re-hash to its header's plan hash
@@ -605,15 +610,17 @@ pub fn reduce_parts(paths: &[PathBuf], threads: usize) -> Result<Reduced, DistEr
     let span = spans.begin();
 
     let mut sets = (FigureSet::new(), EvalFigureSet::new(COST_SEED));
+    let mut window = Vec::new();
     let mut reference: Option<(SnapshotHeader, &'static EcosystemProfile)> = None;
     let mut read = Vec::with_capacity(paths.len());
     let mut merge_seconds = 0.0;
     for path in paths {
-        let part = fold_part(path, reference.as_ref(), &mut sets)?;
+        let part = fold_part(path, &mut window, reference.as_ref(), &mut sets)?;
         read.push((part.job.measure, part.job.eval, part.stat));
         merge_seconds += part.merge_seconds;
         reference.get_or_insert((part.head, part.profile));
     }
+    drop(window);
     let (figure_set, eval_set) = sets;
     let Some((reference, profile)) = reference else {
         return Err(DistError::Partition {
@@ -683,15 +690,16 @@ struct FoldedPart {
 }
 
 /// Fold one part file's state into `sets`, reading its body through
-/// one window ([`read_snapshot_with`]), never whole. See [`fold_body`]
+/// `window` ([`read_snapshot_with`]), never whole. See [`fold_body`]
 /// for the checks; a snapshot error anywhere in the file outranks them.
 fn fold_part(
     path: &Path,
+    window: &mut Vec<u8>,
     reference: Option<&(SnapshotHeader, &'static EcosystemProfile)>,
     sets: &mut (FigureSet, EvalFigureSet),
 ) -> Result<FoldedPart, DistError> {
     let snapshot_bytes = file_len(path)?;
-    read_snapshot_with(path, |head, dec| {
+    read_snapshot_with(path, window, |head, dec| {
         fold_body(path, head, dec, snapshot_bytes, reference, sets)
     })
 }
@@ -1203,6 +1211,7 @@ mod tests {
     /// the streamed fold's sets and errors are held to.
     fn fold_whole(
         path: &Path,
+        _window: &mut Vec<u8>,
         reference: Option<&(SnapshotHeader, &'static EcosystemProfile)>,
         sets: &mut (FigureSet, EvalFigureSet),
     ) -> Result<FoldedPart, DistError> {
@@ -1220,6 +1229,7 @@ mod tests {
 
     type Fold = fn(
         &Path,
+        &mut Vec<u8>,
         Option<&(SnapshotHeader, &'static EcosystemProfile)>,
         &mut (FigureSet, EvalFigureSet),
     ) -> Result<FoldedPart, DistError>;
@@ -1228,9 +1238,11 @@ mod tests {
     /// the sets, or the first error's text.
     fn fold_all(paths: &[PathBuf], fold: Fold) -> Result<(FigureSet, EvalFigureSet), String> {
         let mut sets = (FigureSet::new(), EvalFigureSet::new(COST_SEED));
+        let mut window = Vec::new();
         let mut reference = None;
         for path in paths {
-            let part = fold(path, reference.as_ref(), &mut sets).map_err(|e| e.to_string())?;
+            let part = fold(path, &mut window, reference.as_ref(), &mut sets)
+                .map_err(|e| e.to_string())?;
             reference.get_or_insert((part.head, part.profile));
         }
         Ok(sets)

@@ -34,6 +34,14 @@ thread_local! {
     // allocates.
     static LIVE: Cell<i64> = const { Cell::new(0) };
     static PEAK: Cell<i64> = const { Cell::new(0) };
+    static WINDOW_SIZED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count a request of `size` bytes if it is the size of one window.
+fn request(size: usize) {
+    if size == WINDOW {
+        WINDOW_SIZED.with(|n| n.set(n.get() + 1));
+    }
 }
 
 /// Move this thread's live byte count by `delta` and raise its peak.
@@ -62,6 +70,7 @@ struct Counting;
 // the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        request(layout.size());
         live(layout.size() as i64);
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
@@ -75,6 +84,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        request(new_size);
         live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr`/`layout` come from this allocator (that is, from
         // `System`) and `new_size` is the caller's.
@@ -244,6 +254,36 @@ fn ten_times_the_records_reduce_within_a_window() {
         (peak_big - peak_small).abs() < WINDOW as i64,
         "4-part reduces of 2 000 and 20 000 records peaked at {peak_small} B and \
          {peak_big} B: more than one window ({WINDOW} B) apart"
+    );
+}
+
+/// The reducer lends one window to every part it reads, so an 8-part
+/// reduce allocates one window, however many of its parts fill one: a
+/// fresh window per part is one request of [`WINDOW`] bytes for each
+/// part whose body fills it (a part with a smaller body asks for the
+/// body's size). Requests of a window or more would also count the
+/// per-city table of the same-group figure, which grows past 64 KiB as
+/// the first part is merged.
+#[test]
+fn eight_parts_reduce_through_one_window_request() {
+    let parts = parts("lent", 8);
+    let filling = parts
+        .iter()
+        .filter(|p| read_snapshot(p).unwrap().1.len() >= WINDOW)
+        .count();
+    assert!(
+        filling >= 2,
+        "{filling} parts fill a window: nothing to share"
+    );
+    let before = WINDOW_SIZED.with(Cell::get);
+    let reduced = reduce_parts(&parts, 1).unwrap();
+    let requests = WINDOW_SIZED.with(Cell::get) - before;
+    drop(reduced);
+    remove(&parts);
+    assert_eq!(
+        requests, 1,
+        "an 8-part reduce, {filling} of whose parts fill a window, made {requests} \
+         requests of {WINDOW} B"
     );
 }
 

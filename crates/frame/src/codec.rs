@@ -38,7 +38,10 @@
 //! the sequence-length checks and `Trailing` read the same either way.
 //! What the reader itself does wrong (an I/O error, an early end) ends
 //! the input for the decoder; the reader's owner reports it, and ranks
-//! it above any decode error (see [`crate::snapshot`]).
+//! it above any decode error (see [`crate::snapshot`]). A caller that
+//! reads many inputs in turn lends each cursor the same window
+//! ([`Dec::from_reader_in`]), so it allocates one window, not one per
+//! input.
 
 use std::io::Read;
 
@@ -232,14 +235,32 @@ impl<'a> Dec<'a> {
     /// (the decoder sees [`CodecError::Eof`], and the reader's owner
     /// learns why from the reader).
     pub fn from_reader(reader: &'a mut dyn Read, len: usize) -> Self {
+        Self::from_reader_in(reader, len, Vec::new())
+    }
+
+    /// [`Dec::from_reader`] through a window the caller lends: `window`
+    /// is used as it is and grown only where a take needs more of it
+    /// (what it holds is overwritten), and [`Dec::into_window`] hands it
+    /// back. A caller reading many inputs in turn lends each the same
+    /// buffer, so it allocates one window for all of them, not one each.
+    pub fn from_reader_in(reader: &'a mut dyn Read, len: usize, window: Vec<u8>) -> Self {
         Self {
             input: Input::Reader {
-                window: Vec::new(),
+                window,
                 reader,
                 left: len,
             },
             at: 0,
             end: 0,
+        }
+    }
+
+    /// The window a reader-backed cursor read through, for the next
+    /// [`Dec::from_reader_in`]; a slice-backed cursor has none to give.
+    pub fn into_window(self) -> Vec<u8> {
+        match self.input {
+            Input::Slice(_) => Vec::new(),
+            Input::Reader { window, .. } => window,
         }
     }
 

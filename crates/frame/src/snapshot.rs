@@ -299,7 +299,9 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotHeader, Vec<u8>), SnapshotE
 /// Read a snapshot file and decode its body with `decode`, which reads
 /// the body payload through a [`Dec`] of one [`WINDOW`](crate::WINDOW),
 /// not from a copy of it: what the file costs to read is that window,
-/// however large its body.
+/// however large its body. The window is `window`, lent to every frame's
+/// [`Dec`] in turn ([`Dec::from_reader_in`]) and left in it for the next
+/// file, so a reader of many files allocates one window for all of them.
 ///
 /// The checks and their precedence are [`read_snapshot`]'s, so the same
 /// file fails the same way on either path. The header frame is checked
@@ -314,6 +316,7 @@ pub fn read_snapshot(path: &Path) -> Result<(SnapshotHeader, Vec<u8>), SnapshotE
 /// `decode` did to its captures before it failed is not undone.)
 pub fn read_snapshot_with<T, E: From<SnapshotError>>(
     path: &Path,
+    window: &mut Vec<u8>,
     decode: impl FnOnce(SnapshotHeader, &mut Dec<'_>) -> Result<T, E>,
 ) -> Result<T, E> {
     let fail = |error| {
@@ -334,16 +337,18 @@ pub fn read_snapshot_with<T, E: From<SnapshotError>>(
             TornReason::ShortFrame,
         ))));
     };
-    let header = file.payload(head_len, decode_header).map_err(fail)?;
+    let header = file
+        .payload(head_len, window, decode_header)
+        .map_err(fail)?;
     let Some(body_len) = file.next_frame().map_err(fail)? else {
         return Err(fail(Fail::Decode(SnapshotDecodeError::MissingBody)));
     };
     let decoded = file
-        .payload(body_len, |dec| header.map(|h| decode(h, dec)))
+        .payload(body_len, window, |dec| header.map(|h| decode(h, dec)))
         .map_err(fail)?;
     let mut trailing = false;
     while let Some(len) = file.next_frame().map_err(fail)? {
-        file.payload(len, |_| ()).map_err(fail)?;
+        file.payload(len, window, |_| ()).map_err(fail)?;
         trailing = true;
     }
     if trailing {
@@ -441,14 +446,17 @@ impl SnapshotFile {
     }
 
     /// Read the `len`-byte payload of the frame [`Self::next_frame`]
-    /// just checked through `decode`, then the rest of it, and check its
-    /// checksum.
+    /// just checked through `decode`, on a [`Dec`] lent `window`, then
+    /// the rest of it, and check its checksum.
     fn payload<T>(
         &mut self,
         len: usize,
+        window: &mut Vec<u8>,
         decode: impl FnOnce(&mut Dec<'_>) -> T,
     ) -> Result<T, Fail> {
-        let out = decode(&mut Dec::from_reader(self, len));
+        let mut dec = Dec::from_reader_in(self, len, std::mem::take(window));
+        let out = decode(&mut dec);
+        *window = dec.into_window();
         let mut rest = [0u8; 4096];
         while self.payload_left > 0 && self.error.is_none() {
             let n = self.payload_left.min(rest.len());
@@ -659,11 +667,13 @@ mod tests {
         extra.push(0);
         mutants.push(extra);
 
+        // One window lent to every read, as a reducer lends it.
+        let mut window = Vec::new();
         for (i, mutant) in mutants.iter().enumerate() {
             std::fs::write(&path, mutant).unwrap();
             let whole = read_snapshot(&path).map_err(|e| e.to_string());
             for take in [usize::MAX, 100, 0] {
-                let streamed = read_snapshot_with(&path, |h, dec| {
+                let streamed = read_snapshot_with(&path, &mut window, |h, dec| {
                     let n = take.min(dec.remaining());
                     let got = dec.take(n).map(<[u8]>::to_vec);
                     got.map(|b| (h, b)).map_err(|e| SnapshotError::Decode {
@@ -682,7 +692,7 @@ mod tests {
                     (want, got) => panic!("mutant {i}, take {take}: {got:?}, whole {want:?}"),
                 }
             }
-            let failed = read_snapshot_with(&path, |_, _| {
+            let failed = read_snapshot_with(&path, &mut window, |_, _| {
                 Err::<(), _>(SnapshotError::Io {
                     path: path.clone(),
                     source: std::io::Error::other("decoder failed"),

@@ -134,9 +134,42 @@ proptest! {
         let sliced = transcript(Dec::new(&bytes[..len]), &ops);
         let mut reader = Dribble { bytes: &bytes, at: 0, most, seed: read_seed, reads: 0 };
         let streamed = transcript(Dec::from_reader(&mut reader, len), &ops);
-        prop_assert_eq!(sliced, streamed);
+        prop_assert_eq!(&sliced, &streamed);
         prop_assert!(reader.at <= len, "read {} bytes of a {}-byte input", reader.at, len);
     }
+
+    #[test]
+    fn a_lent_window_decodes_as_a_fresh_one(
+        seed in any::<u64>(),
+        len in prop_oneof![0usize..64, 0usize..1_000, WINDOW - 64..3 * WINDOW],
+        ops in proptest::collection::vec(any_op(), 0..48),
+        most in prop_oneof![1usize..4, 1usize..100, 1usize..200_000],
+        lent in prop_oneof![0usize..1, 1usize..100, WINDOW..2 * WINDOW],
+    ) {
+        // A lent window holds what its last reader left in it.
+        let bytes = input(seed, len + 16);
+        let sliced = transcript(Dec::new(&bytes[..len]), &ops);
+        let mut reader = Dribble { bytes: &bytes, at: 0, most, seed, reads: 0 };
+        let window = vec![0xEE; lent];
+        let streamed = transcript(Dec::from_reader_in(&mut reader, len, window), &ops);
+        prop_assert_eq!(sliced, streamed);
+    }
+}
+
+/// A cursor hands back the window it was lent, grown only where a take
+/// needed more of it.
+#[test]
+fn a_lent_window_comes_back() {
+    let bytes = input(7, 3 * WINDOW);
+    let mut reader: &[u8] = &bytes;
+    let mut dec = Dec::from_reader_in(&mut reader, bytes.len(), Vec::with_capacity(WINDOW));
+    while !dec.is_done() {
+        dec.u64().unwrap();
+    }
+    let window = dec.into_window();
+    assert_eq!(window.len(), WINDOW);
+    assert_eq!(window.capacity(), WINDOW);
+    assert!(Dec::new(&bytes).into_window().is_empty());
 }
 
 /// A reader that fails, or ends early, ends the input where it stopped:

@@ -22,7 +22,9 @@
 //! tolerated with a bounded retry, the session table is capped, and a
 //! client that vanishes mid-session is reaped after `idle_timeout`
 //! rather than being paced at until `session_timeout`. Every dropped or
-//! reaped event is visible in [`ServerStats`].
+//! reaped event is visible in [`ServerStats`]. The receive thread reads
+//! bytes from anyone, so outside tests this module denies `unwrap`,
+//! `expect` and `panic!`.
 //!
 //! All counters live in an `mbw-telemetry` [`Registry`]: both threads
 //! and the optional HTTP `/metrics` listener (enable with
@@ -44,6 +46,11 @@
 //! - [`UdpTestServer::drain`] performs a graceful shutdown: new
 //!   sessions are rejected `Draining` while in-flight tests run to
 //!   completion, bounded by a deadline.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::proto::{Message, RejectReason};
@@ -199,7 +206,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            bind: "127.0.0.1:0".parse().expect("static addr"),
+            bind: SocketAddr::from(([127, 0, 0, 1], 0)),
             emulated_capacity_bps: None,
             session_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(2),

@@ -41,6 +41,11 @@
 //! the unix signals; on other targets the server runs until the
 //! process is killed, without a drain.)
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use mobile_bandwidth::core::{BtsKind, TechClass, TestHarness};
 use mobile_bandwidth::stats::descriptive;
 use mobile_bandwidth::telemetry::{trace, Registry, Tracer, WallClock};
@@ -258,7 +263,7 @@ fn serve(args: &[String]) {
     #[cfg(unix)]
     shutdown_signal::install();
     let server = UdpTestServer::start(ServerConfig {
-        bind: format!("0.0.0.0:{port}").parse().expect("valid bind"),
+        bind: SocketAddr::from(([0, 0, 0, 0], port)),
         emulated_capacity_bps: capacity,
         session_timeout: std::time::Duration::from_secs(30),
         metrics_addr,
@@ -268,7 +273,10 @@ fn serve(args: &[String]) {
         tracer: tracer.clone(),
         ..Default::default()
     })
-    .expect("bind server");
+    .unwrap_or_else(|e| {
+        eprintln!("cannot start the server on port {port}: {e}");
+        std::process::exit(1);
+    });
     println!("swiftest server on {}", server.local_addr());
     if let Some(cap) = capacity {
         println!("emulated access capacity: {:.0} Mbps", cap as f64 / 1e6);
@@ -380,7 +388,10 @@ fn load(args: &[String]) {
             _ => usage(),
         }
     }
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("cannot create {out_dir:?}: {e}");
+        std::process::exit(1);
+    }
     let mut cfg = LoadConfig::full(out_dir.join("service.reslog"));
     if let Some(n) = clients {
         cfg = cfg.with_clients(n);
@@ -403,8 +414,10 @@ fn load(args: &[String]) {
         export_span_trace(&tracer, path);
     }
     let json_path = out_dir.join("BENCH_service.json");
-    std::fs::write(&json_path, report.to_json())
-        .unwrap_or_else(|e| panic!("write {json_path:?}: {e}"));
+    if let Err(e) = std::fs::write(&json_path, report.to_json()) {
+        eprintln!("cannot write {json_path:?}: {e}");
+        std::process::exit(1);
+    }
     print!("{}", report.render());
     println!("report written to {json_path:?}");
     if !report.zero_loss() {
