@@ -17,13 +17,13 @@
 use mbw_analysis::accum::FigureAccumulator;
 use mbw_analysis::sweep::{FigureSet, SWEEP_IDS};
 use mbw_bench::distributed::{
-    collect_parts, reduce_parts, run_shard_file, write_plans, DistConfig, DistError, ShardPart,
-    COST_SEED,
+    collect_parts, reduce_parts, run_shard_file, write_plans, DistConfig, DistError, ShardJob,
+    ShardPart, COST_SEED,
 };
 use mbw_bench::eval_sweep::{EvalFigureSet, EVAL_SWEEP_IDS};
 use mbw_core::EvalCounts;
-use mbw_dataset::{EcosystemProfile, PartitionError};
-use mbw_frame::{read_snapshot, Codec, WINDOW};
+use mbw_dataset::{EcosystemProfile, PartitionError, DEFAULT_SHARD_SIZE};
+use mbw_frame::{read_snapshot, Codec, Dec, WINDOW};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -120,6 +120,27 @@ fn parts_of(tag: &str, records: usize, shards: u32) -> Vec<PathBuf> {
     collect_parts(&dir.join("parts")).unwrap()
 }
 
+/// Records a year that make eight streaming units over the two years,
+/// so each part of an 8-way split carries one.
+const EIGHT_UNITS: usize = 4 * DEFAULT_SHARD_SIZE;
+
+/// [`parts_of`] a run of [`EIGHT_UNITS`] records a year, checked to give
+/// every part measurement units: an 8-part reduce of parts that carry
+/// no measurement state would measure fewer parts than it names.
+fn full_parts(tag: &str, shards: u32) -> Vec<PathBuf> {
+    let parts = parts_of(tag, EIGHT_UNITS, shards);
+    for part in &parts {
+        let (_, body) = read_snapshot(part).unwrap();
+        let job = ShardJob::decode(&mut Dec::new(&body)).unwrap();
+        assert!(
+            job.measure.len > 0,
+            "{} carries no measurement units",
+            part.display()
+        );
+    }
+    parts
+}
+
 fn remove(parts: &[PathBuf]) {
     if let Some(dir) = parts[0].parent().and_then(|p| p.parent()) {
         let _ = std::fs::remove_dir_all(dir);
@@ -144,7 +165,7 @@ fn text(parts: &[PathBuf]) -> String {
 /// would peak higher with every part added.
 #[test]
 fn eight_parts_reduce_in_the_memory_of_two() {
-    let (two, eight) = (parts("two", 2), parts("eight", 8));
+    let (two, eight) = (full_parts("two", 2), full_parts("eight", 8));
     let (_, body) = read_snapshot(&two[0]).unwrap();
     let (part, _, one_part) = measured(|| ShardPart::from_bytes(&body).unwrap());
     drop((part, body));
@@ -266,7 +287,7 @@ fn ten_times_the_records_reduce_within_a_window() {
 /// the first part is merged.
 #[test]
 fn eight_parts_reduce_through_one_window_request() {
-    let parts = parts("lent", 8);
+    let parts = full_parts("lent", 8);
     let filling = parts
         .iter()
         .filter(|p| read_snapshot(p).unwrap().1.len() >= WINDOW)
