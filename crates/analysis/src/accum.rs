@@ -2,12 +2,21 @@
 //!
 //! Every figure in this crate is expressed as a [`FigureAccumulator`]:
 //! a small state machine that folds one [`TestRecord`] at a time
-//! (`observe`), combines with a sibling that consumed another shard of
-//! the population (`merge`), and produces the finished figure
-//! (`finish`). [`crate::sweep::FigureSet`] holds one of each and the
-//! streaming engine ([`mod@crate::stream`]) folds them all in one pass;
-//! [`run`] folds a single accumulator over a slice, which is how a
-//! figure is computed (and tested) on its own.
+//! (`observe`) and produces the finished figure (`finish`).
+//! [`crate::sweep::FigureSet`] holds one of each and the streaming
+//! engine ([`mod@crate::stream`]) folds them all in one pass; [`run`]
+//! folds a single accumulator over a slice, which is how a figure is
+//! computed (and tested) on its own.
+//!
+//! An accumulator's state is [`Mergeable`]: it combines with a sibling
+//! that consumed another shard of the population, in memory or straight
+//! from the sibling's encoding. Nobody writes that by hand. Each
+//! accumulator names its fields once, in encode order, in a
+//! [`mergeable!`](crate::mergeable) declaration, and the declaration
+//! generates its `encode`, `decode`, `merge` and `merge_decoded` field
+//! by field, from the summaries of [`crate::summary`]. A field left out
+//! of the declaration does not compile, and the fields that say which
+//! figure an accumulator is (its tags) are compared on every merge.
 //!
 //! ## Determinism contract
 //!
@@ -30,42 +39,27 @@
 //! enters only in `finish`, which reads the same integers (or the same
 //! sorted samples) however the input was split.
 
+use crate::summary::Mergeable;
 use mbw_dataset::{AccessTech, Isp, TestRecord};
-use mbw_frame::{Codec, CodecError, Dec};
 
 /// A mergeable single-pass figure computation over records of type `R`.
 ///
 /// The measurement figures in this crate consume [`TestRecord`]s; the
 /// evaluation figures in `mbw-bench` implement the same contract over
 /// campaign trial views, so both halves of the paper share one
-/// plan → execute → reduce shape.
-pub trait FigureAccumulator<R: ?Sized>: Sized + Send {
+/// plan → execute → reduce shape. Its [`Mergeable`] state merges a
+/// sibling that observed another part of the input, commutatively and
+/// associatively: any split, merged in any order, finishes to the same
+/// bits. `merge_decoded` merges the sibling from its encoding, field by
+/// field and with each field's checks, so no decoded copy of it is ever
+/// built; on an error `self` may be partly merged, and the caller drops
+/// it.
+pub trait FigureAccumulator<R: ?Sized>: Mergeable + Send {
     /// The finished figure produced by [`FigureAccumulator::finish`].
     type Output;
 
     /// Fold one record into the accumulator.
     fn observe(&mut self, r: &R);
-
-    /// Fold in a sibling accumulator that observed another part of the
-    /// input. Commutative and associative: any split, merged in any
-    /// order, finishes to the same bits.
-    fn merge(&mut self, other: Self);
-
-    /// Fold in a sibling from its encoding, as [`Self::merge`] of its
-    /// `decode` would, with that decode's checks and typed errors. The
-    /// default does just that, which is all a small accumulator needs;
-    /// one that holds a summary of [`crate::summary`]'s size merges it
-    /// in place instead ([`crate::summary::MergeDecode`]), so no decoded
-    /// copy of it is ever built. On an error `self` may be partly
-    /// merged, and the caller drops it.
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError>
-    where
-        Self: Codec,
-    {
-        let other = Self::decode(dec)?;
-        self.merge(other);
-        Ok(())
-    }
 
     /// Produce the finished figure.
     fn finish(self) -> Self::Output;

@@ -6,11 +6,10 @@
 //! (Figs 11–12) including the counter-intuitive level-5 dip.
 
 use crate::accum::FigureAccumulator;
-use crate::summary::{decode_count, BinnedCdf, Mean, MergeDecode, Sample};
+use crate::summary::{BinnedCdf, Mean, Sample};
 use crate::Render;
 use mbw_dataset::bands;
 use mbw_dataset::{AccessTech, LteBandId, NrBandId, TestRecord};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use std::fmt::Write as _;
 
 /// A CDF figure with the paper's annotations (Figs 4 and 7).
@@ -83,6 +82,14 @@ pub struct Fig04Acc {
     above_300: Mean,
 }
 
+crate::mergeable! {
+    Fig04Acc {
+        bw,
+        below_10: count("fig04 tests below 10 Mbps"),
+        above_300,
+    }
+}
+
 impl Fig04Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -113,18 +120,6 @@ impl FigureAccumulator<TestRecord> for Fig04Acc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        self.bw.merge(&other.bw);
-        self.below_10 += other.below_10;
-        self.above_300.merge(&other.above_300);
-    }
-
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.bw.merge_decoded(dec)?;
-        self.below_10 += decode_count(dec, "fig04 tests below 10 Mbps")?;
-        self.above_300.merge_decoded(dec)
-    }
-
     fn finish(self) -> Fig04 {
         let share = |count: usize| {
             if self.bw.is_empty() {
@@ -139,20 +134,6 @@ impl FigureAccumulator<TestRecord> for Fig04Acc {
             mean_above_300: self.above_300.mean(),
             cdf: CdfFigure::new("Fig 4: bandwidth distribution for 4G access", self.bw),
         }
-    }
-}
-
-impl Codec for Fig04Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.bw.encode(enc);
-        enc.put_u64(self.below_10);
-        self.above_300.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = Self::new();
-        acc.merge_decoded(dec)?;
-        Ok(acc)
     }
 }
 
@@ -185,6 +166,8 @@ pub struct LteBandAcc {
     per_band: [Mean; bands::LTE_BANDS.len()],
 }
 
+crate::mergeable! { LteBandAcc { per_band } }
+
 impl LteBandAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -199,12 +182,6 @@ impl FigureAccumulator<TestRecord> for LteBandAcc {
         let Some(id) = r.lte_band() else { return };
         if let Some(i) = bands::LTE_BANDS.iter().position(|b| b.id == id) {
             self.per_band[i].push(Sample::new(r.bandwidth_mbps));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.per_band.iter_mut().zip(&other.per_band) {
-            a.merge(b);
         }
     }
 
@@ -236,18 +213,6 @@ impl FigureAccumulator<TestRecord> for LteBandAcc {
                 b3_count as f64 / total as f64
             },
         }
-    }
-}
-
-impl Codec for LteBandAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.per_band.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            per_band: Codec::decode(dec)?,
-        })
     }
 }
 
@@ -285,6 +250,8 @@ pub struct Fig07Acc {
     bw: BinnedCdf,
 }
 
+crate::mergeable! { Fig07Acc { bw } }
+
 impl Fig07Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -309,28 +276,8 @@ impl FigureAccumulator<TestRecord> for Fig07Acc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        self.bw.merge(&other.bw);
-    }
-
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.bw.merge_decoded(dec)
-    }
-
     fn finish(self) -> CdfFigure {
         CdfFigure::new("Fig 7: bandwidth distribution for 5G access", self.bw)
-    }
-}
-
-impl Codec for Fig07Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.bw.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = Self::new();
-        acc.merge_decoded(dec)?;
-        Ok(acc)
     }
 }
 
@@ -349,6 +296,8 @@ pub struct NrBandAcc {
     per_band: [Mean; bands::NR_BANDS.len()],
 }
 
+crate::mergeable! { NrBandAcc { per_band } }
+
 impl NrBandAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -366,12 +315,6 @@ impl FigureAccumulator<TestRecord> for NrBandAcc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.per_band.iter_mut().zip(&other.per_band) {
-            a.merge(b);
-        }
-    }
-
     fn finish(self) -> NrBandFigure {
         let rows = bands::NR_BANDS
             .iter()
@@ -379,18 +322,6 @@ impl FigureAccumulator<TestRecord> for NrBandAcc {
             .map(|(info, bw)| (info.id, info.refarmed_from.is_some(), bw.mean(), bw.len()))
             .collect();
         NrBandFigure { rows }
-    }
-}
-
-impl Codec for NrBandAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.per_band.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            per_band: Codec::decode(dec)?,
-        })
     }
 }
 
@@ -429,6 +360,8 @@ pub struct Fig10Acc {
     hours: [Mean; 24],
 }
 
+crate::mergeable! { Fig10Acc { hours } }
+
 impl Fig10Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -445,12 +378,6 @@ impl FigureAccumulator<TestRecord> for Fig10Acc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.hours.iter_mut().zip(&other.hours) {
-            a.merge(b);
-        }
-    }
-
     fn finish(self) -> Fig10 {
         let rows = self
             .hours
@@ -459,18 +386,6 @@ impl FigureAccumulator<TestRecord> for Fig10Acc {
             .map(|(h, bw)| (h as u8, bw.len(), bw.mean()))
             .collect();
         Fig10 { rows }
-    }
-}
-
-impl Codec for Fig10Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.hours.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            hours: Codec::decode(dec)?,
-        })
     }
 }
 
@@ -525,6 +440,8 @@ pub struct RssAcc {
     bw: [BinnedCdf; 5],
 }
 
+crate::mergeable! { RssAcc { snr, bw } }
+
 impl RssAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -556,20 +473,6 @@ impl FigureAccumulator<TestRecord> for RssAcc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.snr.iter_mut().zip(&other.snr) {
-            a.merge(b);
-        }
-        for (a, b) in self.bw.iter_mut().zip(&other.bw) {
-            a.merge(b);
-        }
-    }
-
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.snr.merge_decoded(dec)?;
-        self.bw.merge_decoded(dec)
-    }
-
     fn finish(self) -> RssFigure {
         let rows = (0..5)
             .map(|i| {
@@ -582,19 +485,6 @@ impl FigureAccumulator<TestRecord> for RssAcc {
             })
             .collect();
         RssFigure { rows }
-    }
-}
-
-impl Codec for RssAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.snr.encode(enc);
-        self.bw.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = Self::new();
-        acc.merge_decoded(dec)?;
-        Ok(acc)
     }
 }
 
@@ -621,6 +511,8 @@ pub struct LteRssAcc {
     bw: [Mean; 5],
 }
 
+crate::mergeable! { LteRssAcc { bw } }
+
 impl LteRssAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -644,26 +536,8 @@ impl FigureAccumulator<TestRecord> for LteRssAcc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.bw.iter_mut().zip(&other.bw) {
-            a.merge(b);
-        }
-    }
-
     fn finish(self) -> Vec<(u8, f64)> {
         (0..5).map(|i| (i as u8 + 1, self.bw[i].mean())).collect()
-    }
-}
-
-impl Codec for LteRssAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.bw.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            bw: Codec::decode(dec)?,
-        })
     }
 }
 

@@ -8,7 +8,6 @@ use crate::accum::FigureAccumulator;
 use crate::summary::{Mean, Sample};
 use crate::Render;
 use mbw_dataset::{AccessTech, DeviceTier, TestRecord};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::descriptive::std_dev;
 use std::fmt::Write as _;
 
@@ -54,6 +53,17 @@ pub struct HardwareIllusionAcc {
     strata: [[Mean; 3]; VERSIONS],
 }
 
+crate::mergeable! {
+    HardwareIllusionAcc {
+        // An accumulator of another technology is refused, so a part
+        // whose device accumulators are out of order cannot fold one
+        // technology's strata into another's.
+        tech: tag("device figure technology"),
+        tiers,
+        strata,
+    } from Self::new(AccessTech::Cellular4g)
+}
+
 impl HardwareIllusionAcc {
     /// Fresh accumulator for `tech`.
     pub fn new(tech: AccessTech) -> Self {
@@ -78,33 +88,6 @@ impl FigureAccumulator<TestRecord> for HardwareIllusionAcc {
         if (MIN_VERSION..MIN_VERSION + VERSIONS as u8).contains(&r.android_version) {
             self.strata[(r.android_version - MIN_VERSION) as usize][tier].push(bw);
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.tiers.iter_mut().zip(&other.tiers) {
-            a.merge(b);
-        }
-        for (mine, theirs) in self.strata.iter_mut().zip(&other.strata) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(b);
-            }
-        }
-    }
-
-    /// An accumulator of another technology is refused by its tag, so
-    /// a part whose device accumulators are out of order cannot fold
-    /// one technology's strata into another's.
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let other = Self::decode(dec)?;
-        if other.tech != self.tech {
-            return Err(CodecError::BadTag {
-                what: "device figure technology",
-                // Declaration order, which is also the codec's tag.
-                tag: other.tech as u64,
-            });
-        }
-        self.merge(other);
-        Ok(())
     }
 
     fn finish(self) -> HardwareIllusion {
@@ -138,22 +121,6 @@ impl FigureAccumulator<TestRecord> for HardwareIllusionAcc {
     }
 }
 
-impl Codec for HardwareIllusionAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.tech.encode(enc);
-        self.tiers.encode(enc);
-        self.strata.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            tech: Codec::decode(dec)?,
-            tiers: Codec::decode(dec)?,
-            strata: Codec::decode(dec)?,
-        })
-    }
-}
-
 impl Render for HardwareIllusion {
     fn render(&self) -> String {
         let (low, mid, high) = self.unconditional;
@@ -180,6 +147,7 @@ impl Render for HardwareIllusion {
 mod tests {
     use super::*;
     use crate::accum;
+    use crate::summary::Mergeable;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 
     fn records() -> Vec<TestRecord> {

@@ -3,12 +3,9 @@
 //! the paper's narrative.
 
 use crate::accum::{self, FigureAccumulator, TECH3};
-use crate::summary::{
-    decode_count_usize, Dense, IdBitmap, Mean, Merge, MergeDecode, Pearson, Sample,
-};
+use crate::summary::{Dense, IdBitmap, Mean, Pearson, Sample};
 use crate::Render;
 use mbw_dataset::{AccessTech, CityTier, EcosystemProfile, Isp, TestRecord};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::descriptive::{mean, pearson};
 use std::fmt;
 use std::fmt::Write as _;
@@ -38,6 +35,14 @@ pub struct SpatialAcc {
     per_city: Dense<[Mean; 3]>,
     nat4: Mean,
     nat5: Mean,
+}
+
+crate::mergeable! {
+    SpatialAcc {
+        per_city: dense(CITY_ROWS_CAP, "spatial city rows"),
+        nat4,
+        nat5,
+    }
 }
 
 impl SpatialAcc {
@@ -70,19 +75,6 @@ impl FigureAccumulator<TestRecord> for SpatialAcc {
             AccessTech::Cellular5g => self.nat5.push(bw),
             _ => {}
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.per_city.merge_with(&other.per_city, Merge::merge);
-        self.nat4.merge(&other.nat4);
-        self.nat5.merge(&other.nat5);
-    }
-
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.per_city
-            .merge_decoded_capped(dec, CITY_ROWS_CAP, "spatial city rows")?;
-        self.nat4.merge_decoded(dec)?;
-        self.nat5.merge_decoded(dec)
     }
 
     fn finish(self) -> SpatialDisparity {
@@ -130,20 +122,6 @@ impl FigureAccumulator<TestRecord> for SpatialAcc {
     }
 }
 
-impl Codec for SpatialAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.per_city.encode(enc);
-        self.nat4.encode(enc);
-        self.nat5.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = Self::new();
-        acc.merge_decoded(dec)?;
-        Ok(acc)
-    }
-}
-
 impl Render for SpatialDisparity {
     fn render(&self) -> String {
         let mut out = String::from("Spatial disparity across cities (per-city means, Mbps)\n");
@@ -183,6 +161,8 @@ pub struct UrbanRuralAcc {
     cells: [Mean; 4],
 }
 
+crate::mergeable! { UrbanRuralAcc { cells } }
+
 impl UrbanRuralAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -202,29 +182,11 @@ impl FigureAccumulator<TestRecord> for UrbanRuralAcc {
         self.cells[base + usize::from(!r.urban)].push(Sample::new(r.bandwidth_mbps));
     }
 
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
-            a.merge(b);
-        }
-    }
-
     fn finish(self) -> UrbanRuralGap {
         UrbanRuralGap {
             lte_ratio: self.cells[0].mean() / self.cells[1].mean(),
             nr_ratio: self.cells[2].mean() / self.cells[3].mean(),
         }
-    }
-}
-
-impl Codec for UrbanRuralAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.cells.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            cells: Codec::decode(dec)?,
-        })
     }
 }
 
@@ -263,6 +225,13 @@ pub struct SameGroupAcc {
     /// `[2020, 2021]` bandwidth strata. Collected for every city;
     /// restricted to mega cities in `finish`.
     groups: Dense<CityGroups>,
+}
+
+crate::mergeable! {
+    SameGroupAcc {
+        mega,
+        groups: dense(CITY_ROWS_CAP, "same-group city rows"),
+    }
 }
 
 /// One city's `[big ISP][4G/5G][2020/2021]` strata.
@@ -327,17 +296,6 @@ impl FigureAccumulator<TestRecord> for SameGroupAcc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        self.mega.merge(other.mega);
-        self.groups.merge_with(&other.groups, Merge::merge);
-    }
-
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.mega.merge_decoded(dec)?;
-        self.groups
-            .merge_decoded_capped(dec, CITY_ROWS_CAP, "same-group city rows")
-    }
-
     fn finish(self) -> SameGroupDecline {
         let decline = |i: usize, city: u32, tech: usize| -> Option<f64> {
             let [y20, y21] = &self.groups.get(city as usize)?[i][tech];
@@ -359,19 +317,6 @@ impl FigureAccumulator<TestRecord> for SameGroupAcc {
             }
         }
         SameGroupDecline { groups }
-    }
-}
-
-impl Codec for SameGroupAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.mega.encode(enc);
-        self.groups.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = Self::new();
-        acc.merge_decoded(dec)?;
-        Ok(acc)
     }
 }
 
@@ -443,6 +388,17 @@ pub struct DatasetSummaryAcc {
     cities: IdBitmap,
 }
 
+crate::mergeable! {
+    DatasetSummaryAcc {
+        total: count("dataset summary count"),
+        tech_counts: count("dataset summary count"),
+        isp_counts: count("dataset summary count"),
+        bs,
+        aps,
+        cities,
+    }
+}
+
 impl DatasetSummaryAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -478,31 +434,6 @@ impl FigureAccumulator<TestRecord> for DatasetSummaryAcc {
         self.cities.insert(u32::from(r.city_id));
     }
 
-    fn merge(&mut self, other: Self) {
-        self.total += other.total;
-        for (a, b) in self.tech_counts.iter_mut().zip(other.tech_counts) {
-            *a += b;
-        }
-        for (a, b) in self.isp_counts.iter_mut().zip(other.isp_counts) {
-            *a += b;
-        }
-        self.bs.merge(other.bs);
-        self.aps.merge(other.aps);
-        self.cities.merge(other.cities);
-    }
-
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let counts = std::iter::once(&mut self.total)
-            .chain(&mut self.tech_counts)
-            .chain(&mut self.isp_counts);
-        for count in counts {
-            *count += decode_count_usize(dec, "dataset summary count")?;
-        }
-        self.bs.merge_decoded(dec)?;
-        self.aps.merge_decoded(dec)?;
-        self.cities.merge_decoded(dec)
-    }
-
     fn finish(self) -> Result<DatasetSummary, EmptyPopulation> {
         if self.total == 0 {
             return Err(EmptyPopulation);
@@ -524,23 +455,6 @@ impl FigureAccumulator<TestRecord> for DatasetSummaryAcc {
             distinct_cities: self.cities.len(),
             isp_shares,
         })
-    }
-}
-
-impl Codec for DatasetSummaryAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.total.encode(enc);
-        self.tech_counts.encode(enc);
-        self.isp_counts.encode(enc);
-        self.bs.encode(enc);
-        self.aps.encode(enc);
-        self.cities.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = Self::new();
-        acc.merge_decoded(dec)?;
-        Ok(acc)
     }
 }
 
@@ -600,6 +514,15 @@ pub struct CorrelationsAcc {
     hours4: [Mean; 24],
 }
 
+crate::mergeable! {
+    CorrelationsAcc {
+        rss_snr5,
+        rss_bw4,
+        hours5,
+        hours4,
+    }
+}
+
 impl CorrelationsAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -634,17 +557,6 @@ impl FigureAccumulator<TestRecord> for CorrelationsAcc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        self.rss_snr5.merge(&other.rss_snr5);
-        self.rss_bw4.merge(&other.rss_bw4);
-        for (a, b) in self.hours5.iter_mut().zip(&other.hours5) {
-            a.merge(b);
-        }
-        for (a, b) in self.hours4.iter_mut().zip(&other.hours4) {
-            a.merge(b);
-        }
-    }
-
     fn finish(self) -> Correlations {
         // Over at most 24 hourly points, so plain `f64` vectors.
         let hourly = |hours: &[Mean; 24]| {
@@ -662,24 +574,6 @@ impl FigureAccumulator<TestRecord> for CorrelationsAcc {
     }
 }
 
-impl Codec for CorrelationsAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.rss_snr5.encode(enc);
-        self.rss_bw4.encode(enc);
-        self.hours5.encode(enc);
-        self.hours4.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            rss_snr5: Codec::decode(dec)?,
-            rss_bw4: Codec::decode(dec)?,
-            hours5: Codec::decode(dec)?,
-            hours4: Codec::decode(dec)?,
-        })
-    }
-}
-
 impl Render for Correlations {
     fn render(&self) -> String {
         format!(
@@ -693,7 +587,9 @@ impl Render for Correlations {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::Mergeable;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
+    use mbw_frame::{Codec, CodecError, Enc};
 
     fn same_group_decline(y20: &[TestRecord], y21: &[TestRecord]) -> SameGroupDecline {
         let mut acc = SameGroupAcc::new();

@@ -12,7 +12,6 @@ use crate::accum::{self, FigureAccumulator, TECH3};
 use crate::summary::{Mean, Sample};
 use crate::Render;
 use mbw_dataset::{AccessTech, Isp, TestRecord};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use std::fmt::Write as _;
 
 /// Fig 1: year-over-year technology means.
@@ -35,6 +34,15 @@ pub struct Fig01Acc {
     tech_y21: [Mean; 3],
     cell_y20: Mean,
     cell_y21: Mean,
+}
+
+crate::mergeable! {
+    Fig01Acc {
+        tech_y20,
+        tech_y21,
+        cell_y20,
+        cell_y21,
+    }
 }
 
 /// Fold one record into one year's strata.
@@ -67,17 +75,6 @@ impl FigureAccumulator<TestRecord> for Fig01Acc {
         observe_year(&mut self.tech_y21, &mut self.cell_y21, r);
     }
 
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.tech_y20.iter_mut().zip(&other.tech_y20) {
-            a.merge(b);
-        }
-        for (a, b) in self.tech_y21.iter_mut().zip(&other.tech_y21) {
-            a.merge(b);
-        }
-        self.cell_y20.merge(&other.cell_y20);
-        self.cell_y21.merge(&other.cell_y21);
-    }
-
     fn finish(self) -> Fig01 {
         let rows = TECH3
             .iter()
@@ -88,24 +85,6 @@ impl FigureAccumulator<TestRecord> for Fig01Acc {
             rows,
             overall_cellular: (self.cell_y20.mean(), self.cell_y21.mean()),
         }
-    }
-}
-
-impl Codec for Fig01Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.tech_y20.encode(enc);
-        self.tech_y21.encode(enc);
-        self.cell_y20.encode(enc);
-        self.cell_y21.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            tech_y20: Codec::decode(dec)?,
-            tech_y21: Codec::decode(dec)?,
-            cell_y20: Codec::decode(dec)?,
-            cell_y21: Codec::decode(dec)?,
-        })
     }
 }
 
@@ -144,6 +123,8 @@ pub struct Fig02Acc {
     cells: [[Mean; 3]; VERSIONS],
 }
 
+crate::mergeable! { Fig02Acc { cells } }
+
 impl Fig02Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -164,14 +145,6 @@ impl FigureAccumulator<TestRecord> for Fig02Acc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(b);
-            }
-        }
-    }
-
     fn finish(self) -> Fig02 {
         let rows = self
             .cells
@@ -187,18 +160,6 @@ impl FigureAccumulator<TestRecord> for Fig02Acc {
             })
             .collect();
         Fig02 { rows }
-    }
-}
-
-impl Codec for Fig02Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.cells.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            cells: Codec::decode(dec)?,
-        })
     }
 }
 
@@ -231,6 +192,8 @@ pub struct Fig03Acc {
     cells: [[Mean; 3]; 4],
 }
 
+crate::mergeable! { Fig03Acc { cells } }
+
 impl Fig03Acc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -247,14 +210,6 @@ impl FigureAccumulator<TestRecord> for Fig03Acc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(b);
-            }
-        }
-    }
-
     fn finish(self) -> Fig03 {
         let rows = Isp::ALL
             .iter()
@@ -265,18 +220,6 @@ impl FigureAccumulator<TestRecord> for Fig03Acc {
             })
             .collect();
         Fig03 { rows }
-    }
-}
-
-impl Codec for Fig03Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.cells.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            cells: Codec::decode(dec)?,
-        })
     }
 }
 
@@ -301,6 +244,7 @@ impl Render for Fig03 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::Mergeable;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
     use mbw_stats::descriptive::mean;
 

@@ -15,10 +15,9 @@
 
 use crate::accum::FigureAccumulator;
 use crate::fitcache::FitCache;
-use crate::summary::{decode_counts, MergeDecode};
 use crate::Render;
 use mbw_dataset::{AccessTech, TestRecord, WifiStandard};
-use mbw_frame::{Codec, CodecError, Dec, Enc, Fnv1a64};
+use mbw_frame::{CodecError, Fnv1a64};
 use mbw_stats::{Gmm, LogBins, PoolCtx};
 use std::fmt::Write as _;
 
@@ -78,6 +77,8 @@ const MAX_COMPONENTS: usize = 5;
 /// `finish`.
 #[derive(Debug, Clone)]
 pub struct PdfAcc {
+    /// Which of Figs 16/18/19 this is, as the encoding tags it.
+    fig: u8,
     title: &'static str,
     filter: PdfFilter,
     hi: f64,
@@ -89,9 +90,25 @@ pub struct PdfAcc {
     logbins: LogBins,
 }
 
+// Title, filter, range and seed are structural — which of Figs 16/18/19
+// this is — so they travel as one tag. The two count vectors are the
+// complete mergeable state.
+crate::mergeable! {
+    PdfAcc {
+        fig: tag("pdf figure") => Self::of,
+        title: skip,
+        filter: skip,
+        hi: skip,
+        seed: skip,
+        counts: bins("pdf histogram counts", "pdf histogram total"),
+        logbins: bins("log-bin counts", "log-bin total"),
+    }
+}
+
 impl PdfAcc {
-    fn new(title: &'static str, filter: PdfFilter, hi: f64, seed: u64) -> Self {
+    fn new(fig: u8, title: &'static str, filter: PdfFilter, hi: f64, seed: u64) -> Self {
         Self {
+            fig,
             title,
             filter,
             hi,
@@ -103,12 +120,19 @@ impl PdfAcc {
 
     /// Fig 16: WiFi 5 bandwidth PDF (modes at the 100/300/500 Mbps plans).
     pub fn fig16() -> Self {
-        Self::new("Fig 16: WiFi 5 bandwidth PDF", PdfFilter::Wifi5, 1000.0, 16)
+        Self::new(
+            0,
+            "Fig 16: WiFi 5 bandwidth PDF",
+            PdfFilter::Wifi5,
+            1000.0,
+            16,
+        )
     }
 
     /// Fig 18: 4G bandwidth PDF.
     pub fn fig18() -> Self {
         Self::new(
+            1,
             "Fig 18: 4G bandwidth PDF",
             PdfFilter::Tech(AccessTech::Cellular4g),
             500.0,
@@ -119,6 +143,7 @@ impl PdfAcc {
     /// Fig 19: 5G bandwidth PDF.
     pub fn fig19() -> Self {
         Self::new(
+            2,
             "Fig 19: 5G bandwidth PDF",
             PdfFilter::Tech(AccessTech::Cellular5g),
             1000.0,
@@ -126,30 +151,17 @@ impl PdfAcc {
         )
     }
 
-    /// Which of Figs 16/18/19 this is, as the encoding tags it.
-    fn tag(&self) -> u8 {
-        match self.filter {
-            PdfFilter::Wifi5 => 0,
-            PdfFilter::Tech(AccessTech::Cellular4g) => 1,
-            PdfFilter::Tech(AccessTech::Cellular5g) => 2,
-            PdfFilter::Tech(_) => unreachable!("no PDF figure for this tech"),
+    /// The figure the encoding tags `fig`.
+    fn of(fig: u8) -> Result<Self, CodecError> {
+        match fig {
+            0 => Ok(Self::fig16()),
+            1 => Ok(Self::fig18()),
+            2 => Ok(Self::fig19()),
+            tag => Err(CodecError::BadTag {
+                what: "pdf figure",
+                tag: u64::from(tag),
+            }),
         }
-    }
-
-    /// Fold in the two encoded count vectors after the tag. `finish`
-    /// totals the histogram and `LogBins` its counts, and merge adds
-    /// them: both are bounded here, where the bytes come in.
-    fn merge_fields(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let counts = decode_counts(
-            dec,
-            RENDER_BINS,
-            "pdf histogram counts",
-            "pdf histogram total",
-        )?;
-        for (c, o) in self.counts.iter_mut().zip(counts) {
-            *c += o;
-        }
-        self.logbins.merge_decoded(dec)
     }
 
     /// The cache key for this accumulator's converged fit: `fnv1a64` over
@@ -162,11 +174,12 @@ impl PdfAcc {
         hash.finish()
     }
 
-    /// Hand `put` the `Codec` bytes piece by piece, in order: the figure
-    /// tag, then each count vector as its `Vec<u64>` encodes (a `u32`
-    /// length, then every count, big-endian), read where it lies.
+    /// Hand `put` the `Codec` bytes piece by piece, in order, without
+    /// gathering them: the figure tag, then each count vector as its
+    /// `Vec<u64>` encodes (a `u32` length, then every count, big-endian),
+    /// read where it lies.
     fn encoding(&self, mut put: impl FnMut(&[u8])) {
-        put(&[self.tag()]);
+        put(&[self.fig]);
         for counts in [&self.counts[..], self.logbins.counts()] {
             put(&(counts.len() as u32).to_be_bytes());
             for count in counts {
@@ -220,52 +233,8 @@ impl FigureAccumulator<TestRecord> for PdfAcc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        for (c, o) in self.counts.iter_mut().zip(other.counts) {
-            *c += o;
-        }
-        self.logbins.merge(&other.logbins);
-    }
-
-    /// A sibling of another of Figs 16/18/19 is refused by its tag.
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let tag = dec.u8()?;
-        if tag != self.tag() {
-            return Err(CodecError::BadTag {
-                what: "pdf figure",
-                tag: u64::from(tag),
-            });
-        }
-        self.merge_fields(dec)
-    }
-
     fn finish(self) -> PdfFigure {
         self.finish_on(None)
-    }
-}
-
-impl Codec for PdfAcc {
-    fn encode(&self, enc: &mut Enc) {
-        // Title/filter/range/seed are structural — which of Figs
-        // 16/18/19 this is — so they travel as one tag. The two count
-        // vectors are the complete mergeable state.
-        self.encoding(|bytes| enc.put_bytes(bytes));
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = match dec.u8()? {
-            0 => PdfAcc::fig16(),
-            1 => PdfAcc::fig18(),
-            2 => PdfAcc::fig19(),
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "pdf figure",
-                    tag: u64::from(tag),
-                })
-            }
-        };
-        acc.merge_fields(dec)?;
-        Ok(acc)
     }
 }
 
@@ -295,7 +264,9 @@ impl Render for PdfFigure {
 mod tests {
     use super::*;
     use crate::accum;
+    use crate::summary::Mergeable;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
+    use mbw_frame::{Codec, Enc};
 
     fn y2021(tests: usize, seed: u64) -> Vec<TestRecord> {
         Generator::new(DatasetConfig {
@@ -322,7 +293,7 @@ mod tests {
                 // What the encoding wrote when it copied the log bins
                 // into a `Vec` of their own.
                 let mut enc = Enc::new();
-                enc.put_u8(acc.tag());
+                enc.put_u8(acc.fig);
                 acc.counts.encode(&mut enc);
                 acc.logbins.counts().to_vec().encode(&mut enc);
                 assert_eq!(bytes, enc.into_bytes(), "{} at {fill}", acc.title);

@@ -7,10 +7,8 @@
 //! per technology and the modelling side can decide what to exclude.
 
 use crate::accum::FigureAccumulator;
-use crate::summary::bounded_total;
 use crate::Render;
 use mbw_dataset::{AccessTech, OutcomeClass, TestRecord};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use std::fmt::Write as _;
 
 /// Per-technology outcome tallies.
@@ -80,6 +78,8 @@ pub struct OutcomeRatesAcc {
     counts: [[u64; 3]; 4],
 }
 
+crate::mergeable! { OutcomeRatesAcc { counts: count("outcome tallies") } }
+
 impl OutcomeRatesAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -93,14 +93,6 @@ impl FigureAccumulator<TestRecord> for OutcomeRatesAcc {
     fn observe(&mut self, r: &TestRecord) {
         if let Some(i) = TALLY_TECHS.iter().position(|&t| t == r.tech) {
             self.counts[i][outcome_slot(r.outcome)] += 1;
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
         }
     }
 
@@ -121,18 +113,6 @@ impl FigureAccumulator<TestRecord> for OutcomeRatesAcc {
             rows,
             overall: row_from(AccessTech::Wifi, pooled),
         }
-    }
-}
-
-impl Codec for OutcomeRatesAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.counts.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let counts: [[u64; 3]; 4] = Codec::decode(dec)?;
-        bounded_total(counts.as_flattened(), "outcome tallies")?;
-        Ok(Self { counts })
     }
 }
 
@@ -172,7 +152,9 @@ impl Render for OutcomeRates {
 mod tests {
     use super::*;
     use crate::accum;
+    use crate::summary::Mergeable;
     use mbw_dataset::{DatasetConfig, Generator, Year};
+    use mbw_frame::{Codec, CodecError};
 
     #[test]
     fn outcome_rates_reflect_the_generator_fault_model() {

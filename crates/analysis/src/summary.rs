@@ -39,18 +39,22 @@
 //! commutative group, and a forged sum is then a wrong mean in a forged
 //! figure, never a panic.
 //!
-//! A reducer folds many parts into one running set, so each summary
-//! also merges a sibling straight from its bytes ([`MergeDecode`]):
-//! the same checks as its `decode`, then the same integer operations as
-//! its `merge`, with no decoded copy of the sibling in between. Every
-//! `decode` here is that merge into an empty summary, so the two cannot
-//! drift apart.
+//! A reducer folds many parts into one running set, so every summary
+//! is [`Mergeable`]: besides `merge`, it merges a sibling straight from
+//! its bytes (`merge_decoded`), with the same checks as its `decode` and
+//! the same integer operations as its `merge`, and no decoded copy of
+//! the sibling in between. An accumulator built from these summaries
+//! names its fields once, in encode order, in a [`mergeable!`]
+//! declaration, which generates its `encode`, its `decode`, its `merge`
+//! and its `merge_decoded` field by field: the four cannot drift apart,
+//! and a field left out of the declaration does not compile.
 //!
 //! Outside tests this module denies `unwrap`, `expect` and `panic!`: it
 //! decodes bytes read back from disk, and a malformed part must come
 //! back as a typed error.
 //!
 //! [`LogBins`]: mbw_stats::LogBins
+//! [`mergeable!`]: crate::mergeable
 
 #![cfg_attr(
     not(test),
@@ -60,56 +64,362 @@
 use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::LogBins;
 
-/// A summary that folds a sibling's encoding into itself, straight from
-/// the bytes, without building the sibling.
+/// State that folds in a sibling which observed another part of the
+/// input: in memory (`merge`), or straight from the sibling's encoding
+/// (`merge_decoded`), without building the sibling.
 ///
-/// `merge_decoded` runs the checks the type's `decode` runs, on the
-/// incoming stratum alone and with the same typed errors, then adds it
-/// in with the operations of `merge`: `a.merge_decoded(bytes of b)`
-/// leaves `a` bit for bit as `a.merge(decode(bytes of b))` does. The
-/// summaries here check a stratum whole before they touch `self`, but
-/// for an [`IdBitmap`], which reads its words a page at a time; an
-/// array or a [`Dense`] table of them may fail after merging some of its
-/// rows, so on an error the caller drops `self`.
-pub trait MergeDecode {
+/// `merge` is commutative and associative. `merge_decoded` runs the
+/// checks the type's `decode` runs, on the incoming state alone and with
+/// the same typed errors, then adds it in with the operations of
+/// `merge`: `a.merge_decoded(bytes of b)` leaves `a` bit for bit as
+/// `a.merge(decode(bytes of b))` does. The summaries here check a
+/// stratum whole before they touch `self`, but for an [`IdBitmap`],
+/// which reads its words a page at a time; an array, a [`Dense`] table
+/// or a declared accumulator may fail after merging some of its fields,
+/// so on an error the caller drops `self`.
+pub trait Mergeable: Sized {
+    /// Fold `other` in.
+    fn merge(&mut self, other: Self);
+
     /// Check the encoded sibling at the cursor and fold it in.
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError>;
 }
 
-/// A summary that folds a sibling in, for code generic over the summary
-/// (a [`Dense`] table's rows): each type's own `merge`.
-pub trait Merge {
-    /// Fold `other` in.
-    fn merge(&mut self, other: &Self);
-}
-
-impl<T: Merge, const N: usize> Merge for [T; N] {
-    fn merge(&mut self, other: &Self) {
+impl<T: Mergeable, const N: usize> Mergeable for [T; N] {
+    fn merge(&mut self, other: Self) {
         for (mine, theirs) in self.iter_mut().zip(other) {
             mine.merge(theirs);
         }
     }
-}
 
-impl Merge for Mean {
-    fn merge(&mut self, other: &Self) {
-        Mean::merge(self, other);
-    }
-}
-
-impl Merge for BinnedCdf {
-    fn merge(&mut self, other: &Self) {
-        BinnedCdf::merge(self, other);
-    }
-}
-
-impl<T: MergeDecode, const N: usize> MergeDecode for [T; N] {
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         for row in self {
             row.merge_decoded(dec)?;
         }
         Ok(())
     }
+}
+
+/// Samples kept whole, for an order statistic over a few hundred trials
+/// (sorted before they are read): merged by concatenation, encoded as a
+/// `Vec<f64>`.
+impl Mergeable for Vec<f64> {
+    fn merge(&mut self, other: Self) {
+        self.extend(other);
+    }
+
+    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
+        let len = dec.seq_len("sequence")?;
+        self.reserve_exact(len);
+        for _ in 0..len {
+            self.push(dec.f64()?);
+        }
+        Ok(())
+    }
+}
+
+/// A count, or a fixed array of counts: added on merge. Where it is
+/// decoded, the counts of the field sum to at most [`COUNT_MAX`] (an
+/// array of counts here splits one population), or the error names the
+/// field `what`.
+pub trait Count: Sized {
+    /// Add `other` in.
+    fn merge_count(&mut self, other: Self);
+
+    /// Add in the encoded counts at the cursor; `total` sums the
+    /// field's counts read so far.
+    fn merge_decoded_count(
+        &mut self,
+        dec: &mut Dec<'_>,
+        what: &'static str,
+        total: &mut u64,
+    ) -> Result<(), CodecError>;
+}
+
+impl Count for u64 {
+    fn merge_count(&mut self, other: Self) {
+        *self += other;
+    }
+
+    fn merge_decoded_count(
+        &mut self,
+        dec: &mut Dec<'_>,
+        what: &'static str,
+        total: &mut u64,
+    ) -> Result<(), CodecError> {
+        let count = dec.u64()?;
+        *total = total.saturating_add(count);
+        if *total > COUNT_MAX {
+            return Err(CodecError::BadLen { what, len: *total });
+        }
+        *self += count;
+        Ok(())
+    }
+}
+
+impl Count for usize {
+    fn merge_count(&mut self, other: Self) {
+        *self += other;
+    }
+
+    fn merge_decoded_count(
+        &mut self,
+        dec: &mut Dec<'_>,
+        what: &'static str,
+        total: &mut u64,
+    ) -> Result<(), CodecError> {
+        let mut count = 0u64;
+        count.merge_decoded_count(dec, what, total)?;
+        *self += usize::try_from(count).map_err(|_| CodecError::BadLen { what, len: count })?;
+        Ok(())
+    }
+}
+
+impl<T: Count, const N: usize> Count for [T; N] {
+    fn merge_count(&mut self, other: Self) {
+        for (mine, theirs) in self.iter_mut().zip(other) {
+            mine.merge_count(theirs);
+        }
+    }
+
+    fn merge_decoded_count(
+        &mut self,
+        dec: &mut Dec<'_>,
+        what: &'static str,
+        total: &mut u64,
+    ) -> Result<(), CodecError> {
+        for count in self {
+            count.merge_decoded_count(dec, what, total)?;
+        }
+        Ok(())
+    }
+}
+
+/// A histogram of a fixed number of bins, encoded as its counts (a
+/// `Vec<u64>`) and merged bin by bin. Decoded counts must number
+/// exactly the bins this histogram has, their sum bounded by
+/// [`COUNT_MAX`].
+pub trait Bins {
+    /// The counts, in bin order.
+    fn counts(&self) -> &[u64];
+
+    /// Add `counts` in, bin by bin; there are as many as [`Self::counts`].
+    fn add_counts(&mut self, counts: impl ExactSizeIterator<Item = u64>);
+
+    /// Append the counts as a `Vec<u64>` encodes them.
+    fn encode_bins(&self, enc: &mut Enc) {
+        let counts = self.counts();
+        enc.put_u32(counts.len() as u32);
+        for &count in counts {
+            enc.put_u64(count);
+        }
+    }
+
+    /// Fold a sibling histogram's counts in.
+    fn merge_bins(&mut self, other: &Self) {
+        self.add_counts(other.counts().iter().copied());
+    }
+
+    /// Fold in the encoded counts at the cursor: `what` names their
+    /// number in an error, `total_what` their sum.
+    fn merge_decoded_bins(
+        &mut self,
+        dec: &mut Dec<'_>,
+        what: &'static str,
+        total_what: &'static str,
+    ) -> Result<(), CodecError> {
+        let counts = decode_counts(dec, self.counts().len(), what, total_what)?;
+        self.add_counts(counts);
+        Ok(())
+    }
+}
+
+impl Bins for Vec<u64> {
+    fn counts(&self) -> &[u64] {
+        self
+    }
+
+    fn add_counts(&mut self, counts: impl ExactSizeIterator<Item = u64>) {
+        for (mine, theirs) in self.iter_mut().zip(counts) {
+            *mine += theirs;
+        }
+    }
+}
+
+impl Bins for LogBins {
+    fn counts(&self) -> &[u64] {
+        LogBins::counts(self)
+    }
+
+    fn add_counts(&mut self, counts: impl ExactSizeIterator<Item = u64>) {
+        self.merge_counts(counts);
+    }
+}
+
+/// Refuse the tag at the cursor unless it is `mine`: a sibling that is
+/// another accumulator is a [`CodecError::BadTag`] naming `what` and
+/// carrying the sibling's tag, its encoding read as a big-endian integer.
+pub fn check_tag<T: Codec + PartialEq>(
+    mine: &T,
+    dec: &mut Dec<'_>,
+    what: &'static str,
+) -> Result<(), CodecError> {
+    let theirs = T::decode(dec)?;
+    if theirs == *mine {
+        return Ok(());
+    }
+    let tag = (theirs.to_bytes().iter()).fold(0, |tag, &byte| tag << 8 | u64::from(byte));
+    Err(CodecError::BadTag { what, tag })
+}
+
+/// Declare an accumulator's state: its fields, once, in encode order.
+///
+/// ```text
+/// mergeable! {
+///     Fig04Acc {
+///         bw,
+///         below_10: count("fig04 tests below 10 Mbps"),
+///         above_300,
+///     }
+/// }
+/// ```
+///
+/// implements [`mbw_frame::Codec`] and [`Mergeable`] for the struct
+/// named, field by field in the order listed: `encode` appends each
+/// field's encoding, `merge` folds each field of the sibling into its
+/// own, `merge_decoded` folds each encoded field in with that field's
+/// checks, and `decode` is `merge_decoded` into an empty value
+/// (`Self::default()`, or the expression after a trailing `from`) that
+/// adopts the tags it reads instead of checking them. `merge`
+/// destructures the sibling, so a field left out does not compile.
+///
+/// What follows a field's name is its kind:
+/// - nothing: a [`Mergeable`] `Codec` value — a summary, an array of
+///   them, samples (`Vec<f64>`) or another declared accumulator;
+/// - `count(what)`: a [`Count`];
+/// - `bins(what, total_what)`: a [`Bins`] histogram;
+/// - `dense(cap, what)`: a [`Dense`] table of at most `cap` rows;
+/// - `tag(what)`: which accumulator this is, not what it saw. A sibling
+///   of another tag is refused ([`check_tag`]) by `merge_decoded`, and
+///   by a debug assertion in `merge`, which sees only our own values;
+///   `decode` assigns it;
+/// - `tag(what) => ctor`, first and only first: a tag the rest of the
+///   state is shaped by, so `decode` starts from `ctor(tag)?` instead;
+/// - `skip`: structure that is not encoded, such as a title, which a
+///   `tag(what) => ctor` rebuilds.
+#[macro_export]
+macro_rules! mergeable {
+    (@merge $mine:expr, $theirs:ident, skip) => {
+        let _ = $theirs;
+    };
+    (@merge $mine:expr, $theirs:ident, count($($arg:expr),*)) => {
+        $crate::summary::Count::merge_count(&mut $mine, $theirs)
+    };
+    (@merge $mine:expr, $theirs:ident, bins($($arg:expr),*)) => {
+        $crate::summary::Bins::merge_bins(&mut $mine, &$theirs)
+    };
+    (@merge $mine:expr, $theirs:ident, dense($($arg:expr),*)) => {
+        $crate::summary::Dense::merge(&mut $mine, $theirs)
+    };
+    (@merge $mine:expr, $theirs:ident, tag($what:expr)) => {
+        debug_assert!($mine == $theirs, "merged a {} of another tag", $what)
+    };
+    (@merge $mine:expr, $theirs:ident) => {
+        $crate::summary::Mergeable::merge(&mut $mine, $theirs)
+    };
+    (@check $mine:expr, $dec:ident, skip) => {};
+    (@check $mine:expr, $dec:ident, count($what:expr)) => {
+        $crate::summary::Count::merge_decoded_count(&mut $mine, $dec, $what, &mut 0)?
+    };
+    (@check $mine:expr, $dec:ident, bins($what:expr, $total:expr)) => {
+        $crate::summary::Bins::merge_decoded_bins(&mut $mine, $dec, $what, $total)?
+    };
+    (@check $mine:expr, $dec:ident, dense($cap:expr, $what:expr)) => {
+        $crate::summary::Dense::merge_decoded_capped(&mut $mine, $dec, $cap, $what)?
+    };
+    (@check $mine:expr, $dec:ident, tag($what:expr)) => {
+        $crate::summary::check_tag(&$mine, $dec, $what)?
+    };
+    (@check $mine:expr, $dec:ident) => {
+        $crate::summary::Mergeable::merge_decoded(&mut $mine, $dec)?
+    };
+    (@encode $mine:expr, $enc:ident, skip) => {};
+    (@encode $mine:expr, $enc:ident, bins($($arg:expr),*)) => {
+        $crate::summary::Bins::encode_bins(&$mine, $enc)
+    };
+    (@encode $mine:expr, $enc:ident, dense($($arg:expr),*)) => {
+        $crate::summary::Dense::encode(&$mine, $enc)
+    };
+    (@encode $mine:expr, $enc:ident $(, $kind:ident $(($($arg:expr),*))?)?) => {
+        ::mbw_frame::Codec::encode(&$mine, $enc)
+    };
+    (@adopt $out:ident, $field:ident, $dec:ident, tag($what:expr)) => {
+        $out.$field = ::mbw_frame::Codec::decode($dec)?
+    };
+    (@adopt $out:ident, $field:ident, $dec:ident $(, $kind:ident $(($($arg:expr),*))?)?) => {
+        $crate::mergeable!(@check $out.$field, $dec $(, $kind $(($($arg),*))?)?)
+    };
+    (@empty) => {
+        <Self as ::core::default::Default>::default()
+    };
+    (@empty $empty:expr) => {
+        $empty
+    };
+    (@impls $ty:ident ($dec:ident) {
+        $($field:ident $(: $kind:ident $(($($arg:expr),*))?)?),*
+    } $decode:block) => {
+        impl $crate::summary::Mergeable for $ty {
+            fn merge(&mut self, other: Self) {
+                let Self { $($field),* } = other;
+                $($crate::mergeable!(@merge self.$field, $field $(, $kind $(($($arg),*))?)?);)*
+            }
+
+            fn merge_decoded(
+                &mut self,
+                $dec: &mut ::mbw_frame::Dec<'_>,
+            ) -> ::core::result::Result<(), ::mbw_frame::CodecError> {
+                $($crate::mergeable!(@check self.$field, $dec $(, $kind $(($($arg),*))?)?);)*
+                Ok(())
+            }
+        }
+
+        impl ::mbw_frame::Codec for $ty {
+            fn encode(&self, enc: &mut ::mbw_frame::Enc) {
+                $($crate::mergeable!(@encode self.$field, enc $(, $kind $(($($arg),*))?)?);)*
+            }
+
+            fn decode(
+                $dec: &mut ::mbw_frame::Dec<'_>,
+            ) -> ::core::result::Result<Self, ::mbw_frame::CodecError> $decode
+        }
+    };
+    (
+        $ty:ident {
+            $lead:ident: tag($what:expr) => $ctor:expr,
+            $($field:ident $(: $kind:ident $(($($arg:expr),*))?)?),* $(,)?
+        }
+    ) => {
+        $crate::mergeable!(@impls $ty (dec) {
+            $lead: tag($what), $($field $(: $kind $(($($arg),*))?)?),*
+        } {
+            let mut out: Self = ($ctor)(::mbw_frame::Codec::decode(dec)?)?;
+            $($crate::mergeable!(@adopt out, $field, dec $(, $kind $(($($arg),*))?)?);)*
+            Ok(out)
+        });
+    };
+    (
+        $ty:ident {
+            $($field:ident $(: $kind:ident $(($($arg:expr),*))?)?),* $(,)?
+        } $(from $empty:expr)?
+    ) => {
+        $crate::mergeable!(@impls $ty (dec) {
+            $($field $(: $kind $(($($arg),*))?)?),*
+        } {
+            let mut out: Self = $crate::mergeable!(@empty $($empty)?);
+            $($crate::mergeable!(@adopt out, $field, dec $(, $kind $(($($arg),*))?)?);)*
+            Ok(out)
+        });
+    };
 }
 
 /// Largest value a count decoded from a snapshot may claim: far above
@@ -126,19 +436,8 @@ pub fn decode_count(dec: &mut Dec<'_>, what: &'static str) -> Result<u64, CodecE
     Ok(n)
 }
 
-/// [`decode_count`] for the accumulators whose counters are `usize`.
-pub fn decode_count_usize(dec: &mut Dec<'_>, what: &'static str) -> Result<usize, CodecError> {
-    let n = decode_count(dec, what)?;
-    usize::try_from(n).map_err(|_| CodecError::BadLen { what, len: n })
-}
-
-/// The sum of decoded bin counts, rejected once it passes [`COUNT_MAX`]
-/// (so no single bin can exceed it either).
-pub fn bounded_total(counts: &[u64], what: &'static str) -> Result<u64, CodecError> {
-    bounded_sum(counts.iter().copied(), what)
-}
-
-/// [`bounded_total`] over counts as they are read.
+/// The sum of decoded counts as they are read, rejected once it passes
+/// [`COUNT_MAX`] (so no single count can exceed it either).
 fn bounded_sum(counts: impl Iterator<Item = u64>, what: &'static str) -> Result<u64, CodecError> {
     let mut total = 0u64;
     for c in counts {
@@ -300,9 +599,13 @@ impl Codec for Mean {
     }
 }
 
-impl MergeDecode for Mean {
+impl Mergeable for Mean {
+    fn merge(&mut self, other: Self) {
+        Mean::merge(self, &other);
+    }
+
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.merge(&Self::decode(dec)?);
+        Mean::merge(self, &Self::decode(dec)?);
         Ok(())
     }
 }
@@ -675,7 +978,11 @@ impl Codec for BinnedCdf {
     }
 }
 
-impl MergeDecode for BinnedCdf {
+impl Mergeable for BinnedCdf {
+    fn merge(&mut self, other: Self) {
+        BinnedCdf::merge(self, &other);
+    }
+
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
         let mean = Mean::decode(dec)?;
         let min = dec.f64()?;
@@ -834,9 +1141,13 @@ impl Codec for Pearson {
     }
 }
 
-impl MergeDecode for Pearson {
+impl Mergeable for Pearson {
+    fn merge(&mut self, other: Self) {
+        Pearson::merge(self, &other);
+    }
+
     fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.merge(&Self::decode(dec)?);
+        Pearson::merge(self, &Self::decode(dec)?);
         Ok(())
     }
 }
@@ -908,17 +1219,17 @@ impl<T: Default + Clone + PartialEq> Dense<T> {
     pub fn rows(&self) -> &[T] {
         &self.rows
     }
-
-    /// Fold a sibling table in, row by row.
-    pub fn merge_with(&mut self, other: &Self, mut merge: impl FnMut(&mut T, &T)) {
-        self.grow(other.rows.len());
-        for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
-            merge(mine, theirs);
-        }
-    }
 }
 
-impl<T: Default + Clone + PartialEq + Codec + Merge + MergeDecode> Dense<T> {
+impl<T: Default + Clone + PartialEq + Codec + Mergeable> Dense<T> {
+    /// Fold a sibling table in, row by row.
+    pub fn merge(&mut self, other: Self) {
+        self.grow(other.rows.len());
+        for (mine, theirs) in self.rows.iter_mut().zip(other.rows) {
+            mine.merge(theirs);
+        }
+    }
+
     /// Append the rows up to the last non-empty one.
     pub fn encode(&self, enc: &mut Enc) {
         let empty = T::default();
@@ -933,20 +1244,8 @@ impl<T: Default + Clone + PartialEq + Codec + Merge + MergeDecode> Dense<T> {
         }
     }
 
-    /// Decode a table of at most `cap` rows: [`Self::merge_decoded_capped`]
-    /// into an empty table.
-    pub fn decode_capped(
-        dec: &mut Dec<'_>,
-        cap: usize,
-        what: &'static str,
-    ) -> Result<Self, CodecError> {
-        let mut out = Self::new();
-        out.merge_decoded_capped(dec, cap, what)?;
-        Ok(out)
-    }
-
     /// Fold in the encoding of a table of at most `cap` rows, row by row
-    /// (see [`MergeDecode`]). A longer claim, or a claim the remaining
+    /// (see [`Mergeable`]). A longer claim, or a claim the remaining
     /// bytes cannot hold, is rejected before anything is allocated for
     /// it; a trailing empty row (which `encode` never writes) after the
     /// rows before it are merged, so on an error the table is dropped.
@@ -977,7 +1276,7 @@ impl<T: Default + Clone + PartialEq + Codec + Merge + MergeDecode> Dense<T> {
         if theirs == T::default() {
             return Err(bad);
         }
-        last.merge(&theirs);
+        last.merge(theirs);
         Ok(())
     }
 }
@@ -1045,27 +1344,6 @@ impl IdBitmap {
         self.page(word / PAGE_WORDS)[word % PAGE_WORDS] |= 1 << (id % 64);
     }
 
-    /// Fold a sibling set in: pages both sets hold are OR-ed, pages
-    /// only `other` holds move over as they are, without a copy.
-    pub fn merge(&mut self, other: Self) {
-        if other.pages.len() > self.pages.len() {
-            self.pages
-                .reserve_exact(other.pages.len() - self.pages.len());
-            self.pages.resize(other.pages.len(), None);
-        }
-        for (mine, theirs) in self.pages.iter_mut().zip(other.pages) {
-            match (mine, theirs) {
-                (Some(mine), Some(theirs)) => {
-                    for (a, b) in mine.iter_mut().zip(theirs.iter()) {
-                        *a |= b;
-                    }
-                }
-                (mine @ None, theirs) => *mine = theirs,
-                (Some(_), None) => {}
-            }
-        }
-    }
-
     /// Distinct ids seen.
     pub fn len(&self) -> usize {
         self.words().map(|w| w.count_ones() as usize).sum()
@@ -1107,7 +1385,28 @@ impl Codec for IdBitmap {
     }
 }
 
-impl MergeDecode for IdBitmap {
+impl Mergeable for IdBitmap {
+    /// Fold a sibling set in: pages both sets hold are OR-ed, pages
+    /// only `other` holds move over as they are, without a copy.
+    fn merge(&mut self, other: Self) {
+        if other.pages.len() > self.pages.len() {
+            self.pages
+                .reserve_exact(other.pages.len() - self.pages.len());
+            self.pages.resize(other.pages.len(), None);
+        }
+        for (mine, theirs) in self.pages.iter_mut().zip(other.pages) {
+            match (mine, theirs) {
+                (Some(mine), Some(theirs)) => {
+                    for (a, b) in mine.iter_mut().zip(theirs.iter()) {
+                        *a |= b;
+                    }
+                }
+                (mine @ None, theirs) => *mine = theirs,
+                (Some(_), None) => {}
+            }
+        }
+    }
+
     /// A claim past the id range, a claim the remaining bytes cannot
     /// hold, or a trailing zero word (which `encode` never writes) is
     /// rejected; pages are allocated only for words that hold a bit and
@@ -1145,18 +1444,6 @@ impl MergeDecode for IdBitmap {
     }
 }
 
-impl MergeDecode for LogBins {
-    /// The counts as a `Vec<u64>` encodes them, underflow bin first:
-    /// exactly as many as this histogram has, their sum bounded by
-    /// [`COUNT_MAX`].
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let len = self.counts().len();
-        let counts = decode_counts(dec, len, "log-bin counts", "log-bin total")?;
-        self.merge_counts(counts);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1169,6 +1456,13 @@ mod tests {
             cdf.push(Sample::new(v));
         }
         cdf
+    }
+
+    /// A table of at most `cap` rows, decoded from `bytes`.
+    fn table_from(bytes: &[u8], cap: usize) -> Result<Dense<Mean>, CodecError> {
+        let mut table = Dense::new();
+        table.merge_decoded_capped(&mut Dec::new(bytes), cap, "rows")?;
+        Ok(table)
     }
 
     fn mean_of(values: &[f64]) -> Mean {
@@ -1419,7 +1713,7 @@ mod tests {
         table_up.encode(&mut enc);
         let rows = 39 * 99_991 / 1_000 + 1;
         assert_eq!(enc.len(), 4 + 24 * rows, "trailing empty rows stay home");
-        let back = Dense::<Mean>::decode_capped(&mut Dec::new(&enc.into_bytes()), rows, "rows");
+        let back = table_from(&enc.into_bytes(), rows);
         assert_eq!(back.unwrap(), table_up);
     }
 
@@ -1500,14 +1794,14 @@ mod tests {
             COUNT_MAX
         );
         bad_len(
-            bounded_total(&[COUNT_MAX, 1], "bins"),
+            bounded_sum([COUNT_MAX, 1].into_iter(), "bins"),
             "a total past the bound",
         );
         bad_len(
-            bounded_total(&[u64::MAX, u64::MAX], "bins"),
+            bounded_sum([u64::MAX, u64::MAX].into_iter(), "bins"),
             "a wrapping total",
         );
-        assert_eq!(bounded_total(&[1, 2, 3], "bins").unwrap(), 6);
+        assert_eq!(bounded_sum([1, 2, 3].into_iter(), "bins").unwrap(), 6);
     }
 
     #[test]
@@ -1651,7 +1945,7 @@ mod tests {
             for row in rows {
                 row.encode(&mut enc);
             }
-            Dense::<Mean>::decode_capped(&mut Dec::new(&enc.into_bytes()), cap, "rows")
+            table_from(&enc.into_bytes(), cap)
         };
         let one = mean_of(&[2.5]);
         assert!(rows(&[Mean::default(), one], 2).is_ok());
@@ -1660,7 +1954,7 @@ mod tests {
         let mut enc = Enc::new();
         enc.put_u32(1 << 20);
         bad_len(
-            Dense::<Mean>::decode_capped(&mut Dec::new(&enc.into_bytes()), 1 << 24, "rows"),
+            table_from(&enc.into_bytes(), 1 << 24),
             "longer than the input",
         );
     }

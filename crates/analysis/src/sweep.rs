@@ -32,6 +32,7 @@ use crate::general::{
 use crate::overview::{Fig01, Fig01Acc, Fig02, Fig02Acc, Fig03, Fig03Acc};
 use crate::pdfs::{PdfAcc, PdfFigure};
 use crate::robustness::{OutcomeRates, OutcomeRatesAcc};
+use crate::summary::Mergeable;
 use crate::tables::{Table1, Table2};
 use crate::wifi::{SlowPlanAcc, WifiAcc, WifiCdfFigure};
 use crate::Render;
@@ -77,6 +78,35 @@ pub struct FigureSet {
     summary: DatasetSummaryAcc,
     devices: [HardwareIllusionAcc; 3],
     outcomes: OutcomeRatesAcc,
+}
+
+crate::mergeable! {
+    FigureSet {
+        fig01,
+        fig02,
+        fig03,
+        fig04,
+        fig05_06,
+        fig07,
+        fig08_09,
+        fig10,
+        fig11_12,
+        lte_rss,
+        fig13,
+        fig14,
+        fig15,
+        slow_plan,
+        fig16,
+        fig18,
+        fig19,
+        spatial,
+        urban_rural,
+        same_group,
+        correlations,
+        summary,
+        devices,
+        outcomes,
+    }
 }
 
 impl FigureSet {
@@ -190,74 +220,10 @@ impl FigureSet {
     }
 
     /// Fold in a sibling set that observed another part of the
-    /// populations. Commutative and associative.
+    /// populations. Commutative and associative: its [`Mergeable`]
+    /// `merge`, callable without the trait in scope.
     pub fn merge(&mut self, other: Self) {
-        self.fig01.merge(other.fig01);
-        self.fig02.merge(other.fig02);
-        self.fig03.merge(other.fig03);
-        self.fig04.merge(other.fig04);
-        self.fig05_06.merge(other.fig05_06);
-        self.fig07.merge(other.fig07);
-        self.fig08_09.merge(other.fig08_09);
-        self.fig10.merge(other.fig10);
-        self.fig11_12.merge(other.fig11_12);
-        self.lte_rss.merge(other.lte_rss);
-        self.fig13.merge(other.fig13);
-        self.fig14.merge(other.fig14);
-        self.fig15.merge(other.fig15);
-        self.slow_plan.merge(other.slow_plan);
-        self.fig16.merge(other.fig16);
-        self.fig18.merge(other.fig18);
-        self.fig19.merge(other.fig19);
-        self.spatial.merge(other.spatial);
-        self.urban_rural.merge(other.urban_rural);
-        self.same_group.merge(other.same_group);
-        self.correlations.merge(other.correlations);
-        self.summary.merge(other.summary);
-        let [d4, d5, dw] = other.devices;
-        let [s4, s5, sw] = &mut self.devices;
-        s4.merge(d4);
-        s5.merge(d5);
-        sw.merge(dw);
-        self.outcomes.merge(other.outcomes);
-    }
-
-    /// Fold in a sibling set from its encoding, accumulator by
-    /// accumulator, as [`Self::merge`] of its `decode` would: every
-    /// summary the sibling holds is checked and added in place, so no
-    /// decoded copy of it is ever built (see
-    /// [`crate::summary::MergeDecode`]). On an error `self` may be partly
-    /// merged, and the caller drops it.
-    pub fn merge_decoded(
-        &mut self,
-        dec: &mut mbw_frame::Dec<'_>,
-    ) -> Result<(), mbw_frame::CodecError> {
-        self.fig01.merge_decoded(dec)?;
-        self.fig02.merge_decoded(dec)?;
-        self.fig03.merge_decoded(dec)?;
-        self.fig04.merge_decoded(dec)?;
-        self.fig05_06.merge_decoded(dec)?;
-        self.fig07.merge_decoded(dec)?;
-        self.fig08_09.merge_decoded(dec)?;
-        self.fig10.merge_decoded(dec)?;
-        self.fig11_12.merge_decoded(dec)?;
-        self.lte_rss.merge_decoded(dec)?;
-        self.fig13.merge_decoded(dec)?;
-        self.fig14.merge_decoded(dec)?;
-        self.fig15.merge_decoded(dec)?;
-        self.slow_plan.merge_decoded(dec)?;
-        self.fig16.merge_decoded(dec)?;
-        self.fig18.merge_decoded(dec)?;
-        self.fig19.merge_decoded(dec)?;
-        self.spatial.merge_decoded(dec)?;
-        self.urban_rural.merge_decoded(dec)?;
-        self.same_group.merge_decoded(dec)?;
-        self.correlations.merge_decoded(dec)?;
-        self.summary.merge_decoded(dec)?;
-        for device in &mut self.devices {
-            device.merge_decoded(dec)?;
-        }
-        self.outcomes.merge_decoded(dec)
+        Mergeable::merge(self, other);
     }
 
     /// Produce every finished figure, serially and uncached — shorthand
@@ -485,41 +451,6 @@ pub struct FinishStats {
 impl Default for FigureSet {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl mbw_frame::Codec for FigureSet {
-    fn encode(&self, enc: &mut mbw_frame::Enc) {
-        self.fig01.encode(enc);
-        self.fig02.encode(enc);
-        self.fig03.encode(enc);
-        self.fig04.encode(enc);
-        self.fig05_06.encode(enc);
-        self.fig07.encode(enc);
-        self.fig08_09.encode(enc);
-        self.fig10.encode(enc);
-        self.fig11_12.encode(enc);
-        self.lte_rss.encode(enc);
-        self.fig13.encode(enc);
-        self.fig14.encode(enc);
-        self.fig15.encode(enc);
-        self.slow_plan.encode(enc);
-        self.fig16.encode(enc);
-        self.fig18.encode(enc);
-        self.fig19.encode(enc);
-        self.spatial.encode(enc);
-        self.urban_rural.encode(enc);
-        self.same_group.encode(enc);
-        self.correlations.encode(enc);
-        self.summary.encode(enc);
-        self.devices.encode(enc);
-        self.outcomes.encode(enc);
-    }
-
-    fn decode(dec: &mut mbw_frame::Dec<'_>) -> Result<Self, mbw_frame::CodecError> {
-        let mut set = Self::new();
-        set.merge_decoded(dec)?;
-        Ok(set)
     }
 }
 

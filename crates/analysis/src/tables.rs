@@ -1,40 +1,12 @@
 //! Tables 1 and 2, rendered from the static band data.
 
-use crate::accum::FigureAccumulator;
 use crate::Render;
 use mbw_dataset::bands::{LTE_BANDS, NR_BANDS};
-use mbw_dataset::TestRecord;
 use std::fmt::Write as _;
 
 /// Table 1 rendering.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Table1;
-
-// The tables are static band data; their accumulators exist so the
-// fused sweep can treat every figure id uniformly.
-impl FigureAccumulator<TestRecord> for Table1 {
-    type Output = Table1;
-
-    fn observe(&mut self, _r: &TestRecord) {}
-
-    fn merge(&mut self, _other: Self) {}
-
-    fn finish(self) -> Table1 {
-        self
-    }
-}
-
-impl FigureAccumulator<TestRecord> for Table2 {
-    type Output = Table2;
-
-    fn observe(&mut self, _r: &TestRecord) {}
-
-    fn merge(&mut self, _other: Self) {}
-
-    fn finish(self) -> Table2 {
-        self
-    }
-}
 
 impl Render for Table1 {
     fn render(&self) -> String {

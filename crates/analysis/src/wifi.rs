@@ -7,10 +7,10 @@
 //! advertised speeds comes from the wired plans behind the APs.
 
 use crate::accum::FigureAccumulator;
-use crate::summary::{decode_count_usize, BinnedCdf, MergeDecode, Sample};
+use crate::summary::{BinnedCdf, Sample};
 use crate::Render;
 use mbw_dataset::{TestRecord, WifiStandard};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
+use mbw_frame::CodecError;
 use std::fmt::Write as _;
 
 /// One CDF per WiFi standard (Figs 13, 14, 15 are this over different
@@ -51,6 +51,8 @@ fn standard_index(standard: WifiStandard) -> usize {
 /// distributions over one radio-band filter.
 #[derive(Debug, Clone)]
 pub struct WifiAcc {
+    /// Which of Figs 13–15 this is, as the encoding tags it.
+    fig: u8,
     title: &'static str,
     /// `Some(true)` = 5 GHz only, `Some(false)` = 2.4 GHz only.
     band_filter: Option<bool>,
@@ -59,9 +61,20 @@ pub struct WifiAcc {
     per_std: [BinnedCdf; WifiStandard::ALL.len()],
 }
 
+crate::mergeable! {
+    WifiAcc {
+        fig: tag("wifi figure") => Self::of,
+        title: skip,
+        band_filter: skip,
+        total: count("wifi tests in band"),
+        per_std,
+    }
+}
+
 impl WifiAcc {
-    fn new(title: &'static str, band_filter: Option<bool>) -> Self {
+    fn new(fig: u8, title: &'static str, band_filter: Option<bool>) -> Self {
         Self {
+            fig,
             title,
             band_filter,
             total: 0,
@@ -69,19 +82,36 @@ impl WifiAcc {
         }
     }
 
+    /// The figure the encoding tags `fig`.
+    fn of(fig: u8) -> Result<Self, CodecError> {
+        match fig {
+            0 => Ok(Self::fig13()),
+            1 => Ok(Self::fig14()),
+            2 => Ok(Self::fig15()),
+            tag => Err(CodecError::BadTag {
+                what: "wifi figure",
+                tag: u64::from(tag),
+            }),
+        }
+    }
+
     /// Fig 13: all WiFi tests, per standard.
     pub fn fig13() -> Self {
-        Self::new("Fig 13: WiFi bandwidth distribution (all bands)", None)
+        Self::new(0, "Fig 13: WiFi bandwidth distribution (all bands)", None)
     }
 
     /// Fig 14: the 2.4 GHz subset (WiFi 4 and 6 only).
     pub fn fig14() -> Self {
-        Self::new("Fig 14: WiFi bandwidth distribution (2.4 GHz)", Some(false))
+        Self::new(
+            1,
+            "Fig 14: WiFi bandwidth distribution (2.4 GHz)",
+            Some(false),
+        )
     }
 
     /// Fig 15: the 5 GHz subset.
     pub fn fig15() -> Self {
-        Self::new("Fig 15: WiFi bandwidth distribution (5 GHz)", Some(true))
+        Self::new(2, "Fig 15: WiFi bandwidth distribution (5 GHz)", Some(true))
     }
 
     /// This figure's accumulator with every stratum spanning the whole
@@ -91,21 +121,6 @@ impl WifiAcc {
             per_std: std::array::from_fn(|_| BinnedCdf::full_grid()),
             ..self
         }
-    }
-
-    /// Which of Figs 13–15 this is, as the encoding tags it.
-    fn tag(&self) -> u8 {
-        match self.band_filter {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        }
-    }
-
-    /// Fold in the encoded fields after the tag.
-    fn merge_fields(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        self.total += decode_count_usize(dec, "wifi tests in band")?;
-        self.per_std.merge_decoded(dec)
     }
 }
 
@@ -119,25 +134,6 @@ impl FigureAccumulator<TestRecord> for WifiAcc {
         }
         self.total += 1;
         self.per_std[standard_index(w.standard)].push(Sample::new(r.bandwidth_mbps));
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.total += other.total;
-        for (a, b) in self.per_std.iter_mut().zip(&other.per_std) {
-            a.merge(b);
-        }
-    }
-
-    /// A sibling of another of Figs 13–15 is refused by its tag.
-    fn merge_decoded(&mut self, dec: &mut Dec<'_>) -> Result<(), CodecError> {
-        let tag = dec.u8()?;
-        if tag != self.tag() {
-            return Err(CodecError::BadTag {
-                what: "wifi figure",
-                tag: u64::from(tag),
-            });
-        }
-        self.merge_fields(dec)
     }
 
     fn finish(self) -> WifiCdfFigure {
@@ -164,32 +160,6 @@ impl FigureAccumulator<TestRecord> for WifiAcc {
             title: self.title,
             series,
         }
-    }
-}
-
-impl Codec for WifiAcc {
-    fn encode(&self, enc: &mut Enc) {
-        // The title/filter pair is structural — which of Figs 13–15 the
-        // accumulator is — so it travels as a tag, not as data.
-        enc.put_u8(self.tag());
-        enc.put_usize(self.total);
-        self.per_std.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acc = match dec.u8()? {
-            0 => WifiAcc::fig13(),
-            1 => WifiAcc::fig14(),
-            2 => WifiAcc::fig15(),
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "wifi figure",
-                    tag: u64::from(tag),
-                })
-            }
-        };
-        acc.merge_fields(dec)?;
-        Ok(acc)
     }
 }
 
@@ -235,6 +205,15 @@ pub struct SlowPlanAcc {
     w6_slow: usize,
 }
 
+crate::mergeable! {
+    SlowPlanAcc {
+        wifi_total: count("slow-plan count"),
+        slow: count("slow-plan count"),
+        w6_total: count("slow-plan count"),
+        w6_slow: count("slow-plan count"),
+    }
+}
+
 impl SlowPlanAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {
@@ -256,13 +235,6 @@ impl FigureAccumulator<TestRecord> for SlowPlanAcc {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        self.wifi_total += other.wifi_total;
-        self.slow += other.slow;
-        self.w6_total += other.w6_total;
-        self.w6_slow += other.w6_slow;
-    }
-
     fn finish(self) -> (f64, f64) {
         (
             self.slow as f64 / self.wifi_total.max(1) as f64,
@@ -271,30 +243,13 @@ impl FigureAccumulator<TestRecord> for SlowPlanAcc {
     }
 }
 
-impl Codec for SlowPlanAcc {
-    fn encode(&self, enc: &mut Enc) {
-        enc.put_usize(self.wifi_total);
-        enc.put_usize(self.slow);
-        enc.put_usize(self.w6_total);
-        enc.put_usize(self.w6_slow);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut count = || decode_count_usize(dec, "slow-plan count");
-        Ok(Self {
-            wifi_total: count()?,
-            slow: count()?,
-            w6_total: count()?,
-            w6_slow: count()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accum;
+    use crate::summary::Mergeable;
     use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
+    use mbw_frame::Codec;
 
     fn y2021(tests: usize, seed: u64) -> Vec<TestRecord> {
         Generator::new(DatasetConfig {

@@ -3,7 +3,7 @@
 //! `a` bit for bit as `a.merge(decode(bytes of b))` does — for the
 //! summaries that merge in place and for a whole figure set.
 
-use mbw_analysis::summary::{BinnedCdf, Dense, MergeDecode, Sample};
+use mbw_analysis::summary::{BinnedCdf, Bins, Dense, Mergeable, Sample};
 use mbw_analysis::sweep::FigureSet;
 use mbw_dataset::{DatasetConfig, Generator, TestRecord, Year};
 use mbw_frame::{Codec, CodecError, Dec, Enc};
@@ -97,12 +97,13 @@ proptest! {
     ) {
         let (left, right) = split(&rows, at);
         let bytes = table_bytes(&table(right));
-        let decoded = Dense::<BinnedCdf>::decode_capped(&mut Dec::new(&bytes), ROWS, "rows");
-        let mut via_decode = table(left);
-        via_decode.merge_with(&decoded.unwrap(), BinnedCdf::merge);
-        let via_bytes = merged(table(left), &bytes, |t, dec| {
+        let decode = |t: &mut Dense<BinnedCdf>, dec: &mut Dec<'_>| {
             t.merge_decoded_capped(dec, ROWS, "rows")
-        });
+        };
+        let decoded = merged(Dense::new(), &bytes, decode);
+        let mut via_decode = table(left);
+        via_decode.merge(decoded);
+        let via_bytes = merged(table(left), &bytes, decode);
         prop_assert_eq!(table_bytes(&via_bytes), table_bytes(&via_decode));
         prop_assert!(via_bytes == via_decode);
     }
@@ -116,7 +117,9 @@ proptest! {
         let bytes = logbins(right).counts().to_vec().to_bytes();
         let mut via_decode = logbins(left);
         via_decode.merge(&LogBins::from_counts(0.1, 1000.0, Vec::from_bytes(&bytes).unwrap()));
-        let via_bytes = merged(logbins(left), &bytes, LogBins::merge_decoded);
+        let via_bytes = merged(logbins(left), &bytes, |bins, dec| {
+            bins.merge_decoded_bins(dec, "log-bin counts", "log-bin total")
+        });
         prop_assert!(via_bytes == via_decode);
         prop_assert!(via_bytes == logbins(&values));
     }

@@ -25,7 +25,6 @@ use mbw_core::{
     CampaignPlan, EmptyCampaign, ScenarioId, TechClass, TrialKind, TrialView, VariantId,
 };
 use mbw_deploy::{solve_greedy, solve_ilp, synthetic_catalog, PurchaseProblem};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use std::fmt::Write as _;
 
 /// The scenario every ablation runs on (5G, as in the paper's §5.3
@@ -113,21 +112,7 @@ pub struct AblationAcc {
     acc: [Mean; VariantId::ALL.len()],
 }
 
-impl Codec for AblationAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.time.encode(enc);
-        self.data.encode(enc);
-        self.acc.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            time: Codec::decode(dec)?,
-            data: Codec::decode(dec)?,
-            acc: Codec::decode(dec)?,
-        })
-    }
-}
+mbw_analysis::mergeable! { AblationAcc { time, data, acc } }
 
 impl<'a> FigureAccumulator<TrialView<'a>> for AblationAcc {
     type Output = Result<AblationTables, EmptyCampaign>;
@@ -139,14 +124,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for AblationAcc {
             self.time[i].push(Sample::new(o.duration_s));
             self.data[i].push(Sample::new(o.data_bytes / 1e6));
             self.acc[i].push(Sample::new(o.accuracy_vs(o.truth_mbps).max(0.0)));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for i in 0..self.time.len() {
-            self.time[i].merge(&other.time[i]);
-            self.data[i].merge(&other.data[i]);
-            self.acc[i].merge(&other.acc[i]);
         }
     }
 

@@ -10,12 +10,11 @@
 //! four-service groups feed Figs 23–25.
 
 use mbw_analysis::accum::FigureAccumulator;
-use mbw_analysis::summary::{decode_count, Mean, Sample};
+use mbw_analysis::summary::{Mean, Sample};
 use mbw_core::{
     trial_seed, BtsKind, CampaignPlan, EmptyCampaign, ScenarioId, TechClass, TrialKind,
     TrialOutcome, TrialView,
 };
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use mbw_stats::{descriptive, Ecdf};
 use std::fmt::Write as _;
 
@@ -77,19 +76,11 @@ pub struct Fig20Acc {
     within_one_second: u64,
 }
 
-impl Codec for Fig20Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.durations.encode(enc);
-        self.totals.encode(enc);
-        enc.put_u64(self.within_one_second);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            durations: Codec::decode(dec)?,
-            totals: Codec::decode(dec)?,
-            within_one_second: decode_count(dec, "fig20 within-1-s count")?,
-        })
+mbw_analysis::mergeable! {
+    Fig20Acc {
+        durations,
+        totals,
+        within_one_second: count("fig20 within-1-s count"),
     }
 }
 
@@ -103,14 +94,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig20Acc {
             self.totals[t].push(Sample::new(swift.total_s()));
             self.within_one_second += u64::from(swift.total_s() <= 1.0);
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for t in 0..3 {
-            self.durations[t].extend(other.durations[t].iter());
-            self.totals[t].merge(&other.totals[t]);
-        }
-        self.within_one_second += other.within_one_second;
     }
 
     fn finish(self) -> Self::Output {
@@ -175,19 +158,7 @@ pub struct Fig21Acc {
     swift: [Mean; 3],
 }
 
-impl Codec for Fig21Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.bts.encode(enc);
-        self.swift.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            bts: Codec::decode(dec)?,
-            swift: Codec::decode(dec)?,
-        })
-    }
-}
+mbw_analysis::mergeable! { Fig21Acc { bts, swift } }
 
 impl<'a> FigureAccumulator<TrialView<'a>> for Fig21Acc {
     type Output = Result<Fig21, EmptyCampaign>;
@@ -197,13 +168,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig21Acc {
             let t = tech_index(tech);
             self.bts[t].push(Sample::new(bts.data_bytes / 1e6));
             self.swift[t].push(Sample::new(swift.data_bytes / 1e6));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for t in 0..3 {
-            self.bts[t].merge(&other.bts[t]);
-            self.swift[t].merge(&other.swift[t]);
         }
     }
 
@@ -268,17 +232,7 @@ pub struct Fig22Acc {
     devs: [Vec<f64>; 3],
 }
 
-impl Codec for Fig22Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.devs.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            devs: Codec::decode(dec)?,
-        })
-    }
-}
+mbw_analysis::mergeable! { Fig22Acc { devs } }
 
 impl<'a> FigureAccumulator<TrialView<'a>> for Fig22Acc {
     type Output = Result<Fig22, EmptyCampaign>;
@@ -289,12 +243,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig22Acc {
                 swift.estimate_mbps,
                 bts.estimate_mbps,
             ));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for t in 0..3 {
-            self.devs[t].extend(other.devs[t].iter());
         }
     }
 
@@ -375,21 +323,7 @@ pub struct Fig23to25Acc {
     acc: [[Mean; 3]; 3],
 }
 
-impl Codec for Fig23to25Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.time.encode(enc);
-        self.data.encode(enc);
-        self.acc.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            time: Codec::decode(dec)?,
-            data: Codec::decode(dec)?,
-            acc: Codec::decode(dec)?,
-        })
-    }
-}
+mbw_analysis::mergeable! { Fig23to25Acc { time, data, acc } }
 
 impl<'a> FigureAccumulator<TrialView<'a>> for Fig23to25Acc {
     type Output = Result<Fig23to25, EmptyCampaign>;
@@ -407,16 +341,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig23to25Acc {
             self.time[t][k].push(Sample::new(o.duration_s));
             self.data[t][k].push(Sample::new(o.data_bytes / 1e6));
             self.acc[t][k].push(Sample::new(o.accuracy_vs(reference.estimate_mbps).max(0.0)));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for t in 0..3 {
-            for k in 0..3 {
-                self.time[t][k].merge(&other.time[t][k]);
-                self.data[t][k].merge(&other.data[t][k]);
-                self.acc[t][k].merge(&other.acc[t][k]);
-            }
         }
     }
 
@@ -578,19 +502,7 @@ pub struct MmwaveAcc {
     acc: Mean,
 }
 
-impl Codec for MmwaveAcc {
-    fn encode(&self, enc: &mut Enc) {
-        self.durations.encode(enc);
-        self.acc.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            durations: Codec::decode(dec)?,
-            acc: Codec::decode(dec)?,
-        })
-    }
-}
+mbw_analysis::mergeable! { MmwaveAcc { durations, acc } }
 
 impl<'a> FigureAccumulator<TrialView<'a>> for MmwaveAcc {
     type Output = Result<MmwaveReport, EmptyCampaign>;
@@ -604,11 +516,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for MmwaveAcc {
             self.acc
                 .push(Sample::new(o.accuracy_vs(o.truth_mbps).max(0.0)));
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.durations.merge(&other.durations);
-        self.acc.merge(&other.acc);
     }
 
     fn finish(self) -> Self::Output {

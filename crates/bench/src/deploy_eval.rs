@@ -33,6 +33,13 @@ pub struct Fig26Acc {
     busy: Vec<f64>,
 }
 
+mbw_analysis::mergeable! {
+    Fig26Acc {
+        seconds: count("fig26 seconds"),
+        busy,
+    }
+}
+
 impl FigureAccumulator<f64> for Fig26Acc {
     type Output = Result<Fig26, EmptyCampaign>;
 
@@ -41,11 +48,6 @@ impl FigureAccumulator<f64> for Fig26Acc {
         if demand > 0.0 {
             self.busy.push(demand);
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.seconds += other.seconds;
-        self.busy.extend(other.busy);
     }
 
     fn finish(self) -> Self::Output {
@@ -115,19 +117,7 @@ pub struct WorkloadAcc {
     bandwidths_mbps: Vec<f64>,
 }
 
-impl mbw_frame::Codec for WorkloadAcc {
-    fn encode(&self, enc: &mut mbw_frame::Enc) {
-        self.durations_s.encode(enc);
-        self.bandwidths_mbps.encode(enc);
-    }
-
-    fn decode(dec: &mut mbw_frame::Dec<'_>) -> Result<Self, mbw_frame::CodecError> {
-        Ok(Self {
-            durations_s: mbw_frame::Codec::decode(dec)?,
-            bandwidths_mbps: mbw_frame::Codec::decode(dec)?,
-        })
-    }
-}
+mbw_analysis::mergeable! { WorkloadAcc { durations_s, bandwidths_mbps } }
 
 impl<'a> FigureAccumulator<TrialView<'a>> for WorkloadAcc {
     type Output = Result<WorkloadEstimate, EmptyCampaign>;
@@ -137,11 +127,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for WorkloadAcc {
             self.durations_s.push(swift.total_s());
             self.bandwidths_mbps.push(swift.estimate_mbps);
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.durations_s.extend(other.durations_s);
-        self.bandwidths_mbps.extend(other.bandwidths_mbps);
     }
 
     fn finish(mut self) -> Self::Output {

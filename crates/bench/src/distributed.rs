@@ -39,6 +39,7 @@
 
 use crate::eval_sweep::{self, EvalFigureSet, EvalFigures, EVAL_SWEEP_IDS};
 use mbw_analysis::accum::FigureAccumulator;
+use mbw_analysis::summary::Mergeable;
 use mbw_analysis::sweep::FigureSet;
 use mbw_analysis::{stream_partial, stream_unit_count, MeasurementFigures};
 use mbw_core::{run_campaign, CampaignPlan, EvalCounts, ProfileDim};
@@ -585,9 +586,11 @@ impl std::fmt::Debug for Reduced {
 /// Every part is folded the same way, into sets that start empty: its
 /// body streams through one fixed window ([`mbw_frame::WINDOW`]) and
 /// the checksum, and its state is merged into the running sets as it
-/// passes ([`FigureSet::merge_decoded`]), so the reducer holds the
-/// running sets plus one window, whatever `k` is and however large a
-/// part, and never a part's body or a decoded copy of it. The one
+/// passes ([`Mergeable::merge_decoded`] of both sets; a part whose
+/// evaluation state carries another cost seed is refused there), so the
+/// reducer holds the running sets plus one window, whatever `k` is and
+/// however large a part, and never a part's body or a decoded copy of
+/// it. The one
 /// window is lent to every part in turn, so it is allocated once per
 /// reduction, not once per part. The sets' CDF strata hold only the
 /// bins the parts occupy. Every merge
@@ -787,7 +790,7 @@ fn fold_body(
     }
     let merge_start = Instant::now();
     figures.merge_decoded(dec).map_err(body_error)?;
-    eval.merge(EvalFigureSet::decode(dec).map_err(body_error)?);
+    eval.merge_decoded(dec).map_err(body_error)?;
     if !dec.is_done() {
         return Err(body_error(CodecError::Trailing {
             bytes: dec.remaining(),
@@ -1033,6 +1036,49 @@ mod tests {
             }
             Err(other) => panic!("failed with {other}"),
             Ok(_) => panic!("a part with swapped device state reduced"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A part whose evaluation state was built under another cost seed
+    /// passes its checksum and its provenance checks (the seed is not
+    /// part of the job), but its evaluation set is refused by that seed:
+    /// it would finish to another cost report.
+    #[test]
+    fn a_part_under_another_cost_seed_fails_the_reduce() {
+        let cfg = quick_cfg(2);
+        let dir = temp_dir("cost-seed");
+        let plans = write_plans(&cfg, &dir.join("plans")).unwrap();
+        let parts: Vec<PathBuf> = plans
+            .iter()
+            .map(|plan| {
+                let run = run_shard_file(plan, &dir.join("parts"), 1).unwrap();
+                run.path().to_path_buf()
+            })
+            .collect();
+        let (head, body) = read_snapshot(&parts[1]).unwrap();
+        let part = ShardPart {
+            eval: EvalFigureSet::new(COST_SEED ^ 1),
+            ..ShardPart::from_bytes(&body).unwrap()
+        };
+        let bad = dir.join("shard-01-of-02-reseeded.part");
+        write_snapshot(&bad, &head, &part.to_bytes()).unwrap();
+        match reduce_parts(&[parts[0].clone(), bad.clone()], 1) {
+            Err(DistError::Body { path, error }) => {
+                assert_eq!(path, bad);
+                assert!(
+                    matches!(
+                        error,
+                        CodecError::BadTag {
+                            what: "evaluation cost seed",
+                            tag,
+                        } if tag == COST_SEED ^ 1
+                    ),
+                    "{error}"
+                );
+            }
+            Err(other) => panic!("failed with {other}"),
+            Ok(_) => panic!("a part under another cost seed reduced"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -32,6 +32,7 @@ use crate::bts_eval::{
 use crate::deploy_eval::{cost_report_with, WorkloadAcc};
 use crate::fig17::{Fig17, Fig17Acc};
 use mbw_analysis::accum::FigureAccumulator;
+use mbw_analysis::summary::Mergeable;
 use mbw_core::{CampaignPlan, EmptyCampaign, EvalCounts, TrialPool, TrialView, VariantId};
 use mbw_deploy::WorkloadEstimate;
 use mbw_stats::pool;
@@ -184,6 +185,22 @@ pub struct EvalFigureSet {
     cost_seed: u64,
 }
 
+mbw_analysis::mergeable! {
+    EvalFigureSet {
+        fig17,
+        fig20,
+        fig21,
+        fig22,
+        fig23_25,
+        ablations,
+        mmwave,
+        workload,
+        // A part built under another catalog seed would finish to
+        // another cost report: it is refused, not folded in.
+        cost_seed: tag("evaluation cost seed"),
+    } from Self::new(0)
+}
+
 impl EvalFigureSet {
     /// Fresh accumulator; `cost_seed` picks the server-catalog draw the
     /// cost report purchases from.
@@ -199,6 +216,13 @@ impl EvalFigureSet {
             workload: WorkloadAcc::default(),
             cost_seed,
         }
+    }
+
+    /// Fold in a sibling set that observed another part of the campaign
+    /// under the same cost seed: its [`Mergeable`] `merge`, callable
+    /// without the trait in scope.
+    pub fn merge(&mut self, other: Self) {
+        Mergeable::merge(self, other);
     }
 
     /// Finish every evaluation figure on a work pool of `threads`
@@ -272,35 +296,6 @@ impl EvalFigureSet {
     }
 }
 
-impl mbw_frame::Codec for EvalFigureSet {
-    fn encode(&self, enc: &mut mbw_frame::Enc) {
-        self.fig17.encode(enc);
-        self.fig20.encode(enc);
-        self.fig21.encode(enc);
-        self.fig22.encode(enc);
-        self.fig23_25.encode(enc);
-        self.ablations.encode(enc);
-        self.mmwave.encode(enc);
-        self.workload.encode(enc);
-        enc.put_u64(self.cost_seed);
-    }
-
-    fn decode(dec: &mut mbw_frame::Dec<'_>) -> Result<Self, mbw_frame::CodecError> {
-        use mbw_frame::Codec;
-        Ok(Self {
-            fig17: Codec::decode(dec)?,
-            fig20: Codec::decode(dec)?,
-            fig21: Codec::decode(dec)?,
-            fig22: Codec::decode(dec)?,
-            fig23_25: Codec::decode(dec)?,
-            ablations: Codec::decode(dec)?,
-            mmwave: Codec::decode(dec)?,
-            workload: Codec::decode(dec)?,
-            cost_seed: dec.u64()?,
-        })
-    }
-}
-
 impl<'a> FigureAccumulator<TrialView<'a>> for EvalFigureSet {
     type Output = EvalFigures;
 
@@ -313,17 +308,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for EvalFigureSet {
         self.ablations.observe(r);
         self.mmwave.observe(r);
         self.workload.observe(r);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.fig17.merge(other.fig17);
-        self.fig20.merge(other.fig20);
-        self.fig21.merge(other.fig21);
-        self.fig22.merge(other.fig22);
-        self.fig23_25.merge(other.fig23_25);
-        self.ablations.merge(other.ablations);
-        self.mmwave.merge(other.mmwave);
-        self.workload.merge(other.workload);
     }
 
     fn finish(self) -> Self::Output {

@@ -14,7 +14,6 @@ use mbw_analysis::summary::{Mean, Sample};
 use mbw_congestion::CcAlgorithm;
 pub use mbw_core::campaign::BANDWIDTH_BINS;
 use mbw_core::{CampaignPlan, EmptyCampaign, TrialKind, TrialView};
-use mbw_frame::{Codec, CodecError, Dec, Enc};
 use std::fmt::Write as _;
 
 /// Fig 17 data.
@@ -70,17 +69,7 @@ pub struct Fig17Acc {
     cells: [Mean; BANDWIDTH_BINS.len() * CcAlgorithm::ALL.len()],
 }
 
-impl Codec for Fig17Acc {
-    fn encode(&self, enc: &mut Enc) {
-        self.cells.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            cells: Codec::decode(dec)?,
-        })
-    }
-}
+mbw_analysis::mergeable! { Fig17Acc { cells } }
 
 impl<'a> FigureAccumulator<TrialView<'a>> for Fig17Acc {
     type Output = Result<Fig17, EmptyCampaign>;
@@ -89,12 +78,6 @@ impl<'a> FigureAccumulator<TrialView<'a>> for Fig17Acc {
         if let TrialKind::Ramp(alg, bin) = r.spec().kind {
             self.cells[bin as usize * CcAlgorithm::ALL.len() + alg_index(alg)]
                 .push(Sample::new(r.solo().duration_s));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
-            mine.merge(theirs);
         }
     }
 

@@ -14,7 +14,6 @@
 //! `peak_heap_mb` and `alloc_mb_per_pass` of its untraced passes, which
 //! call `reduce_parts`, do.
 
-use mbw_analysis::accum::FigureAccumulator;
 use mbw_analysis::sweep::{FigureSet, SWEEP_IDS};
 use mbw_bench::distributed::{
     collect_parts, reduce_parts, run_shard_file, write_plans, DistConfig, DistError, ShardJob,
