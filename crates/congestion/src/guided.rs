@@ -95,11 +95,9 @@ impl CongestionControl for ModelGuidedCc {
         } else if input.delivery_rate_pps >= self.target_pps * self.margin {
             // Not saturated: escalate to the next most probable larger
             // modal bandwidth, exactly like the UDP prober.
-            let current_mbps = pps_to_mbps(self.target_pps);
-            let next = self
+            let (next, _) = self
                 .model
-                .next_larger_mode(current_mbps)
-                .unwrap_or(current_mbps * self.beyond_growth);
+                .escalate(pps_to_mbps(self.target_pps), self.beyond_growth);
             self.target_pps = mbps_to_pps(next);
         } else {
             // Saturated: track the link (the UDP variant holds its rate;

@@ -297,6 +297,18 @@ impl Gmm {
         self.heaviest(|c| c.mean > current)
     }
 
+    /// One escalation step of a probe paced at `current` that the link
+    /// kept up with: the next larger mode and its component (as
+    /// [`Gmm::next_larger_component`] picks it), or `current × growth`
+    /// and no component once past the largest mode. Swiftest's UDP
+    /// session and its TCP congestion controller both step this way.
+    pub fn escalate(&self, current: f64, growth: f64) -> (f64, Option<usize>) {
+        match self.next_larger_component(current) {
+            Some(i) => (self.components[i].mean, Some(i)),
+            None => (current * growth, None),
+        }
+    }
+
     /// The index of the heaviest component that passes `keep` (the last
     /// one on a tie in weight).
     fn heaviest(&self, keep: impl Fn(&GmmComponent) -> bool) -> Option<usize> {
