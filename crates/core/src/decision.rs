@@ -40,7 +40,7 @@ pub trait ProbeLog: Default {
     /// `estimator` the algorithm that decides when to stop.
     fn start(&mut self, at_ns: u64, prober: &'static str, estimator: &'static str);
     /// `bytes` of test data arrived in the window starting at `at_ns`.
-    fn chunk(&mut self, at_ns: u64, bytes: u64);
+    fn chunk(&mut self, at_ns: u64, bytes: f64);
     /// One throughput sample, for the window ending at `at_ns`.
     fn sample(&mut self, at_ns: u64, mbps: f64);
     /// The probing rate became `mbps`. `mode` is the index of the model
@@ -69,8 +69,8 @@ impl ProbeLog for ProbeTimeline {
         self.record_phase(at_ns, "probe");
     }
 
-    fn chunk(&mut self, at_ns: u64, bytes: u64) {
-        self.record_chunk(at_ns, bytes);
+    fn chunk(&mut self, at_ns: u64, bytes: f64) {
+        self.record_chunk(at_ns, bytes as u64);
     }
 
     fn sample(&mut self, at_ns: u64, mbps: f64) {
@@ -200,7 +200,7 @@ impl DecisionRecord {
 impl ProbeLog for DecisionRecord {
     fn start(&mut self, _at_ns: u64, _prober: &'static str, _estimator: &'static str) {}
 
-    fn chunk(&mut self, _at_ns: u64, _bytes: u64) {}
+    fn chunk(&mut self, _at_ns: u64, _bytes: f64) {}
 
     fn sample(&mut self, _at_ns: u64, _mbps: f64) {
         self.stop_sample = self.stop_sample.saturating_add(1);

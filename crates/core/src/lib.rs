@@ -31,8 +31,10 @@
 //!   every probe result and harness outcome carries.
 //! - [`scenario`] — access-link scenario generation: drawing a concrete
 //!   simulated path (capacity, RTT, loss, fluctuation class) per test.
-//! - [`probe`] — the probers: TCP flooding (with progressive connection
-//!   addition) and Swiftest's paced UDP prober.
+//! - [`session`] — the sans-I/O decision cores of Swiftest's probing
+//!   and of flooding, driven by the simulator and by `mbw-wire`.
+//! - [`probe`] — the simulated probers driving them: TCP flooding (with
+//!   progressive connection addition) and Swiftest's paced UDP prober.
 //! - [`decision`] — the [`decision::ProbeLog`] every prober writes
 //!   into: a full `ProbeTimeline` on request, or a fixed-size, heap-free
 //!   [`decision::DecisionRecord`] of why a test stopped.
@@ -55,6 +57,7 @@ pub mod probe;
 pub mod scenario;
 mod scratch;
 pub mod server;
+pub mod session;
 pub mod tcp_variant;
 
 pub use campaign::{

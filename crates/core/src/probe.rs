@@ -7,9 +7,10 @@
 //! model-guided UDP pacing over the fluid path.
 
 use crate::decision::ProbeLog;
-use crate::estimator::{BandwidthEstimator, EstimatorDecision};
-use crate::outcome::{DegradeReason, FailReason, TestStatus};
+use crate::estimator::BandwidthEstimator;
+use crate::outcome::TestStatus;
 use crate::scratch::TestScratch;
+use crate::session::{FloodNext, FloodingSession, Next, SwiftestSession};
 use crate::SAMPLE_INTERVAL_MS;
 use mbw_congestion::{CcAlgorithm, Controller, MultiFlowConfig, MultiFlowSim};
 use mbw_netsim::{PathModel, SimTime};
@@ -154,25 +155,12 @@ pub(crate) fn run_flooding_logged<L: ProbeLog>(
     config: &FloodingConfig,
     seed: u64,
 ) -> ProbeResult<L> {
-    let mut next_threshold = 0usize;
     drive_tcp_test(
         scratch.sim(path, tcp_config(seed)),
         config.cc.build(),
         "flooding",
         estimator,
-        config.max_duration,
-        |sim, log: &mut L, at_ns, mbps| {
-            // Progressive connection addition (§2).
-            while next_threshold < config.thresholds.len()
-                && mbps >= config.thresholds[next_threshold]
-            {
-                next_threshold += 1;
-                if sim.flow_count() < config.max_connections {
-                    sim.add_flow(config.cc);
-                    log.flows(at_ns, sim.flow_count());
-                }
-            }
-        },
+        config,
     )
 }
 
@@ -185,67 +173,47 @@ pub(crate) fn tcp_config(seed: u64) -> MultiFlowConfig {
     }
 }
 
-/// The one loop behind every TCP-based test: step `first_flow` on `sim`
-/// (fresh on the test's path, with no flow yet) round by round, drain
-/// the 50 ms samples each round finishes (each is handed out once — see
-/// `MultiFlowSim::next_sample`), record them, and stop when `estimator`
-/// converges or `max_duration` passes. `after_sample` runs between
-/// recording a sample and pushing it into the estimator; the flooding
-/// prober adds connections there.
+/// The one driver of every TCP-based test: step `first_flow` on `sim`
+/// (fresh on the test's path) round by round, hand each 50 ms sample
+/// (each once — see `MultiFlowSim::next_sample`) to a
+/// [`FloodingSession`] over `config`'s ladder, add the `config.cc`
+/// connections it asks for, and stop when it says so or at the cap.
 pub(crate) fn drive_tcp_test<L: ProbeLog>(
     sim: &mut MultiFlowSim,
     first_flow: Controller,
     prober: &'static str,
     estimator: &mut dyn BandwidthEstimator,
-    max_duration: Duration,
-    mut after_sample: impl FnMut(&mut MultiFlowSim, &mut L, u64, f64),
+    config: &FloodingConfig,
 ) -> ProbeResult<L> {
-    sim.reserve_horizon(max_duration);
+    sim.reserve_horizon(config.max_duration);
     sim.add_flow(first_flow);
 
     let mut log = L::default();
     log.start(0, prober, estimator.name());
+    let (ladder, max_flows) = (config.thresholds, config.max_connections);
+    let mut session = FloodingSession::new(estimator, ladder, max_flows, &mut log);
+    let mut end = config.max_duration;
 
-    let mut sampled = false;
-    let mut final_estimate = None;
-    let mut end = max_duration;
-
-    'outer: while sim.now() < max_duration {
+    'outer: while sim.now() < config.max_duration {
         sim.step_round();
         while let Some(s) = sim.next_sample() {
-            let mbps = s.bps / 1e6;
-            sampled = true;
-            let at_ns = s.at.as_nanos() as u64;
-            log.sample(at_ns, mbps);
-            after_sample(sim, &mut log, at_ns, mbps);
-            if let EstimatorDecision::Done(v) = estimator.push(mbps) {
-                final_estimate = Some(v);
-                end = s.at;
-                log.converged(at_ns, v, estimator.stop_rule());
-                break 'outer;
+            match session.on_sample(s.at.as_nanos() as u64, s.bps / 1e6) {
+                FloodNext::Continue => {}
+                FloodNext::AddFlows(n) => (0..n).for_each(|_| sim.add_flow(config.cc)),
+                FloodNext::Stop => {
+                    end = s.at;
+                    break 'outer;
+                }
             }
         }
     }
 
-    let (_, delivered, _) = sim.totals();
-    let estimate = final_estimate
-        .or_else(|| estimator.finalize())
-        .unwrap_or(0.0);
-    let status = if estimate <= 0.0 || !sampled {
-        TestStatus::Failed(FailReason::NoData)
-    } else if final_estimate.is_some() {
-        TestStatus::Complete
-    } else {
-        // The cap fired before the stop rule; the finalize() fallback is
-        // an estimate over whatever was observed.
-        TestStatus::Degraded(DegradeReason::Convergence)
-    };
     let duration = end.min(sim.now());
-    log.finish(duration.as_nanos() as u64, estimate, status);
+    let (estimate_mbps, status) = session.finish(duration);
     ProbeResult {
         duration,
-        data_bytes: delivered,
-        estimate_mbps: estimate,
+        data_bytes: sim.totals().1,
+        estimate_mbps,
         status,
         timeline: log,
     }
@@ -289,12 +257,9 @@ pub fn run_swiftest(
     run_swiftest_logged(path, model, estimator, config, seed)
 }
 
-/// A model component index as a [`ProbeLog`] names it.
-fn component(i: usize) -> Option<u8> {
-    u8::try_from(i).ok()
-}
-
-/// [`run_swiftest`], recording into any [`ProbeLog`].
+/// [`run_swiftest`], recording into any [`ProbeLog`]: one
+/// [`SwiftestSession`] driven over the fluid path, a paced step per
+/// window.
 pub(crate) fn run_swiftest_logged<L: ProbeLog>(
     mut path: PathModel,
     model: &Gmm,
@@ -304,25 +269,14 @@ pub(crate) fn run_swiftest_logged<L: ProbeLog>(
 ) -> ProbeResult<L> {
     let step = Duration::from_millis(SAMPLE_INTERVAL_MS);
     // Initial control handshake: one RTT before data flows.
-    let handshake = path.base_rtt();
-    let mut t = SimTime::ZERO + handshake;
-    let dominant = model.dominant_component();
-    let dominant_mbps = model.components()[dominant].mean;
-    let mut rate_mbps = dominant_mbps.max(1.0);
+    let mut t = SimTime::ZERO + path.base_rtt();
     let mut data_bytes = 0.0;
-    let mut estimate = None;
-    let mut gap_windows = 0usize;
-    let deadline = SimTime::ZERO + config.max_duration;
 
     let mut log = L::default();
     log.start(t.as_nanos(), "swiftest-udp", estimator.name());
-    // A dominant mode under 1 Mbps is probed at 1 Mbps, which is no
-    // component's mode.
-    let initial_mode = (rate_mbps == dominant_mbps).then_some(dominant);
-    log.rate(t.as_nanos(), rate_mbps, initial_mode.and_then(component));
-
-    while t < deadline {
-        let window_start = t;
+    let (mut session, mut rate_mbps) =
+        SwiftestSession::new(model, estimator, config, t.as_nanos(), &mut log);
+    loop {
         let delivered = path.paced_step(t, step, rate_mbps * 1e6).delivered_bytes;
         t += step;
         // Data usage: bytes that reach the client. Overshoot beyond the
@@ -330,53 +284,14 @@ pub(crate) fn run_swiftest_logged<L: ProbeLog>(
         // it does not bill the user (which is how the paper's 32 MB per
         // 5G test comes out of a ~1 s test at ~300 Mbps).
         data_bytes += delivered;
-        let mbps = delivered * 8.0 / step.as_secs_f64() / 1e6;
-        log.chunk(window_start.as_nanos(), delivered as u64);
-        log.sample(t.as_nanos(), mbps);
-
-        if delivered <= 0.0 {
-            // Delivery gap (link blackout): feeding the zero into the
-            // estimator would converge it toward a bandwidth the link
-            // does not have. Count the gap and keep probing so the test
-            // resumes when the radio comes back.
-            gap_windows += 1;
-            log.stall(t.as_nanos());
-            continue;
-        }
-
-        match estimator.push(mbps) {
-            EstimatorDecision::Done(v) => {
-                estimate = Some(v);
-                log.converged(t.as_nanos(), v, estimator.stop_rule());
-                break;
-            }
-            EstimatorDecision::Continue => {}
-        }
-        // Saturation check (§5.1): the latest sample *not* falling below
-        // the probing rate means there is headroom — tune the rate to
-        // the most probable larger modal bandwidth.
-        if mbps >= rate_mbps * config.saturation_margin {
-            let mode = model.next_larger_component(rate_mbps);
-            rate_mbps = match mode {
-                Some(i) => model.components()[i].mean,
-                None => rate_mbps * config.beyond_mode_growth,
-            };
-            log.rate(t.as_nanos(), rate_mbps, mode.and_then(component));
+        match session.on_window(t.as_nanos(), delivered) {
+            Next::Probe { rate_mbps: next } => rate_mbps = next,
+            Next::Stop => break,
         }
     }
 
-    let estimate_mbps = estimate.or_else(|| estimator.finalize()).unwrap_or(0.0);
-    let status = if estimate_mbps <= 0.0 {
-        TestStatus::Failed(FailReason::NoData)
-    } else if gap_windows > 0 {
-        TestStatus::Degraded(DegradeReason::Blackout)
-    } else if estimate.is_none() {
-        TestStatus::Degraded(DegradeReason::Convergence)
-    } else {
-        TestStatus::Complete
-    };
     let duration = t.saturating_since(SimTime::ZERO);
-    log.finish(duration.as_nanos() as u64, estimate_mbps, status);
+    let (estimate_mbps, status) = session.finish(duration, None);
     ProbeResult {
         duration,
         data_bytes,

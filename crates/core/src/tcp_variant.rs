@@ -22,7 +22,7 @@
 //! the other controllers in `mbw-congestion` and is re-exported here.
 
 use crate::estimator::{BandwidthEstimator, ConvergenceEstimator};
-use crate::probe::{drive_tcp_test, tcp_config, ProbeResult, SwiftestConfig};
+use crate::probe::{drive_tcp_test, tcp_config, FloodingConfig, ProbeResult, SwiftestConfig};
 pub use mbw_congestion::ModelGuidedCc;
 use mbw_congestion::MultiFlowSim;
 use mbw_netsim::PathModel;
@@ -36,6 +36,12 @@ pub fn run_swiftest_tcp(
     config: &SwiftestConfig,
     seed: u64,
 ) -> ProbeResult {
+    // No ladder: the variant is one connection throughout.
+    let one_flow = FloodingConfig {
+        max_duration: config.max_duration,
+        thresholds: &[],
+        ..FloodingConfig::bts_app()
+    };
     drive_tcp_test(
         &mut MultiFlowSim::new(path, tcp_config(seed)),
         ModelGuidedCc::new(
@@ -46,8 +52,7 @@ pub fn run_swiftest_tcp(
         .into(),
         "swiftest-tcp",
         estimator,
-        config.max_duration,
-        |_, _, _, _| {},
+        &one_flow,
     )
 }
 

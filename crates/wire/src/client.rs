@@ -1,25 +1,25 @@
-//! The Swiftest wire client.
+//! The Swiftest wire client: a socket driver of `mbw-core`'s
+//! [`SwiftestSession`], the same decision core the simulator drives.
 //!
-//! The socket-level twin of `mbw-core`'s simulated prober: PING the
-//! candidate servers (all at once, from one socket) and pick the
-//! fastest, request the model's most probable modal rate, sample
-//! goodput every 50 ms, escalate to the next larger mode while
-//! unsaturated, and stop when the last ten samples agree within 3%
-//! (§5.1, §5.3).
-//!
-//! Resilience: the PING phase retries with bounded exponential backoff
-//! and returns a typed error when the whole fleet is dead; the probe
-//! phase detects a server that goes quiet (`stall_timeout`) and fails
-//! over to the next-best server, falling back to the partial estimate
-//! (flagged Degraded) when no later server completes a test; feedback
-//! losses are tolerated outright. Every report carries a
-//! [`TestStatus`] confidence flag.
+//! The session decides (§5.1): the first rate, each escalation, the
+//! stop, the estimate and the status. This module keeps the I/O: PING
+//! the candidate servers from one socket and rank them, the HELLO/ADMIT
+//! handshake, rate requests and feedback, a window every 50 ms from the
+//! first datagram on (§5.3), and failover. The PING phase retries with
+//! jittered backoff and returns a typed error when the whole fleet is
+//! dead; a server that goes quiet for `stall_timeout` fails the test
+//! over to the next-best one, keeping its partial estimate (flagged
+//! Degraded) only if no later server completes a test.
 
 use crate::error::{RetryPolicy, TestPhase, WireError};
 use crate::proto::Message;
 use crate::server::{is_timeout, Ticker, UdpTestServer};
-use mbw_core::estimator::{BandwidthEstimator, ConvergenceEstimator, EstimatorDecision};
-use mbw_core::outcome::{DegradeReason, FailReason, TestStatus};
+use mbw_core::decision::ProbeLog;
+use mbw_core::estimator::{BandwidthEstimator, ConvergenceEstimator};
+use mbw_core::outcome::{DegradeReason, TestStatus};
+use mbw_core::probe::SwiftestConfig;
+use mbw_core::session::{Next, SwiftestSession};
+use mbw_core::SAMPLE_INTERVAL_MS;
 use mbw_stats::Gmm;
 use mbw_telemetry::trace::ArgValue;
 use mbw_telemetry::{ProbeTimeline, TimelineEvent, Tracer};
@@ -49,8 +49,9 @@ fn recv_before(socket: &UdpSocket, deadline: Instant, buf: &mut [u8]) -> Option<
 /// Servers that answered a PING round, with their round-trip times.
 type Ranking = Vec<(SocketAddr, Duration)>;
 
-/// Credentials for the HELLO/ADMIT admission handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Credentials for the HELLO/ADMIT admission handshake (by default
+/// anonymous: tenant and token 0).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionAuth {
     /// Tenant identifier.
     pub tenant: u64,
@@ -61,15 +62,10 @@ pub struct SessionAuth {
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct WireTestConfig {
-    /// Hard cap on probing time.
-    pub max_duration: Duration,
-    /// Sampling interval (the paper's 50 ms).
-    pub sample_interval: Duration,
-    /// A sample at or above this fraction of the probing rate means the
-    /// link is not saturated — escalate.
-    pub saturation_margin: f64,
-    /// Rate growth beyond the model's largest mode.
-    pub beyond_mode_growth: f64,
+    /// The probing rules: the time cap, the saturation margin, the growth
+    /// past the largest mode. The wire default escalates at 90% of the
+    /// rate, not 96%: real windows fall a few percent short of it.
+    pub swiftest: SwiftestConfig,
     /// PING timeout per server.
     pub ping_timeout: Duration,
     /// Convergence tolerance over the last ten samples. The simulator
@@ -97,10 +93,10 @@ pub struct WireTestConfig {
 impl Default for WireTestConfig {
     fn default() -> Self {
         Self {
-            max_duration: Duration::from_millis(4_500),
-            sample_interval: Duration::from_millis(50),
-            saturation_margin: 0.90,
-            beyond_mode_growth: 1.5,
+            swiftest: SwiftestConfig {
+                saturation_margin: 0.90,
+                ..SwiftestConfig::default()
+            },
             ping_timeout: Duration::from_millis(500),
             convergence_tolerance: 0.05,
             retry: RetryPolicy::default(),
@@ -123,16 +119,15 @@ pub struct WireTestReport {
     pub ping_time: Duration,
     /// Bytes received.
     pub data_bytes: u64,
-    /// The 50 ms samples, Mbps.
-    pub samples: Vec<f64>,
     /// The server that served the test.
     pub server: SocketAddr,
     /// How the test completed (converged / partial / nothing usable).
     pub status: TestStatus,
     /// How many ranked servers were abandoned before this one answered.
     pub failovers: u32,
-    /// Per-event record of the test: phase starts, throughput samples,
-    /// rate escalations, stalls, retries, failovers, convergence. The
+    /// Per-event record of the test: phase starts, each window's bytes
+    /// and sample, rate escalations, stalls, retries, failovers,
+    /// convergence. The
     /// epoch (`at_ns` = 0) is the successful probe's start; selection
     /// events (retries, failovers) that happened before it are recorded
     /// at 0, and the PING overhead is in the `ping_ms` metadata key.
@@ -175,12 +170,8 @@ impl SwiftestClient {
         let mut live = Vec::new();
         let mut buf = [0u8; 64];
         while pending.iter().any(Option::is_some) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || socket.set_read_timeout(Some(left)).is_err() {
+            let Some(len) = recv_before(&socket, deadline, &mut buf) else {
                 break;
-            }
-            let Ok(len) = socket.recv(&mut buf) else {
-                continue;
             };
             if let Ok(Message::Pong { nonce }) = Message::decode(&buf[..len]) {
                 let i = usize::try_from(nonce.wrapping_sub(NONCE_BASE)).unwrap_or(usize::MAX);
@@ -194,20 +185,11 @@ impl SwiftestClient {
 
     /// PING every candidate concurrently, retrying dead rounds per the
     /// configured [`RetryPolicy`]; return the responders sorted fastest
-    /// first plus the total selection time. A fleet where *nobody*
-    /// answers any round yields [`WireError::NoServerReachable`].
+    /// first, the total selection time and the PING rounds it took (1 =
+    /// no retries, so callers can record the retries on a timeline). A
+    /// fleet where *nobody* answers any round yields
+    /// [`WireError::NoServerReachable`].
     pub fn rank_servers(
-        &self,
-        candidates: &[SocketAddr],
-    ) -> Result<(Ranking, Duration), WireError> {
-        let (ranked, elapsed, _rounds) = self.rank_servers_traced(candidates)?;
-        Ok((ranked, elapsed))
-    }
-
-    /// [`rank_servers`](Self::rank_servers), additionally reporting how
-    /// many PING rounds it took (1 = no retries) so callers can record
-    /// the retries on a timeline.
-    pub fn rank_servers_traced(
         &self,
         candidates: &[SocketAddr],
     ) -> Result<(Ranking, Duration, u32), WireError> {
@@ -219,27 +201,15 @@ impl SwiftestClient {
         // blackout cuts off whole fleets at once, and identical delays
         // would bring every client back in the same synchronized wave.
         let mut backoff = self.config.retry.backoff(fresh_session_id());
-        for round in 0..rounds {
+        let (mut live, mut round) = (Vec::new(), 0);
+        while live.is_empty() && round < rounds {
             if round > 0 {
                 std::thread::sleep(backoff.next_delay());
             }
-            let mut live = self.ping_round(candidates);
-            if !live.is_empty() {
-                live.sort_by_key(|&(_, rtt)| rtt);
-                spans.end_with(
-                    rank_span,
-                    0,
-                    "client.rank",
-                    "wire",
-                    vec![
-                        ("candidates", ArgValue::U64(candidates.len() as u64)),
-                        ("alive", ArgValue::U64(live.len() as u64)),
-                        ("rounds", ArgValue::U64(u64::from(round + 1))),
-                    ],
-                );
-                return Ok((live, started.elapsed(), round + 1));
-            }
+            live = self.ping_round(candidates);
+            round += 1;
         }
+        live.sort_by_key(|&(_, rtt)| rtt);
         spans.end_with(
             rank_span,
             0,
@@ -247,38 +217,32 @@ impl SwiftestClient {
             "wire",
             vec![
                 ("candidates", ArgValue::U64(candidates.len() as u64)),
-                ("alive", ArgValue::U64(0)),
-                ("rounds", ArgValue::U64(u64::from(rounds))),
+                ("alive", ArgValue::U64(live.len() as u64)),
+                ("rounds", ArgValue::U64(u64::from(round))),
             ],
         );
-        Err(WireError::NoServerReachable {
-            attempted: candidates.len(),
-            rounds,
-        })
+        if live.is_empty() {
+            return Err(WireError::NoServerReachable {
+                attempted: candidates.len(),
+                rounds,
+            });
+        }
+        Ok((live, started.elapsed(), round))
     }
 
-    /// PING every candidate; return `(fastest server,
-    /// its RTT, total selection time)`.
-    pub fn select_server(
-        &self,
-        candidates: &[SocketAddr],
-    ) -> Result<(SocketAddr, Duration, Duration), WireError> {
-        let (ranked, elapsed) = self.rank_servers(candidates)?;
-        let (addr, rtt) = ranked[0];
-        Ok((addr, rtt, elapsed))
-    }
-
-    /// The HELLO/ADMIT handshake: retries with decorrelated jitter when
-    /// the answer is lost, errors typed `Rejected` when the server says
-    /// no, and `Deadline(Admission)` when it never answers.
-    fn admit_session(
+    /// The HELLO/ADMIT handshake in up to `attempts` tries, with
+    /// decorrelated jitter between them: `Ok` on ADMIT, `Rejected` on
+    /// REJECT, `Deadline(Admission)` on silence. Without credentials one
+    /// anonymous try carries the trace id and its outcome is ignored; the
+    /// reply is still consumed, so it cannot pollute the probe's bytes.
+    fn hello(
         &self,
         socket: &UdpSocket,
         server: SocketAddr,
         auth: SessionAuth,
         session: u64,
+        attempts: u32,
     ) -> Result<(), WireError> {
-        let attempts = self.config.retry.attempts.max(1);
         let mut backoff = self.config.retry.backoff(session ^ auth.tenant);
         let hello = Message::Hello {
             tenant: auth.tenant,
@@ -311,198 +275,48 @@ impl SwiftestClient {
         })
     }
 
-    /// Trace propagation without credentials: one best-effort anonymous
-    /// HELLO carrying the trace id. Servers answer ADMIT (lab) or
-    /// REJECT (enforced admission); either way the reply is consumed so
-    /// it cannot pollute the probe's byte counting, and silence is
-    /// tolerated — a server that ignores HELLO only costs one
-    /// handshake timeout, never the test.
-    fn propagate_trace(&self, socket: &UdpSocket, session: u64) {
-        let hello = Message::Hello {
-            tenant: 0,
-            token: 0,
-            session,
-            trace: self.config.tracer.trace_id(),
-        }
-        .encode();
-        if socket.send(&hello).is_err() {
-            return;
-        }
-        let wait = Instant::now() + self.config.handshake_timeout;
-        let mut buf = [0u8; 64];
-        while let Some(len) = recv_before(socket, wait, &mut buf) {
-            match Message::decode(&buf[..len]) {
-                Ok(Message::Admit { session: s }) | Ok(Message::Reject { session: s, .. })
-                    if s == session =>
-                {
-                    return;
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// Run one full test against the chosen server.
     pub fn run_test(&self, server: SocketAddr) -> Result<WireTestReport, WireError> {
         let socket = UdpSocket::bind("127.0.0.1:0")?;
         socket.connect(server)?;
         let session = fresh_session_id();
-
         let mut spans = self.config.tracer.local();
         let test_span = spans.begin();
-
-        if let Some(auth) = self.config.auth {
-            let admit_span = spans.begin();
-            let admitted = self.admit_session(&socket, server, auth, session);
+        let hello_span = spans.begin();
+        let admitted = match self.config.auth {
+            Some(auth) => {
+                let attempts = self.config.retry.attempts.max(1);
+                let admitted = self.hello(&socket, server, auth, session, attempts);
+                let ok = ("ok", ArgValue::U64(admitted.is_ok() as u64));
+                let args = vec![("session", ArgValue::U64(session)), ok];
+                spans.end_with(hello_span, test_span.id, "client.admit", "wire", args);
+                admitted
+            }
+            None if self.config.tracer.enabled() => {
+                let _ = self.hello(&socket, server, SessionAuth::default(), session, 1);
+                spans.end(hello_span, test_span.id, "client.hello", "wire");
+                Ok(())
+            }
+            None => Ok(()),
+        };
+        let report = admitted.and_then(|()| {
+            let probe_span = spans.begin();
+            let report = self.probe(&socket, server, session)?;
+            let samples = report.timeline.trajectory().len() as u64;
             spans.end_with(
-                admit_span,
+                probe_span,
                 test_span.id,
-                "client.admit",
+                "client.probe",
                 "wire",
                 vec![
                     ("session", ArgValue::U64(session)),
-                    ("ok", ArgValue::U64(admitted.is_ok() as u64)),
+                    ("bytes", ArgValue::U64(report.data_bytes)),
+                    ("samples", ArgValue::U64(samples)),
+                    ("estimate_mbps", ArgValue::F64(report.estimate_mbps)),
                 ],
             );
-            if let Err(e) = admitted {
-                spans.end_with(
-                    test_span,
-                    0,
-                    "client.run_test",
-                    "wire",
-                    vec![("session", ArgValue::U64(session))],
-                );
-                return Err(e);
-            }
-        } else if self.config.tracer.enabled() {
-            let hello_span = spans.begin();
-            self.propagate_trace(&socket, session);
-            spans.end(hello_span, test_span.id, "client.hello", "wire");
-        }
-
-        let mut rate_mbps = self.model.dominant_mode().max(1.0);
-        let mut timeline = ProbeTimeline::new();
-        timeline.annotate("prober", "swiftest-wire");
-        timeline.annotate("server", &server.to_string());
-        if let Some(auth) = self.config.auth {
-            timeline.annotate("tenant", &auth.tenant.to_string());
-        }
-        timeline.record_phase(0, "probe");
-        timeline.record_rate(0, rate_mbps);
-        let probe_span = spans.begin();
-        socket.send(
-            &Message::RateRequest {
-                session,
-                rate_bps: (rate_mbps * 1e6) as u64,
-            }
-            .encode(),
-        )?;
-
-        let mut estimator = ConvergenceEstimator::new(10, self.config.convergence_tolerance, 0);
-        let started = Instant::now();
-        let mut tick = Ticker::new(self.config.sample_interval);
-
-        let mut total_bytes = 0u64;
-        let mut window_bytes = 0u64;
-        let mut samples = Vec::new();
-        let mut estimate = None;
-        let mut gap_windows = 0u32;
-        let mut degraded: Option<DegradeReason> = None;
-        let mut last_rx = Instant::now();
-        let mut buf = vec![0u8; 2048];
-
-        // Each turn either takes a due tick (ticks first) or waits for a
-        // datagram until the next tick is due.
-        while started.elapsed() < self.config.max_duration {
-            let wait = tick.until_due();
-            if !wait.is_zero() {
-                socket.set_read_timeout(Some(wait))?;
-                match socket.recv(&mut buf) {
-                    Ok(len) => {
-                        total_bytes += len as u64;
-                        window_bytes += len as u64;
-                        last_rx = Instant::now();
-                    }
-                    Err(e) if is_timeout(&e) => {}
-                    // Transient socket errors (e.g. a connected UDP
-                    // socket surfacing ICMP refusals) are not fatal by
-                    // themselves — the stall watchdog bounds how long we
-                    // tolerate them. Yield briefly so an erroring socket
-                    // cannot spin the loop hot.
-                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                }
-                continue;
-            }
-            tick.advance();
-            let bytes_this_window = window_bytes;
-            window_bytes = 0;
-            let now_ns = started.elapsed().as_nanos() as u64;
-            let mbps =
-                bytes_this_window as f64 * 8.0 / self.config.sample_interval.as_secs_f64() / 1e6;
-            samples.push(mbps);
-            timeline.record_sample(now_ns, mbps);
-            // Stall watchdog: total silence for longer than the
-            // threshold means the server is gone, not slow.
-            if last_rx.elapsed() >= self.config.stall_timeout {
-                timeline.record(now_ns, TimelineEvent::Stall);
-                if total_bytes == 0 {
-                    return Err(WireError::ServerStalled {
-                        server,
-                        idle: last_rx.elapsed(),
-                    });
-                }
-                degraded = Some(DegradeReason::Stall);
-                break;
-            }
-            // Feedback keeps the server informed (and exercises the
-            // protocol's reverse path); its loss is harmless.
-            let feedback = Message::Feedback {
-                session,
-                received_bytes: total_bytes,
-            };
-            let _ = socket.send(&feedback.encode());
-            if bytes_this_window == 0 {
-                // Empty windows (startup, or a transient outage) never
-                // feed the estimator: a run of zeros must not converge
-                // to a zero estimate.
-                if total_bytes > 0 {
-                    gap_windows += 1;
-                }
-                continue;
-            }
-            if let EstimatorDecision::Done(v) = estimator.push(mbps) {
-                estimate = Some(v);
-                timeline.record(now_ns, TimelineEvent::Converged { estimate_mbps: v });
-                break;
-            }
-            if mbps >= rate_mbps * self.config.saturation_margin {
-                rate_mbps = self
-                    .model
-                    .next_larger_mode(rate_mbps)
-                    .unwrap_or(rate_mbps * self.config.beyond_mode_growth);
-                timeline.record_rate(now_ns, rate_mbps);
-                let request = Message::RateRequest {
-                    session,
-                    rate_bps: (rate_mbps * 1e6) as u64,
-                };
-                let _ = socket.send(&request.encode());
-            }
-        }
-        let _ = socket.send(&Message::Stop { session }.encode());
-
-        let estimate_mbps = estimate.or_else(|| estimator.finalize()).unwrap_or(0.0);
-        spans.end_with(
-            probe_span,
-            test_span.id,
-            "client.probe",
-            "wire",
-            vec![
-                ("session", ArgValue::U64(session)),
-                ("bytes", ArgValue::U64(total_bytes)),
-                ("samples", ArgValue::U64(samples.len() as u64)),
-                ("estimate_mbps", ArgValue::F64(estimate_mbps)),
-            ],
-        );
+            Ok(report)
+        });
         spans.end_with(
             test_span,
             0,
@@ -513,29 +327,103 @@ impl SwiftestClient {
                 ("server", ArgValue::Text(server.to_string())),
             ],
         );
-        let status = if estimate_mbps <= 0.0 {
-            TestStatus::Failed(FailReason::NoData)
-        } else if let Some(reason) = degraded {
-            TestStatus::Degraded(reason)
-        } else if gap_windows > 0 {
-            TestStatus::Degraded(DegradeReason::Blackout)
-        } else if estimate.is_none() {
-            TestStatus::Degraded(DegradeReason::Convergence)
-        } else {
-            TestStatus::Complete
+        report
+    }
+
+    /// The probe phase on an admitted `session`: a socket driver of one
+    /// [`SwiftestSession`]. It reads datagrams, closes a window every
+    /// 50 ms from the first one on, sends feedback and the rates the
+    /// session asks for, and watches for a stalled server.
+    fn probe(
+        &self,
+        socket: &UdpSocket,
+        server: SocketAddr,
+        session: u64,
+    ) -> Result<WireTestReport, WireError> {
+        let mut estimator = ConvergenceEstimator::new(10, self.config.convergence_tolerance, 0);
+        let mut timeline = ProbeTimeline::new();
+        timeline.annotate("server", &server.to_string());
+        if let Some(auth) = self.config.auth {
+            timeline.annotate("tenant", &auth.tenant.to_string());
+        }
+        timeline.start(0, "swiftest-wire", estimator.name());
+        let started = Instant::now();
+        let rules = &self.config.swiftest;
+        let (mut probe, mut rate_mbps) =
+            SwiftestSession::new(&self.model, &mut estimator, rules, 0, &mut timeline);
+        let request = |rate_mbps: f64| {
+            let rate_bps = (rate_mbps * 1e6) as u64;
+            socket.send(&Message::RateRequest { session, rate_bps }.encode())
         };
+        request(rate_mbps)?;
+
+        // The first window opens at the first datagram; until then only
+        // the stall watchdog runs.
+        let mut tick: Option<Ticker> = None;
+        let (mut total_bytes, mut window_bytes) = (0u64, 0u64);
+        let mut last_rx = started;
+        let mut buf = vec![0u8; 2048];
+        // Each turn either waits for a datagram until the next window is
+        // due or closes the due window.
+        let stalled = loop {
+            let wait = match &tick {
+                Some(t) => t.until_due(),
+                None => self.config.stall_timeout.saturating_sub(last_rx.elapsed()),
+            };
+            if !wait.is_zero() {
+                socket.set_read_timeout(Some(wait))?;
+                match socket.recv(&mut buf) {
+                    Ok(len) => {
+                        let window = Duration::from_millis(SAMPLE_INTERVAL_MS);
+                        tick.get_or_insert_with(|| Ticker::new(window));
+                        total_bytes += len as u64;
+                        window_bytes += len as u64;
+                        last_rx = Instant::now();
+                    }
+                    Err(e) if is_timeout(&e) => {}
+                    // A transient error (an ICMP refusal on the connected
+                    // socket) is bounded by the stall watchdog; yield so
+                    // an erroring socket cannot spin the loop hot.
+                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                }
+                continue;
+            }
+            // No window ever opened: the server never sent a byte.
+            let Some(t) = tick.as_mut() else {
+                let idle = last_rx.elapsed();
+                return Err(WireError::ServerStalled { server, idle });
+            };
+            t.advance();
+            let now_ns = started.elapsed().as_nanos() as u64;
+            let next = probe.on_window(now_ns, std::mem::take(&mut window_bytes) as f64);
+            // Stall watchdog: total silence for longer than the threshold
+            // means the server is gone, not slow.
+            if last_rx.elapsed() >= self.config.stall_timeout {
+                break Some(DegradeReason::Stall);
+            }
+            // Feedback keeps the server informed (and exercises the
+            // protocol's reverse path); its loss is harmless.
+            let feedback = Message::Feedback {
+                session,
+                received_bytes: total_bytes,
+            };
+            let _ = socket.send(&feedback.encode());
+            let Next::Probe { rate_mbps: next } = next else {
+                break None;
+            };
+            if next != rate_mbps {
+                rate_mbps = next;
+                let _ = request(rate_mbps);
+            }
+        };
+        let _ = socket.send(&Message::Stop { session }.encode());
         let duration = started.elapsed();
-        timeline.finish(
-            duration.as_nanos() as u64,
-            estimate_mbps,
-            &status.to_string(),
-        );
+        let (estimate_mbps, status) = probe.finish(duration, stalled);
         Ok(WireTestReport {
             estimate_mbps,
             duration,
             ping_time: Duration::ZERO,
             data_bytes: total_bytes,
-            samples,
             server,
             status,
             failovers: 0,
@@ -577,34 +465,30 @@ impl SwiftestClient {
             if failovers > 0 && report.status.is_complete() {
                 report.status = TestStatus::Degraded(DegradeReason::ServerSwitch);
             }
-            report
-                .timeline
-                .annotate("ping_ms", &format!("{}", ping_time.as_millis()));
+            let timeline = &mut report.timeline;
+            timeline.annotate("ping_ms", &ping_time.as_millis().to_string());
             for attempt in 1..=failovers {
                 // Abandoned servers pre-date the successful probe's
                 // epoch; record them at its origin.
-                report
-                    .timeline
-                    .record(0, TimelineEvent::Failover { attempt });
+                timeline.record(0, TimelineEvent::Failover { attempt });
             }
             return Ok(report);
         }
         // More than one server tried: summarise; one: keep the specific
         // error (e.g. ServerStalled) so the caller sees the real cause.
-        if ranked.len() > 1 {
-            Err(WireError::AllServersFailed {
+        Err(match last_err {
+            Some(e) if ranked.len() == 1 => e,
+            _ => WireError::AllServersFailed {
                 attempted: ranked.len(),
-            })
-        } else {
-            Err(last_err.unwrap_or(WireError::AllServersFailed { attempted: 0 }))
-        }
+            },
+        })
     }
 
     /// Select a server among `candidates` and run the test — the whole
     /// user-visible flow, with failover to the next-best server if the
     /// chosen one dies mid-test.
     pub fn measure(&self, candidates: &[SocketAddr]) -> Result<WireTestReport, WireError> {
-        let (ranked, ping_time, rounds) = self.rank_servers_traced(candidates)?;
+        let (ranked, ping_time, rounds) = self.rank_servers(candidates)?;
         let order: Vec<SocketAddr> = ranked.iter().map(|&(addr, _)| addr).collect();
         let mut report = self.measure_ranked(&order, ping_time)?;
         for round in 2..=rounds {
@@ -621,16 +505,14 @@ pub fn spawn_local_fleet(
     n: usize,
     emulated_capacity_bps: Option<u64>,
 ) -> std::io::Result<(Vec<UdpTestServer>, Vec<SocketAddr>)> {
-    let mut servers = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let server = UdpTestServer::start(crate::server::ServerConfig {
-            emulated_capacity_bps,
-            ..Default::default()
-        })?;
-        addrs.push(server.local_addr());
-        servers.push(server);
-    }
+    let config = crate::server::ServerConfig {
+        emulated_capacity_bps,
+        ..Default::default()
+    };
+    let servers = (0..n)
+        .map(|_| UdpTestServer::start(config.clone()))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let addrs = servers.iter().map(UdpTestServer::local_addr).collect();
     Ok((servers, addrs))
 }
 
@@ -648,7 +530,8 @@ mod tests {
     fn selects_the_only_live_server() {
         let (servers, addrs) = spawn_local_fleet(3, None).unwrap();
         let client = SwiftestClient::new(low_rate_model(), WireTestConfig::default());
-        let (chosen, rtt, total) = client.select_server(&addrs).unwrap();
+        let (ranked, total, _) = client.rank_servers(&addrs).unwrap();
+        let (chosen, rtt) = ranked[0];
         assert!(addrs.contains(&chosen));
         assert!(rtt < Duration::from_millis(100));
         assert!(total < Duration::from_secs(1));
@@ -661,7 +544,7 @@ mod tests {
     fn no_server_is_an_error() {
         let client = SwiftestClient::new(low_rate_model(), WireTestConfig::default());
         let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let err = client.select_server(&[dead]).unwrap_err();
+        let err = client.rank_servers(&[dead]).unwrap_err();
         assert!(matches!(err, WireError::NoServerReachable { .. }));
     }
 
@@ -696,8 +579,8 @@ mod tests {
         addrs.insert(0, "127.0.0.1:1".parse().unwrap());
         addrs.push("127.0.0.1:2".parse().unwrap());
         let client = SwiftestClient::new(low_rate_model(), WireTestConfig::default());
-        let (chosen, _rtt, _total) = client.select_server(&addrs).unwrap();
-        assert_eq!(chosen, live);
+        let (ranked, _total, _rounds) = client.rank_servers(&addrs).unwrap();
+        assert_eq!(ranked[0].0, live);
         for s in servers {
             s.shutdown();
         }
@@ -1001,6 +884,51 @@ mod tests {
         assert_eq!(hello_len.load(Ordering::Relaxed), 34);
         stop.store(true, Ordering::Relaxed);
         legacy.join().unwrap();
+    }
+
+    /// The probing rates a timeline records, in order.
+    fn rates(timeline: &ProbeTimeline) -> Vec<f64> {
+        let rate = |e: &mbw_telemetry::TimelineEntry| match e.event {
+            TimelineEvent::RateChange { mbps } => Some(mbps),
+            _ => None,
+        };
+        timeline.entries().iter().filter_map(rate).collect()
+    }
+
+    #[test]
+    fn a_fresh_session_replays_a_loopback_run() {
+        let _net = crate::net_test_lock();
+        let (servers, addrs) = spawn_local_fleet(1, Some(20_000_000)).unwrap();
+        let config = WireTestConfig::default();
+        let client = SwiftestClient::new(low_rate_model(), config.clone());
+        let report = client.run_test(addrs[0]).unwrap();
+        for s in servers {
+            s.shutdown();
+        }
+        // Feed the run's windows, as its timeline recorded them, to a
+        // fresh session: each window ends 50 ms after its chunk.
+        let model = low_rate_model();
+        let mut estimator = ConvergenceEstimator::new(10, config.convergence_tolerance, 0);
+        let mut replayed = ProbeTimeline::new();
+        let (mut session, _) =
+            SwiftestSession::new(&model, &mut estimator, &config.swiftest, 0, &mut replayed);
+        let windows: Vec<(u64, u64)> = (report.timeline.entries().iter())
+            .filter_map(|e| match e.event {
+                TimelineEvent::Chunk { bytes } => Some((e.at_ns, bytes)),
+                _ => None,
+            })
+            .collect();
+        assert!(windows.len() >= 10, "{} windows", windows.len());
+        for (i, &(start, bytes)) in windows.iter().enumerate() {
+            let stopped = session.on_window(start + 50_000_000, bytes as f64) == Next::Stop;
+            assert_eq!(stopped, i + 1 == windows.len(), "window {i}");
+        }
+        let (estimate_mbps, status) = session.finish(report.duration, None);
+        // 10 Mbps, then 30: the 20 Mbps link kept up with the first mode.
+        assert_eq!(rates(&report.timeline)[..2], [10.0, 30.0]);
+        assert_eq!(rates(&replayed), rates(&report.timeline));
+        assert_eq!(estimate_mbps.to_bits(), report.estimate_mbps.to_bits());
+        assert_eq!(status, report.status);
     }
 
     #[test]

@@ -2,13 +2,18 @@
 //!
 //! A BTS-APP-style server that writes a byte stream as fast as the
 //! (optionally token-bucket-capped) connection allows, and a client that
-//! reads for a fixed window, samples goodput every 50 ms, and feeds the
-//! grouped-trimmed-mean estimator — the wire twin of the simulated
-//! flooding prober, used to compare TCP flooding and Swiftest UDP on the
-//! same emulated link.
+//! reads for a fixed window, samples goodput every 50 ms, and drives
+//! `mbw-core`'s [`FloodingSession`] with the grouped-trimmed-mean
+//! estimator — the same ladder and stop rule as the simulated flooding
+//! prober, used to compare TCP flooding and Swiftest UDP on the same
+//! emulated link.
 
 use crate::server::{is_timeout, Ticker, Worker};
-use mbw_core::estimator::{BandwidthEstimator, EstimatorDecision, GroupedTrimmedMean};
+use mbw_core::decision::ProbeLog;
+use mbw_core::estimator::{BandwidthEstimator, GroupedTrimmedMean};
+use mbw_core::session::{FloodNext, FloodingSession};
+use mbw_core::SAMPLE_INTERVAL_MS;
+use mbw_telemetry::ProbeTimeline;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -131,8 +136,6 @@ pub struct FloodClientConfig {
     /// How long to flood. The production BTS-APP floods 10 s with a
     /// 20 × 10 estimator; tests shrink both proportionally.
     pub duration: Duration,
-    /// Sampling interval.
-    pub sample_interval: Duration,
     /// Estimator grouping `(groups, group_size, drop_low, drop_high)`.
     pub grouping: (usize, usize, usize, usize),
 }
@@ -141,7 +144,6 @@ impl Default for FloodClientConfig {
     fn default() -> Self {
         Self {
             duration: Duration::from_secs(10),
-            sample_interval: Duration::from_millis(50),
             grouping: (20, 10, 5, 2),
         }
     }
@@ -152,7 +154,6 @@ impl FloodClientConfig {
     pub fn quick() -> Self {
         Self {
             duration: Duration::from_secs(2),
-            sample_interval: Duration::from_millis(50),
             grouping: (8, 5, 2, 1),
         }
     }
@@ -171,63 +172,24 @@ pub struct FloodReport {
     pub samples: Vec<f64>,
 }
 
-/// Run one flood test against `server`.
+/// Run one flood test against `server` over a single connection.
 pub fn run_flood_test(
     server: SocketAddr,
     config: &FloodClientConfig,
 ) -> std::io::Result<FloodReport> {
-    let mut stream = TcpStream::connect(server)?;
-    let (g, gs, dl, dh) = config.grouping;
-    let mut estimator = GroupedTrimmedMean::new(g, gs, dl, dh);
-    let started = Instant::now();
-    let mut tick = Ticker::new(config.sample_interval);
-
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut total = 0u64;
-    let mut window = 0u64;
-    let mut samples = Vec::new();
-    let mut estimate = None;
-
-    while started.elapsed() < config.duration {
-        let wait = tick.until_due();
-        if wait.is_zero() {
-            tick.advance();
-            let mbps = window as f64 * 8.0 / config.sample_interval.as_secs_f64() / 1e6;
-            window = 0;
-            samples.push(mbps);
-            if let EstimatorDecision::Done(v) = estimator.push(mbps) {
-                estimate = Some(v);
-                break;
-            }
-            continue;
-        }
-        stream.set_read_timeout(Some(wait))?;
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                total += n as u64;
-                window += n as u64;
-            }
-            Err(e) if is_timeout(&e) || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(FloodReport {
-        estimate_mbps: estimate.or_else(|| estimator.finalize()).unwrap_or(0.0),
-        duration: started.elapsed(),
-        data_bytes: total,
-        samples,
-    })
+    run_flood_test_multi(server, config, &[], 1)
 }
 
 /// Multi-connection flooding (§2): start one connection, add another
-/// every time the aggregate sample crosses the next threshold (25, 35,
-/// … Mbps), exactly like BTS-APP/Speedtest saturating a fast link.
-/// Each connection is read on a thread of its own.
+/// every time the aggregate sample crosses the next threshold of
+/// `ladder` (25, 35, … Mbps), up to `max_connections`, exactly like
+/// BTS-APP/Speedtest saturating a fast link. The ladder and the stop
+/// rule are a [`FloodingSession`]'s; this loop only reads, each
+/// connection on a thread of its own.
 pub fn run_flood_test_multi(
     server: SocketAddr,
     config: &FloodClientConfig,
-    thresholds_mbps: &[f64],
+    ladder: &[f64],
     max_connections: usize,
 ) -> std::io::Result<FloodReport> {
     let window = Arc::new(AtomicU64::new(0));
@@ -241,54 +203,48 @@ pub fn run_flood_test_multi(
             let mut buf = vec![0u8; 64 * 1024];
             while !stop.load(Ordering::Relaxed) {
                 match stream.read(&mut buf) {
-                    Ok(0) => return,
-                    Ok(n) => {
+                    Ok(n) if n > 0 => {
                         window.fetch_add(n as u64, Ordering::Relaxed);
                         total.fetch_add(n as u64, Ordering::Relaxed);
                     }
                     Err(e) if is_timeout(&e) => {}
-                    Err(_) => return,
+                    // End of stream, or the connection failed.
+                    _ => return,
                 }
             }
         })?);
         Ok(())
     };
-    // A connection that fails is missing from the aggregate, as before.
-    let _ = connect();
+    connect()?;
 
     let (g, gs, dl, dh) = config.grouping;
     let mut estimator = GroupedTrimmedMean::new(g, gs, dl, dh);
+    let mut timeline = ProbeTimeline::new();
+    timeline.start(0, "flooding-tcp", estimator.name());
+    let mut session = FloodingSession::new(&mut estimator, ladder, max_connections, &mut timeline);
+    let interval = Duration::from_millis(SAMPLE_INTERVAL_MS);
     let started = Instant::now();
-    let mut tick = Ticker::new(config.sample_interval);
-
-    let mut samples = Vec::new();
-    let mut estimate = None;
-    let mut next_threshold = 0usize;
-    let mut connections = 1usize;
+    let mut tick = Ticker::new(interval);
     while started.elapsed() < config.duration {
         tick.wait();
         let bytes = window.swap(0, Ordering::Relaxed);
-        let mbps = bytes as f64 * 8.0 / config.sample_interval.as_secs_f64() / 1e6;
-        samples.push(mbps);
-        while next_threshold < thresholds_mbps.len() && mbps >= thresholds_mbps[next_threshold] {
-            next_threshold += 1;
-            if connections < max_connections {
-                connections += 1;
-                let _ = connect();
-            }
-        }
-        if let EstimatorDecision::Done(v) = estimator.push(mbps) {
-            estimate = Some(v);
-            break;
+        let mbps = bytes as f64 * 8.0 / interval.as_secs_f64() / 1e6;
+        match session.on_sample(started.elapsed().as_nanos() as u64, mbps) {
+            FloodNext::Continue => {}
+            // A connection that fails is missing from the aggregate.
+            FloodNext::AddFlows(n) => (0..n).for_each(|_| drop(connect())),
+            FloodNext::Stop => break,
         }
     }
     // Dropping the readers stops and joins them.
     drop(readers);
+    let duration = started.elapsed();
+    let (estimate_mbps, _) = session.finish(duration);
     Ok(FloodReport {
-        estimate_mbps: estimate.or_else(|| estimator.finalize()).unwrap_or(0.0),
-        duration: started.elapsed(),
+        estimate_mbps,
+        duration,
         data_bytes: total.load(Ordering::Relaxed),
-        samples,
+        samples: timeline.trajectory().iter().map(|&(_, v)| v).collect(),
     })
 }
 

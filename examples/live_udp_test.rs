@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         addrs.len()
     );
     println!("  data usage  {:>8.2} MB", report.data_bytes as f64 / 1e6);
-    println!("  samples     {:>8}", report.samples.len());
+    println!("  samples     {:>8}", report.timeline.trajectory().len());
 
     // TCP flooding baseline on the same emulated link.
     let tcp = TcpFloodServer::start(Some(cap_bps))?;

@@ -27,7 +27,7 @@ fn wire_test_measures_emulated_link_within_tolerance() {
         report.estimate_mbps
     );
     assert!(report.duration < Duration::from_secs(5));
-    assert!(!report.samples.is_empty());
+    assert!(!report.timeline.trajectory().is_empty());
     for s in servers {
         s.shutdown();
     }
