@@ -1029,6 +1029,19 @@ mod tests {
     }
 
     #[test]
+    fn escalation_steps_to_the_next_larger_mode_then_grows() {
+        let g = tri_modal();
+        assert_eq!(g.escalate(100.0, 1.5), (300.0, Some(1)));
+        assert_eq!(g.escalate(300.0, 1.5), (500.0, Some(2)));
+        assert_eq!(g.escalate(500.0, 1.5), (750.0, None));
+        for rate in [1.0, 99.0, 100.0, 450.0, 500.0, 620.0] {
+            let (next, mode) = g.escalate(rate, 1.25);
+            assert_eq!(mode, g.next_larger_component(rate));
+            assert_eq!(next, g.next_larger_mode(rate).unwrap_or(rate * 1.25));
+        }
+    }
+
+    #[test]
     fn component_lookups_pick_by_weight_when_means_tie() {
         let g = Gmm::from_triples(&[(0.2, 10.0, 1.0), (0.5, 10.0, 2.0), (0.3, 40.0, 1.0)]).unwrap();
         assert_eq!(g.dominant_component(), 1);

@@ -931,6 +931,51 @@ mod tests {
         assert_eq!(status, report.status);
     }
 
+    /// The virtual-time twin of the loopback test below: 5 Mbps windows
+    /// of whole 1 218-byte datagrams, 26 ± 2 of them per window, under
+    /// the same model and tolerance, over 200 seeded jitter sequences.
+    /// The first mode (10 Mbps) is never reached, so the rate never
+    /// moves, and every sequence converges before the 4.5 s cap (90
+    /// windows): half within 20 windows, nine in ten within 50. The
+    /// tail is long, though: 4 of the 200 take more than 80 windows, the
+    /// loopback test's 4 s, with no scheduler delay at all.
+    #[test]
+    fn a_session_converges_on_jittered_windows_below_the_first_mode() {
+        let packet = Message::data_packet(0, 0).encode().len() as f64;
+        let config = WireTestConfig {
+            convergence_tolerance: 0.13,
+            ..WireTestConfig::default()
+        };
+        let model = low_rate_model();
+        let mut taken = Vec::new();
+        for seed in 0..200 {
+            let mut rng = mbw_stats::SeededRng::new(seed);
+            let mut estimator = ConvergenceEstimator::new(10, config.convergence_tolerance, 0);
+            let mut timeline = ProbeTimeline::new();
+            let (mut session, first) =
+                SwiftestSession::new(&model, &mut estimator, &config.swiftest, 0, &mut timeline);
+            assert_eq!(first, 10.0);
+            let mut windows = 0u64;
+            loop {
+                windows += 1;
+                let packets = 24 + rng.index(5);
+                match session.on_window(50_000_000 * windows, packets as f64 * packet) {
+                    Next::Probe { rate_mbps } => assert_eq!(rate_mbps, 10.0, "seed {seed}"),
+                    Next::Stop => break,
+                }
+            }
+            let (estimate, status) = session.finish(Duration::ZERO, None);
+            assert!(status.is_complete(), "seed {seed}: {status}");
+            assert!((estimate - 5.0).abs() < 0.5, "seed {seed}: {estimate}");
+            assert_eq!(rates(&timeline), [10.0], "seed {seed}");
+            taken.push(windows);
+        }
+        taken.sort_unstable();
+        assert!(taken[100] <= 20, "median {} windows", taken[100]);
+        assert!(taken[180] <= 50, "90th percentile {} windows", taken[180]);
+        assert!(taken[199] < 90, "slowest {} windows", taken[199]);
+    }
+
     #[test]
     fn converges_quickly_when_first_mode_saturates() {
         let _net = crate::net_test_lock();
