@@ -3,6 +3,7 @@
 //! from the bytes, so no row is allocated twice and no decoded copy of
 //! a summary is built and dropped. Exact counts, no timing.
 
+use mbw_analysis::summary::{Mean, Sample};
 use mbw_analysis::sweep::FigureSet;
 use mbw_dataset::{DatasetConfig, Generator, Year};
 use mbw_frame::Codec;
@@ -94,4 +95,25 @@ fn decoding_a_part_requests_little_more_than_the_set_keeps() {
             bytes.len()
         );
     }
+}
+
+/// `SameGroupAcc`'s last row: a nested array of means. Decoding it asks
+/// the allocator for nothing at any level.
+#[test]
+fn decoding_a_nested_array_requests_nothing() {
+    let mut rows = [[[Mean::default(); 2]; 2]; 3];
+    for (i, mean) in rows.iter_mut().flatten().flatten().enumerate() {
+        for k in 0..=i {
+            mean.push(Sample::new(k as f64 * 1.5));
+        }
+    }
+    let bytes = rows.to_bytes();
+    let (requested, live) = (REQUESTED.with(Cell::get), LIVE.with(Cell::get));
+    let decoded = <[[[Mean; 2]; 2]; 3]>::from_bytes(&bytes);
+    let counts = (
+        REQUESTED.with(Cell::get) - requested,
+        LIVE.with(Cell::get) - live,
+    );
+    assert_eq!(decoded, Ok(rows));
+    assert_eq!(counts, (0, 0), "(bytes requested, bytes kept)");
 }

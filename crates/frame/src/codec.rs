@@ -497,6 +497,8 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
+/// An array decodes on the stack, with no heap request: a nested array
+/// costs none at any level.
 impl<T: Codec, const N: usize> Codec for [T; N] {
     fn encode(&self, enc: &mut Enc) {
         for v in self {
@@ -504,14 +506,12 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
         }
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::decode(dec)?);
+        let mut slots: [Option<T>; N] = std::array::from_fn(|_| None);
+        for slot in &mut slots {
+            *slot = Some(T::decode(dec)?);
         }
-        out.try_into().map_err(|_| CodecError::BadLen {
-            what: "fixed array",
-            len: N as u64,
-        })
+        // The loop filled every slot or returned.
+        Ok(slots.map(|slot| slot.unwrap_or_else(|| unreachable!("every slot is filled"))))
     }
 }
 
