@@ -23,6 +23,7 @@ use mbw_core::SAMPLE_INTERVAL_MS;
 use mbw_stats::Gmm;
 use mbw_telemetry::trace::ArgValue;
 use mbw_telemetry::{ProbeTimeline, TimelineEvent, Tracer};
+use std::collections::BTreeSet;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -33,6 +34,49 @@ static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_session_id() -> u64 {
     (u64::from(std::process::id()) << 32) | NEXT_SESSION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The holes in one session's data sequence: the datagrams the server
+/// sent that never arrived, by their `seq` (the server numbers each
+/// session's datagrams 0, 1, 2, ...). A late datagram fills its hole, a
+/// duplicate counts once, and a hole still open `REORDER` datagrams
+/// later is closed for good, so the state stays bounded.
+#[derive(Debug, Default)]
+struct SeqHoles {
+    /// One past the highest seq seen.
+    next: u64,
+    /// Holes that a reordered datagram may still fill.
+    open: BTreeSet<u64>,
+    /// Holes closed for good.
+    closed: u64,
+}
+
+impl SeqHoles {
+    const REORDER: u64 = 1024;
+
+    fn arrived(&mut self, seq: u64) {
+        if seq < self.next {
+            self.open.remove(&seq);
+            return;
+        }
+        let fillable = seq.saturating_sub(Self::REORDER).max(self.next);
+        self.closed += fillable - self.next;
+        self.open.extend(fillable..seq);
+        self.next = seq.saturating_add(1);
+        while self
+            .open
+            .first()
+            .is_some_and(|&s| s.saturating_add(Self::REORDER) < self.next)
+        {
+            self.open.pop_first();
+            self.closed += 1;
+        }
+    }
+
+    /// Datagrams that never arrived.
+    fn lost(&self) -> u64 {
+        self.closed + self.open.len() as u64
+    }
 }
 
 /// The next datagram on a connected socket, if one arrives before
@@ -119,6 +163,11 @@ pub struct WireTestReport {
     pub ping_time: Duration,
     /// Bytes received.
     pub data_bytes: u64,
+    /// Data datagrams the server sent that never arrived, counted from
+    /// the gaps in their sequence numbers: what the link or this host
+    /// dropped, up to the last datagram received. Also the timeline's
+    /// `lost_datagrams` annotation.
+    pub lost_datagrams: u64,
     /// The server that served the test.
     pub server: SocketAddr,
     /// How the test completed (converged / partial / nothing usable).
@@ -361,6 +410,7 @@ impl SwiftestClient {
         // the stall watchdog runs.
         let mut tick: Option<Ticker> = None;
         let (mut total_bytes, mut window_bytes) = (0u64, 0u64);
+        let mut holes = SeqHoles::default();
         let mut last_rx = started;
         let mut buf = vec![0u8; 2048];
         // Each turn either waits for a datagram until the next window is
@@ -374,6 +424,13 @@ impl SwiftestClient {
                 socket.set_read_timeout(Some(wait))?;
                 match socket.recv(&mut buf) {
                     Ok(len) => {
+                        // Only this session's data counts; its header
+                        // says which datagram it is.
+                        let header = Message::data_header(&buf[..len]);
+                        let Some((_, seq)) = header.filter(|&(s, _)| s == session) else {
+                            continue;
+                        };
+                        holes.arrived(seq);
                         let window = Duration::from_millis(SAMPLE_INTERVAL_MS);
                         tick.get_or_insert_with(|| Ticker::new(window));
                         total_bytes += len as u64;
@@ -419,11 +476,13 @@ impl SwiftestClient {
         let _ = socket.send(&Message::Stop { session }.encode());
         let duration = started.elapsed();
         let (estimate_mbps, status) = probe.finish(duration, stalled);
+        timeline.annotate("lost_datagrams", &holes.lost().to_string());
         Ok(WireTestReport {
             estimate_mbps,
             duration,
             ping_time: Duration::ZERO,
             data_bytes: total_bytes,
+            lost_datagrams: holes.lost(),
             server,
             status,
             failovers: 0,
@@ -884,6 +943,75 @@ mod tests {
         assert_eq!(hello_len.load(Ordering::Relaxed), 34);
         stop.store(true, Ordering::Relaxed);
         legacy.join().unwrap();
+    }
+
+    #[test]
+    fn sequence_holes_count_what_never_arrived() {
+        let lost = |seqs: &[u64]| {
+            let mut holes = SeqHoles::default();
+            seqs.iter().for_each(|&seq| holes.arrived(seq));
+            holes.lost()
+        };
+        assert_eq!(lost(&[]), 0);
+        assert_eq!(lost(&[0, 1, 2, 3]), 0);
+        // The first datagram is seq 0, so a missing head is a hole.
+        assert_eq!(lost(&[2, 3]), 2);
+        // Gaps: 2 and 4..=6 never arrive.
+        assert_eq!(lost(&[0, 1, 3, 7]), 4);
+        // A reordered arrival fills its hole.
+        assert_eq!(lost(&[0, 2, 1, 5, 3, 4]), 0);
+        // A duplicate is not counted twice, nor does it fill anything.
+        assert_eq!(lost(&[0, 0, 2, 2, 0]), 1);
+        assert_eq!(lost(&[0, 3, 1, 1, 3]), 1);
+        // A hole older than the reorder window is closed for good: its
+        // late datagram no longer counts.
+        let late = SeqHoles::REORDER + 5;
+        assert_eq!(lost(&[0, 2, late]), late - 2);
+        assert_eq!(lost(&[0, 2, late, 1]), late - 2);
+        // A hostile seq near the top of the range neither overflows nor
+        // holds more than the window.
+        let mut holes = SeqHoles::default();
+        holes.arrived(u64::MAX - 1);
+        holes.arrived(u64::MAX);
+        assert_eq!(holes.lost(), u64::MAX - 1);
+        assert!(holes.open.len() as u64 <= SeqHoles::REORDER);
+    }
+
+    #[test]
+    fn host_drops_are_counted_from_the_data_sequence() {
+        use crate::faulty::{FaultyLink, FaultyLinkConfig};
+        let _net = crate::net_test_lock();
+        let (servers, addrs) = spawn_local_fleet(1, Some(10_000_000)).unwrap();
+        let client = SwiftestClient::new(low_rate_model(), WireTestConfig::default());
+        // Through a relay that impairs nothing, nothing is missing.
+        let clean = FaultyLink::start(addrs[0], FaultyLinkConfig::default()).unwrap();
+        let report = client.run_test(clean.local_addr()).unwrap();
+        assert_eq!(report.lost_datagrams, 0);
+        assert_eq!(report.timeline.meta()["lost_datagrams"], "0");
+        clean.shutdown();
+        // A relay that only drops: every counted hole is a datagram it
+        // dropped (it also drops some of the client's own datagrams,
+        // and the ones after the last arrival are never seen missing).
+        // Seed 3 lets the opening rate request through.
+        let drops = FaultyLinkConfig {
+            drop_prob: 0.05,
+            seed: 3,
+            ..FaultyLinkConfig::default()
+        };
+        let lossy = FaultyLink::start(addrs[0], drops).unwrap();
+        let report = client.run_test(lossy.local_addr()).unwrap();
+        let dropped = lossy.stats().dropped;
+        assert!(
+            report.lost_datagrams > 0 && report.lost_datagrams <= dropped,
+            "{} holes, {dropped} dropped",
+            report.lost_datagrams
+        );
+        let annotated = &report.timeline.meta()["lost_datagrams"];
+        assert_eq!(*annotated, report.lost_datagrams.to_string());
+        lossy.shutdown();
+        for s in servers {
+            s.shutdown();
+        }
     }
 
     /// The probing rates a timeline records, in order.

@@ -302,6 +302,17 @@ impl Message {
         })
     }
 
+    /// The `(session, seq)` of a data datagram, read from its header
+    /// without copying the payload; `None` for any other datagram.
+    pub fn data_header(buf: &[u8]) -> Option<(u64, u64)> {
+        let mut buf = buf;
+        let [MAGIC, TAG_DATA] = take::<2>(&mut buf).ok()? else {
+            return None;
+        };
+        let session = u64::from_be_bytes(take::<8>(&mut buf).ok()?);
+        Some((session, u64::from_be_bytes(take::<8>(&mut buf).ok()?)))
+    }
+
     /// A standard-size data packet.
     pub fn data_packet(session: u64, seq: u64) -> Message {
         Message::Data {
@@ -360,6 +371,27 @@ mod tests {
             let decoded = Message::decode(msg.encode()).expect("roundtrip");
             assert_eq!(decoded, msg);
         }
+    }
+
+    #[test]
+    fn a_data_header_reads_as_decode_does() {
+        let wire = Message::data_packet(7, 12345).encode();
+        assert_eq!(Message::data_header(&wire), Some((7, 12345)));
+        // The header alone is enough; one byte less is not.
+        assert_eq!(Message::data_header(&wire[..18]), Some((7, 12345)));
+        assert_eq!(Message::data_header(&wire[..17]), None);
+        for other in [
+            Message::Ping { nonce: 1 },
+            Message::Feedback {
+                session: 7,
+                received_bytes: 12345,
+            },
+        ] {
+            assert_eq!(Message::data_header(&other.encode()), None);
+        }
+        let mut bad_magic = wire.clone();
+        bad_magic[0] ^= 0xFF;
+        assert_eq!(Message::data_header(&bad_magic), None);
     }
 
     #[test]
