@@ -1,10 +1,11 @@
 //! Bandwidth probers: TCP flooding and Swiftest's paced UDP probing.
 //!
-//! A prober owns the traffic pattern; the estimator (see
-//! [`crate::estimator`]) owns the stop rule and the final number. The
-//! flooding prober reproduces BTS-APP/Speedtest behaviour over the
-//! round-based TCP simulation; the Swiftest prober implements §5.1's
-//! model-guided UDP pacing over the fluid path.
+//! A prober owns the traffic pattern and drives a [`crate::session`],
+//! which owns the rules: when to escalate or add a connection, when to
+//! stop, the final number and the status. The flooding prober
+//! reproduces BTS-APP/Speedtest behaviour over the round-based TCP
+//! simulation; the Swiftest prober runs §5.1's model-guided UDP pacing
+//! over the fluid path.
 
 use crate::decision::ProbeLog;
 use crate::estimator::BandwidthEstimator;

@@ -5,7 +5,7 @@
 //! stop, the estimate and the status. This module keeps the I/O: PING
 //! the candidate servers from one socket and rank them, the HELLO/ADMIT
 //! handshake, rate requests and feedback, a window every 50 ms from the
-//! first datagram on (§5.3), and failover. The PING phase retries with
+//! first data datagram on, and failover (§5.3). The PING phase retries with
 //! jittered backoff and returns a typed error when the whole fleet is
 //! dead; a server that goes quiet for `stall_timeout` fails the test
 //! over to the next-best one, keeping its partial estimate (flagged
@@ -406,8 +406,8 @@ impl SwiftestClient {
         };
         request(rate_mbps)?;
 
-        // The first window opens at the first datagram; until then only
-        // the stall watchdog runs.
+        // The first window opens at the first data datagram; until then
+        // only the stall watchdog runs.
         let mut tick: Option<Ticker> = None;
         let (mut total_bytes, mut window_bytes) = (0u64, 0u64);
         let mut holes = SeqHoles::default();
