@@ -20,18 +20,17 @@ const WINDOW: Duration = Duration::from_millis(SAMPLE_INTERVAL_MS);
 
 /// What both sessions keep: the estimator, whether it stopped the test,
 /// and the log.
-struct Stop<'a, L> {
+struct Verdict<'a, L> {
     estimator: &'a mut dyn BandwidthEstimator,
     estimate: Option<f64>,
     log: &'a mut L,
 }
 
-impl<'a, L: ProbeLog> Stop<'a, L> {
+impl<'a, L: ProbeLog> Verdict<'a, L> {
     fn new(estimator: &'a mut dyn BandwidthEstimator, log: &'a mut L) -> Self {
-        let estimate = None;
         Self {
             estimator,
-            estimate,
+            estimate: None,
             log,
         }
     }
@@ -87,7 +86,7 @@ pub struct SwiftestSession<'a, L: ProbeLog> {
     config: SwiftestConfig,
     rate_mbps: f64,
     gap_windows: usize,
-    stop: Stop<'a, L>,
+    verdict: Verdict<'a, L>,
 }
 
 impl<'a, L: ProbeLog> SwiftestSession<'a, L> {
@@ -114,7 +113,7 @@ impl<'a, L: ProbeLog> SwiftestSession<'a, L> {
             config: *config,
             rate_mbps,
             gap_windows: 0,
-            stop: Stop::new(estimator, log),
+            verdict: Verdict::new(estimator, log),
         };
         (session, rate_mbps)
     }
@@ -128,19 +127,19 @@ impl<'a, L: ProbeLog> SwiftestSession<'a, L> {
     pub fn on_window(&mut self, now_ns: u64, delivered_bytes: f64) -> Next {
         let mbps = delivered_bytes * 8.0 / WINDOW.as_secs_f64() / 1e6;
         let start_ns = now_ns.saturating_sub(WINDOW.as_nanos() as u64);
-        self.stop.log.chunk(start_ns, delivered_bytes);
-        self.stop.log.sample(now_ns, mbps);
+        self.verdict.log.chunk(start_ns, delivered_bytes);
+        self.verdict.log.sample(now_ns, mbps);
         if delivered_bytes <= 0.0 {
             self.gap_windows += 1;
-            self.stop.log.stall(now_ns);
-        } else if self.stop.push(now_ns, mbps) {
+            self.verdict.log.stall(now_ns);
+        } else if self.verdict.push(now_ns, mbps) {
             return Next::Stop;
         } else if mbps >= self.rate_mbps * self.config.saturation_margin {
             let growth = self.config.beyond_mode_growth;
             let (rate, mode) = self.model.escalate(self.rate_mbps, growth);
             self.rate_mbps = rate;
             let mode = mode.and_then(|i| u8::try_from(i).ok());
-            self.stop.log.rate(now_ns, rate, mode);
+            self.verdict.log.rate(now_ns, rate, mode);
         }
         if now_ns >= self.config.max_duration.as_nanos() as u64 {
             return Next::Stop;
@@ -160,7 +159,7 @@ impl<'a, L: ProbeLog> SwiftestSession<'a, L> {
         driver_degrade: Option<DegradeReason>,
     ) -> (f64, TestStatus) {
         let gaps = (self.gap_windows > 0).then_some(DegradeReason::Blackout);
-        self.stop.finish(duration, driver_degrade.or(gaps))
+        self.verdict.finish(duration, driver_degrade.or(gaps))
     }
 }
 
@@ -184,7 +183,7 @@ pub struct FloodingSession<'a, L: ProbeLog> {
     thresholds: &'a [f64],
     flows: usize,
     max_flows: usize,
-    stop: Stop<'a, L>,
+    verdict: Verdict<'a, L>,
 }
 
 impl<'a, L: ProbeLog> FloodingSession<'a, L> {
@@ -201,24 +200,24 @@ impl<'a, L: ProbeLog> FloodingSession<'a, L> {
             thresholds,
             flows: 1,
             max_flows,
-            stop: Stop::new(estimator, log),
+            verdict: Verdict::new(estimator, log),
         }
     }
 
     /// One sample of `mbps`, for the window ending at `at_ns`.
     pub fn on_sample(&mut self, at_ns: u64, mbps: f64) -> FloodNext {
-        self.stop.log.sample(at_ns, mbps);
+        self.verdict.log.sample(at_ns, mbps);
         let open = self.flows;
         let reached = |ladder: &[f64]| ladder.first().is_some_and(|&t| mbps >= t);
         while reached(self.thresholds) {
             self.thresholds = &self.thresholds[1..];
             if self.flows < self.max_flows {
                 self.flows += 1;
-                self.stop.log.flows(at_ns, self.flows);
+                self.verdict.log.flows(at_ns, self.flows);
             }
         }
         match self.flows - open {
-            _ if self.stop.push(at_ns, mbps) => FloodNext::Stop,
+            _ if self.verdict.push(at_ns, mbps) => FloodNext::Stop,
             0 => FloodNext::Continue,
             added => FloodNext::AddFlows(added),
         }
@@ -226,6 +225,6 @@ impl<'a, L: ProbeLog> FloodingSession<'a, L> {
 
     /// End the test after `duration`, with its estimate and status.
     pub fn finish(self, duration: Duration) -> (f64, TestStatus) {
-        self.stop.finish(duration, None)
+        self.verdict.finish(duration, None)
     }
 }

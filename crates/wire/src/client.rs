@@ -408,6 +408,7 @@ impl SwiftestClient {
 
         // The first window opens at the first data datagram; until then
         // only the stall watchdog runs.
+        let window = Duration::from_millis(SAMPLE_INTERVAL_MS);
         let mut tick: Option<Ticker> = None;
         let (mut total_bytes, mut window_bytes) = (0u64, 0u64);
         let mut holes = SeqHoles::default();
@@ -431,7 +432,6 @@ impl SwiftestClient {
                             continue;
                         };
                         holes.arrived(seq);
-                        let window = Duration::from_millis(SAMPLE_INTERVAL_MS);
                         tick.get_or_insert_with(|| Ticker::new(window));
                         total_bytes += len as u64;
                         window_bytes += len as u64;

@@ -232,7 +232,11 @@ pub fn run_flood_test_multi(
         match session.on_sample(started.elapsed().as_nanos() as u64, mbps) {
             FloodNext::Continue => {}
             // A connection that fails is missing from the aggregate.
-            FloodNext::AddFlows(n) => (0..n).for_each(|_| drop(connect())),
+            FloodNext::AddFlows(n) => {
+                for _ in 0..n {
+                    let _ = connect();
+                }
+            }
             FloodNext::Stop => break,
         }
     }
