@@ -4,12 +4,13 @@
 //! The session decides (§5.1): the first rate, each escalation, the
 //! stop, the estimate and the status. This module keeps the I/O: PING
 //! the candidate servers from one socket and rank them, the HELLO/ADMIT
-//! handshake, rate requests and feedback, a window every 50 ms from the
-//! first data datagram on, and failover (§5.3). The PING phase retries with
-//! jittered backoff and returns a typed error when the whole fleet is
-//! dead; a server that goes quiet for `stall_timeout` fails the test
-//! over to the next-best one, keeping its partial estimate (flagged
-//! Degraded) only if no later server completes a test.
+//! handshake, rate requests and feedback, a window every 50 ms (fed to
+//! the session from the first data datagram on), and failover (§5.3).
+//! The PING phase retries with jittered backoff and returns a typed
+//! error when the whole fleet is dead; a server that goes quiet for
+//! `stall_timeout` fails the test over to the next-best one, keeping its
+//! partial estimate (flagged Degraded) only if no later server completes
+//! a test.
 
 use crate::error::{RetryPolicy, TestPhase, WireError};
 use crate::proto::Message;
@@ -406,10 +407,13 @@ impl SwiftestClient {
         };
         request(rate_mbps)?;
 
-        // The first window opens at the first data datagram; until then
-        // only the stall watchdog runs.
-        let window = Duration::from_millis(SAMPLE_INTERVAL_MS);
-        let mut tick: Option<Ticker> = None;
+        // Windows are ticked from the rate request on, and the first one
+        // fed to the session is the one the first data datagram arrives
+        // in; until then only the stall watchdog runs. A ticker started
+        // at that datagram would put each window boundary on one of the
+        // server's send bursts, where the slightest delay moves a whole
+        // burst into the next window.
+        let mut tick = Ticker::new(Duration::from_millis(SAMPLE_INTERVAL_MS));
         let (mut total_bytes, mut window_bytes) = (0u64, 0u64);
         let mut holes = SeqHoles::default();
         let mut last_rx = started;
@@ -417,10 +421,7 @@ impl SwiftestClient {
         // Each turn either waits for a datagram until the next window is
         // due or closes the due window.
         let stalled = loop {
-            let wait = match &tick {
-                Some(t) => t.until_due(),
-                None => self.config.stall_timeout.saturating_sub(last_rx.elapsed()),
-            };
+            let wait = tick.until_due();
             if !wait.is_zero() {
                 socket.set_read_timeout(Some(wait))?;
                 match socket.recv(&mut buf) {
@@ -432,7 +433,6 @@ impl SwiftestClient {
                             continue;
                         };
                         holes.arrived(seq);
-                        tick.get_or_insert_with(|| Ticker::new(window));
                         total_bytes += len as u64;
                         window_bytes += len as u64;
                         last_rx = Instant::now();
@@ -445,12 +445,15 @@ impl SwiftestClient {
                 }
                 continue;
             }
-            // No window ever opened: the server never sent a byte.
-            let Some(t) = tick.as_mut() else {
-                let idle = last_rx.elapsed();
-                return Err(WireError::ServerStalled { server, idle });
-            };
-            t.advance();
+            tick.advance();
+            if total_bytes == 0 {
+                if last_rx.elapsed() >= self.config.stall_timeout {
+                    // The server never sent a byte.
+                    let idle = last_rx.elapsed();
+                    return Err(WireError::ServerStalled { server, idle });
+                }
+                continue;
+            }
             let now_ns = started.elapsed().as_nanos() as u64;
             let next = probe.on_window(now_ns, std::mem::take(&mut window_bytes) as f64);
             // Stall watchdog: total silence for longer than the threshold
